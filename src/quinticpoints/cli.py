@@ -1,9 +1,9 @@
 """Command-line front end.
 
 JSON goes to stdout (stable key order, no timestamps), human summaries to
-stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure or
-trivial point, 2 invalid input or degenerate construction, 3 search
-exhausted.  ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to
+stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure
+(a trivial point, or a failed exact certificate: CertificateError), 2 invalid
+input or degenerate construction, 3 search exhausted.  ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to
 a JSON-lines ledger; only the timestamp differs between identical reruns.
 """
 
@@ -18,33 +18,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__, elliptic, quadform, surfaces
-from .exact import GaussianRational, format_rational, parse_rational
+from .exact import CertificateError, GaussianRational, format_rational, parse_rational
 from .quintic import Point4, QuinticCoeffs, classify, residual, scale_to_integers
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
-
-_INVALID_INPUT_ERRORS = (
-    surfaces.WrongFamily,
-    surfaces.DegenerateParameters,
-    surfaces.NotSolvable,
-    surfaces.NoBasePointFound,
-    surfaces.MapPole,
-    surfaces.SingularCubic,
-    surfaces.PointNotOnCubic,
-    surfaces.DegenerateConic,
-    surfaces.SeedNotOnConic,
-    surfaces.DegenerateMixedPair,
-    elliptic.DegenerateSpecialization,
-    elliptic.PointNotOnCurve,
-    elliptic.SingularCurve,
-    quadform.ZeroCoefficient,
-    quadform.NotNormalized,
-    quadform.BaseNotOnConic,
-)
-
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
@@ -131,7 +111,7 @@ def cmd_construct(args) -> int:
     family = args.family
     try:
         if family == "thm1":
-            cert, _ = surfaces.thm1_point(
+            cert = surfaces.thm1_point(
                 QuinticCoeffs(args.a, args.b, args.c),
                 parse_rational(args.u),
                 parse_rational(args.v),
@@ -162,19 +142,22 @@ def cmd_construct(args) -> int:
                 )
             else:
                 seed = tuple(parse_rational(s) for s in args.seed_point.split(","))
+                if len(seed) != 2:
+                    raise ValueError("--seed-point needs two values U,V")
                 cert = surfaces.symmetric_rational_point(
                     coeffs, parse_rational(args.t), seed, parse_rational(args.w)
                 )
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(family)
-    except _INVALID_INPUT_ERRORS as exc:
+    except CertificateError as exc:  # a fault of the program, not of the input
+        _emit({"error": type(exc).__name__, "message": str(exc)})
+        return EXIT_FAIL
+    except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
         payload = {"error": type(exc).__name__, "message": str(exc)}
         _emit(payload)
         _note(f"invalid input: {exc}")
-        _store_record(args, f"construct {family}", vars(args).get("family", {}), payload)
-        return EXIT_INVALID
-    except (ValueError, ZeroDivisionError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
+        _store_record(args, f"construct {family}", inputs, payload)
         return EXIT_INVALID
     return _certificate_exit(cert, args)
 
@@ -293,13 +276,11 @@ def cmd_question3(args) -> int:
     f = QuinticCoeffs(a_n, 0, args.c)
     points = []
     for sol in sols:
-        x, y, z = sol.coords()
-        point = Point4(
-            (-x + y + 3 * z) / 5, (2 * x + y) / 5, 3 * y / 5, (x - y + 3 * z) / 5
-        )
+        point = Point4(*surfaces.r4_point(*sol.coords()))
         res = residual(f, point)
+        if res or not point.is_integral():
+            raise CertificateError(f"question-3 point {point.to_json()} fails its certificate")
         report = classify(f, point)
-        assert res == 0 and point.is_integral()
         points.append(
             {
                 "point": point.to_json(),
@@ -347,10 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    common.add_argument("--bound", type=int, default=60, help="search bound")
-    common.add_argument("--out", help="output file (table CSV)")
     common.add_argument("--store", help="append-only JSONL result store")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,11 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p_verify = add_sub("verify-identities", help="run the symbolic identity suite")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     p_verify.add_argument("--only", help="substring filter on check names")
     p_verify.add_argument("--mutate", action="store_true", help="test hook: perturb one identity")
     p_verify.set_defaults(func=cmd_verify_identities)
 
     p_construct = add_sub("construct", help="construct one certified point")
+    p_construct.add_argument("--bound", type=int, default=60, help="thm2 base-point search bound")
     p_construct.add_argument(
         "family",
         choices=["thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"],
@@ -385,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.set_defaults(func=cmd_construct)
 
     p_solve = add_sub("solve-form", help="decide a1 X1^2 + ... + a4 X4^2 = 0")
+    p_solve.add_argument("--bound", type=int, default=60, help="witness search bound")
     p_solve.add_argument("a1", type=int)
     p_solve.add_argument("a2", type=int)
     p_solve.add_argument("a3", type=int)
@@ -392,11 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve_form)
 
     p_table = add_sub("table", help="verify or extend the specialization table")
+    p_table.add_argument("--bound", type=int, default=3000, help="search-mode numerator bound")
     p_table.add_argument("--dmax", type=int, default=100)
     p_table.add_argument("--mode", choices=["verify", "search"], default="verify")
     p_table.add_argument("--tmax", type=int, default=50, help="height cap for search mode")
+    p_table.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_table.add_argument("--out", help="output file (table CSV)")
     p_table.set_defaults(func=cmd_table)
-    p_table.set_defaults(bound=3000)
 
     p_q3 = add_sub("question3", help="N integer points with c fixed")
     p_q3.add_argument("--N", type=int, default=1)

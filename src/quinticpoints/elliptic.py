@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -264,6 +265,16 @@ class SearchBounds:
 _FILTER_PRIMES = (63901, 63907, 63913, 63929, 63949)
 
 
+@lru_cache(maxsize=None)
+def _squares_mod(p: int):
+    """Boolean table of the quadratic residues mod p, built once per prime."""
+    roots = np.arange((p + 1) // 2, dtype=np.int64)
+    squares = np.zeros(p, dtype=bool)
+    squares[(roots * roots) % p] = True
+    squares.flags.writeable = False  # shared by every later call
+    return squares
+
+
 def _square_candidates(m_values, a2: int, a4: int, a6: int, e: int):
     """Vectorized quadratic-residue sieve for m^3 + a2 m^2 e^2 + a4 m e^4 +
     a6 e^6 being a perfect square; survivors still need exact verification."""
@@ -276,11 +287,7 @@ def _square_candidates(m_values, a2: int, a4: int, a6: int, e: int):
             + (a4 % p) * (pow(e, 4, p)) % p * m
             + (a6 % p) * pow(e, 6, p)
         ) % p
-        # quadratic residues mod p
-        roots = np.arange((p + 1) // 2, dtype=np.int64)
-        squares = np.zeros(p, dtype=bool)
-        squares[(roots * roots) % p] = True
-        keep &= squares[val]
+        keep &= _squares_mod(p)[val]
         if not keep.any():
             break
     return m_values[keep]

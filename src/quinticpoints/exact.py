@@ -29,6 +29,11 @@ class EmptyList(ValueError):
     """An argument list that must be nonempty was empty."""
 
 
+class CertificateError(RuntimeError):
+    """An exact check of a computed result failed: a fault of the program,
+    not of its input, so deliberately not a ValueError."""
+
+
 # ---------------------------------------------------------------------------
 # parsing / formatting ("n/d" is the wire format used everywhere downstream)
 

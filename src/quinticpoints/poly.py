@@ -384,13 +384,6 @@ class MultiPoly:
         return f"MultiPoly({self.field}, {self})"
 
 
-def as_poly(value, field=FIELD_Q, vars=()) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        return value.to_field(field) if value.field != field else value
-    p = MultiPoly.constant(value, field)
-    return p.on_vars(vars) if vars else p
-
-
 def _int_content(poly: MultiPoly) -> Fraction:
     """gcd of all rational components of the coefficients (positive)."""
     nums: list[int] = []

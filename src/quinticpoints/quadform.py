@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import hilbert2, legendre, squarefree_decompose
+from .exact import CertificateError, hilbert2, legendre, squarefree_decompose
 from .poly import MultiPoly, RationalFunction
 
 
@@ -461,7 +461,7 @@ def parametrize_conic(a: int, base: TernarySolution) -> ConicParametrization:
     z = t + z0
     residual = x * x + 2 * y * y + 3 * z * z + 5 * a
     if not residual.is_identically_zero:
-        raise AssertionError("conic parametrization failed its own certificate")
+        raise CertificateError("conic parametrization failed its own certificate")
     return ConicParametrization(a=a, base=base, x=x, y=y, z=z)
 
 
@@ -481,10 +481,13 @@ def question3_family(n: int):
     sols = []
     for k in range(1, n + 1):
         m, rem = divmod(5 * g, k * k + 2)
-        assert rem == 0
         sol = TernarySolution(m * (2 * k + 3), m * (k * k + 3 * k - 2), m * (k * k - 2 * k - 1))
-        assert sol.ternary_value() == -5 * a_n
-        assert all(c.denominator == 1 and c.numerator % 5 == 0 for c in sol.coords())
+        if (
+            rem
+            or sol.ternary_value() != -5 * a_n
+            or any(c.denominator != 1 or c.numerator % 5 for c in sol.coords())
+        ):
+            raise CertificateError(f"question-3 triple k = {k} fails its certificate")
         sols.append(sol)
     return a_n, sols
 

@@ -27,6 +27,15 @@ class PointNotOnHypersurface(ValueError):
     """A point claimed to lie on the hypersurface does not."""
 
 
+def f_value(a, b, c, x):
+    """x^5 + a x^3 + b x^2 + c x in Horner form, with no guard on a, b, c.
+
+    Works for Fraction, GaussianRational and MultiPoly arguments, and for
+    symbolic (MultiPoly) coefficients."""
+    x2 = x * x
+    return ((x2 + a) * x2 + b * x + c) * x
+
+
 @dataclass(frozen=True)
 class QuinticCoeffs:
     """f(X) = X^5 + a X^3 + b X^2 + c X with integer a, b, c, not all zero."""
@@ -41,8 +50,7 @@ class QuinticCoeffs:
 
     def __call__(self, x):
         """Exact f(x) for a rational or Gaussian-rational x."""
-        x2 = x * x
-        return ((x2 + self.a) * x2 + self.b * x + self.c) * x
+        return f_value(self.a, self.b, self.c, x)
 
     def __str__(self):
         return f"X^5 + {self.a}*X^3 + {self.b}*X^2 + {self.c}*X"
@@ -113,12 +121,13 @@ class TrivialityReport:
         )
 
 
-def residual(f: QuinticCoeffs, point: Point4):
-    """f(p) + f(q) - f(r) - f(s); zero exactly when the point is on V_f."""
+def residual(f, point: Point4):
+    """f(p) + f(q) - f(r) - f(s); zero exactly when the point is on V_f.
+    ``f`` is any one-argument callable, e.g. a QuinticCoeffs."""
     return f(point.p) + f(point.q) - f(point.r) - f(point.s)
 
 
-def classify(f: QuinticCoeffs, point: Point4) -> TrivialityReport:
+def classify(f, point: Point4) -> TrivialityReport:
     """Triviality per the set-intersection definition: a point is nontrivial
     when {p,q} and {r,s} are disjoint and so are their f-value sets."""
     on = not bool(residual(f, point))
@@ -159,8 +168,5 @@ def residual_symbolic(f: QuinticCoeffs | None = None, field=FIELD_Q) -> MultiPol
         a, b, c = (MultiPoly.variable(n, field) for n in "abc")
     else:
         a, b, c = f.a, f.b, f.c
-
-    def fx(x):
-        return x**5 + a * x**3 + b * x**2 + c * x
-
-    return fx(p) + fx(q) - fx(r) - fx(s)
+    fp, fq, fr, fs = (f_value(a, b, c, x) for x in (p, q, r, s))
+    return fp + fq - fr - fs

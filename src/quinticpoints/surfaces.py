@@ -1,7 +1,8 @@
 """Point-construction pipelines on f(p)+f(q) = f(r)+f(s) and its relatives.
 
 Every operation here returns (or embeds) a certificate: the exact residual of
-the emitted point, which is asserted to be zero, plus a triviality verdict.
+the emitted point plus a triviality verdict.  Building a :class:`Certificate`
+whose residual is nonzero raises :class:`CertificateError`.
 The displayed formulas that feed these pipelines are each backed by a
 symbolic identity check in :func:`identity_suite`.
 """
@@ -12,16 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import elliptic
-from .elliptic import (
-    CurvePoint,
-    DegenerateSpecialization,
-    SearchBounds,
-    WeierstrassCurve,
-)
-from .exact import GAUSSIAN_I, GAUSSIAN_ONE, GaussianRational
+from .elliptic import CurvePoint, DegenerateSpecialization
+from .exact import GAUSSIAN_I, CertificateError, GaussianRational
 from .poly import (
     FIELD_Q,
     FIELD_QI,
@@ -30,7 +26,17 @@ from .poly import (
     RationalFunction,
     as_rational_function,
 )
-from .quintic import FIELD_TAG_Q, FIELD_TAG_QI, Point4, QuinticCoeffs, TrivialityReport
+from .quintic import (
+    FIELD_TAG_Q,
+    FIELD_TAG_QI,
+    Point4,
+    QuinticCoeffs,
+    TrivialityReport,
+    classify,
+    f_value,
+    residual,
+    residual_symbolic,
+)
 
 
 class WrongFamily(ValueError):
@@ -53,14 +59,6 @@ class MapPole(ValueError):
     """A birational map hit its exceptional locus; skip to the next input."""
 
 
-class SingularCubic(ValueError):
-    pass
-
-
-class PointNotOnCubic(ValueError):
-    pass
-
-
 class DegenerateConic(ValueError):
     """The symmetric-family conic degenerates (b_{2,0} vanishes)."""
 
@@ -78,7 +76,8 @@ class DegenerateMixedPair(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Exact evidence attached to every emitted point."""
+    """Exact evidence attached to every emitted point; a point off its
+    hypersurface cannot get one."""
 
     construction: str
     inputs: dict
@@ -86,6 +85,12 @@ class Certificate:
     residual: object
     report: TrivialityReport
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.residual or not self.report.on_hypersurface:
+            raise CertificateError(
+                f"{self.construction}: residual {self.residual} at {self.point.to_json()}"
+            )
 
     @property
     def nontrivial(self) -> bool:
@@ -102,33 +107,18 @@ class Certificate:
         }
 
 
-def _f_eval(a, b, c, x):
-    """x^5 + a x^3 + b x^2 + c x without the not-all-zero guard."""
-    return x**5 + a * x**3 + b * x**2 + c * x
-
-
-def _classify_quintic(a, b, c, point: Point4) -> TrivialityReport:
-    left = {point.p, point.q}
-    right = {point.r, point.s}
-    vals_left = {_f_eval(a, b, c, v) for v in left}
-    vals_right = {_f_eval(a, b, c, v) for v in right}
-    res = _f_eval(a, b, c, point.p) + _f_eval(a, b, c, point.q) - _f_eval(
-        a, b, c, point.r
-    ) - _f_eval(a, b, c, point.s)
-    return TrivialityReport(
-        on_hypersurface=not bool(res),
-        coordinate_overlap=bool(left & right),
-        value_overlap=bool(vals_left & vals_right),
+def _quintic_certificate(construction, inputs, a, b, c, point, notes=()) -> Certificate:
+    """Certify a point on f(p)+f(q) = f(r)+f(s), f = X^5+aX^3+bX^2+cX; any
+    a, b, c, including a = b = c = 0."""
+    f = partial(f_value, a, b, c)
+    return Certificate(
+        construction=construction,
+        inputs=inputs,
+        point=point,
+        residual=residual(f, point),
+        report=classify(f, point),
+        notes=tuple(notes),
     )
-
-
-def _sym_poly_f(a, b, c, field=FIELD_Q):
-    """f(X) = X^5 + aX^3 + bX^2 + cX acting on polynomial arguments."""
-
-    def f(x):
-        return x**5 + a * x**3 + b * x**2 + c * x
-
-    return f
 
 
 def _reduce_square(poly: MultiPoly, var: str, rhs: MultiPoly) -> MultiPoly:
@@ -191,23 +181,13 @@ def _ansatz_values(a, b, u, v):
     return p, q, r, s, -t_num / t_den
 
 
-@dataclass(frozen=True)
-class AnsatzSolution:
-    A_p: Fraction
-    A_q: Fraction
-    A_r: Fraction
-    A_s: Fraction
-    T: Fraction
-
-
-def thm1_point(
-    fq: QuinticCoeffs, u, v, branch: int = 1
-) -> tuple[Certificate, AnsatzSolution]:
+def thm1_point(fq: QuinticCoeffs, u, v, branch: int = 1) -> Certificate:
     """Two-parameter rational point on V_f for b != 0.
 
     Runs the full pipeline: ansatz root T, the point (X, Y, t) on E, the
     inverse change of variables to (x, y, w) on w^2 = Delta, and the root
-    z = (5y^2 + branch*w)/(10y) of G.  Exact residual is asserted to vanish.
+    z = (5y^2 + branch*w)/(10y) of G.  A nonzero residual raises
+    CertificateError.
     """
     if fq.b == 0:
         raise WrongFamily("Theorem 1 pipeline needs b != 0")
@@ -231,20 +211,12 @@ def thm1_point(
     y = -10 * b / shift
     w = 20 * b * Y / (shift * shift)
     z = (5 * y * y + branch * w) / (10 * y)
-    point = Point4(x, y - x, z, y - z, FIELD_TAG_Q)
-    from .quintic import residual as v_residual
-
-    res = v_residual(fq, point)
-    assert res == 0, "Theorem 1 pipeline must produce an exact point"
-    report = _classify_quintic(a, b, c, point)
-    cert = Certificate(
-        construction="thm1",
-        inputs={"a": a, "b": b, "c": c, "u": str(u), "v": str(v), "branch": branch},
-        point=point,
-        residual=res,
-        report=report,
+    return _quintic_certificate(
+        "thm1",
+        {"a": a, "b": b, "c": c, "u": str(u), "v": str(v), "branch": branch},
+        a, b, c,
+        Point4(x, y - x, z, y - z, FIELD_TAG_Q),
     )
-    return cert, AnsatzSolution(A_p, A_q, A_r, A_s, T)
 
 
 @dataclass(frozen=True)
@@ -362,10 +334,7 @@ def thm1_surface_identities() -> list[IdentityCheck]:
 # ---------------------------------------------------------------------------
 # Theorem 2: the ternary-conic route for f = X^5 + aX^3 + cX, a < 0
 
-R4_DENOMINATOR = 5
-
-
-def _r4_point(x, y, z):
+def r4_point(x, y, z):
     """(p,q,r,s) = ((-x+y+3z)/5, (2x+y)/5, 3y/5, (x-y+3z)/5)."""
     return (
         (-x + y + 3 * z) / 5,
@@ -400,7 +369,7 @@ def thm2_parametrize(a: int, search_bound: int = 60) -> ParametrizedFamily:
 
     Composes the (R4) substitution with the conic parametrization of
     x^2+2y^2+3z^2 = -5a; the residual vanishes identically with c symbolic,
-    which is asserted before returning.
+    which is checked before returning (CertificateError otherwise).
     """
     from . import quadform
 
@@ -410,32 +379,24 @@ def thm2_parametrize(a: int, search_bound: int = 60) -> ParametrizedFamily:
     if base is None:
         raise NoBasePointFound(f"no witness within bound {search_bound}")
     conic = quadform.parametrize_conic(a, base)
-    p, q, r, s = _r4_point(conic.x, conic.y, conic.z)
+    p, q, r, s = r4_point(conic.x, conic.y, conic.z)
     # exact certificate: residual is the zero rational function, c symbolic
-    from .quintic import residual_symbolic
-
     res = residual_symbolic().substitute(
         {"p": p, "q": q, "r": r, "s": s, "a": MultiPoly.constant(a), "b": MultiPoly.zero()}
     )
-    assert res.is_identically_zero, "Theorem 2 parametrization failed its certificate"
+    if not res.is_identically_zero:
+        raise CertificateError(f"Theorem 2 parametrization for a = {a} is off V_f")
     return ParametrizedFamily(a=a, base=base, p=p, q=q, r=r, s=s)
 
 
 def thm2_point(a: int, c: int, u, v, search_bound: int = 60) -> Certificate:
     """Concrete rational point from the Theorem 2 family at (u, v)."""
     family = thm2_parametrize(a, search_bound)
-    point = family.eval_point(u, v)
-    res = _f_eval(a, 0, c, point.p) + _f_eval(a, 0, c, point.q) - _f_eval(
-        a, 0, c, point.r
-    ) - _f_eval(a, 0, c, point.s)
-    assert res == 0
-    report = _classify_quintic(a, 0, c, point)
-    return Certificate(
-        construction="thm2",
-        inputs={"a": a, "c": c, "u": str(Fraction(u)), "v": str(Fraction(v))},
-        point=point,
-        residual=res,
-        report=report,
+    return _quintic_certificate(
+        "thm2",
+        {"a": a, "c": c, "u": str(Fraction(u)), "v": str(Fraction(v))},
+        a, 0, c,
+        family.eval_point(u, v),
     )
 
 
@@ -486,22 +447,15 @@ def gaussian_point(coeffs, y, u) -> Certificate:
     q = i * (u * u - 20 * i * y * y * u - 25 * y4 + core) / den
     r = (u * u + 10 * (1 - i) * y * y * u - 25 * (3 + 2 * i) * y4 - core) / den
     s = -(u * u - 10 * (1 + i) * y * y * u - 25 * (3 - 2 * i) * y4 - core) / den
-    point = Point4(p, q, r, s, FIELD_TAG_QI)
-    res = _f_eval(a, b, c, p) + _f_eval(a, b, c, q) - _f_eval(a, b, c, r) - _f_eval(
-        a, b, c, s
-    )
-    assert not res, "Gaussian parametrization failed its certificate"
-    report = _classify_quintic(a, b, c, point)
     notes = []
     if a == 0 and b == 0:
         notes.append("a = b = 0: the image is a Q(i)-rational curve, not a surface")
-    return Certificate(
-        construction="gaussian",
-        inputs={"a": a, "b": b, "c": c, "y": str(y), "u": u.to_json()},
-        point=point,
-        residual=res,
-        report=report,
-        notes=tuple(notes),
+    return _quintic_certificate(
+        "gaussian",
+        {"a": a, "b": b, "c": c, "y": str(y), "u": u.to_json()},
+        a, b, c,
+        Point4(p, q, r, s, FIELD_TAG_QI),
+        notes,
     )
 
 
@@ -514,48 +468,21 @@ def fifth_power_solution(u, v) -> Certificate:
     q = -u * u + 20 * i * u * v + 25 * v * v
     r = i * u * u + 10 * (1 + i) * u * v + 25 * (2 - 3 * i) * v * v
     s = -i * u * u - 10 * (1 - i) * u * v + 25 * (2 + 3 * i) * v * v
-    point = Point4(p, q, r, s, FIELD_TAG_QI)
-    res = p**5 + q**5 - r**5 - s**5
-    assert not res
-    report = TrivialityReport(
-        on_hypersurface=True,
-        coordinate_overlap=bool({p, q} & {r, s}),
-        value_overlap=bool({p**5, q**5} & {r**5, s**5}),
+    return _quintic_certificate(
+        "fifth-power",
+        {"u": u.to_json(), "v": v.to_json()},
+        0, 0, 0,
+        Point4(p, q, r, s, FIELD_TAG_QI),
     )
-    return Certificate(
-        construction="fifth-power",
-        inputs={"u": u.to_json(), "v": v.to_json()},
-        point=point,
-        residual=res,
-        report=report,
-    )
-
-
-def norm_lift(n: int, t1, t2):
-    """(u, v, X) with u^2 + 75 v^2 = X^n, from (t1 + sqrt(-75) t2)^n.
-
-    Feeding u, v into the fifth-power solution turns its first coordinate
-    into X^n, solving p^(5n) + q^5 = r^5 + s^5.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    t1 = Fraction(t1)
-    t2 = Fraction(t2)
-    u = Fraction(0)
-    v = Fraction(0)
-    for j in range(n + 1):
-        term = math.comb(n, j) * t1 ** (n - j) * t2**j
-        if j % 2 == 0:
-            u += term * Fraction(-75) ** (j // 2)
-        else:
-            v += term * Fraction(-75) ** ((j - 1) // 2)
-    X = t1 * t1 + 75 * t2 * t2
-    assert u * u + 75 * v * v == X**n
-    return u, v, X
 
 
 def norm_lift_symbolic(n: int) -> bool:
-    """u^2 + 75 v^2 - (t1^2 + 75 t2^2)^n vanishes identically."""
+    """u^2 + 75 v^2 - (t1^2 + 75 t2^2)^n vanishes identically, where
+    u + sqrt(-75) v = (t1 + sqrt(-75) t2)^n.
+
+    Feeding such u, v into the fifth-power solution turns its first
+    coordinate into X^n, solving p^(5n) + q^5 = r^5 + s^5.
+    """
     t1, t2 = MultiPoly.variables("t1 t2")
     u = MultiPoly.zero()
     v = MultiPoly.zero()
@@ -585,12 +512,6 @@ class MixedPair:
     def __post_init__(self):
         if (self.a, self.b, self.c) == (self.d, self.e, self.f):
             raise DegenerateMixedPair("F(x) - F(0) = G(x) - G(0)")
-
-    def F(self, x):
-        return _f_eval(self.a, self.b, self.c, x)
-
-    def G(self, x):
-        return _f_eval(self.d, self.e, self.f, x)
 
 
 def _mixed_h_coeffs(a, b, c, d, e, f, t):
@@ -629,10 +550,10 @@ def mixed_H(pair: MixedPair | None = None):
         H = H + coeff * U**i * V**j
     p, q, r, s = (MultiPoly.variable(n) for n in "pqrs")
     residual_poly = (
-        _f_eval(a, b, c, p)
-        + _f_eval(d, e, f, q)
-        - _f_eval(a, b, c, r)
-        - _f_eval(d, e, f, s)
+        f_value(a, b, c, p)
+        + f_value(d, e, f, q)
+        - f_value(a, b, c, r)
+        - f_value(d, e, f, s)
     )
     residual_rf = residual_poly.substitute(
         {
@@ -656,23 +577,6 @@ class BirationalMapPair:
     forward_vars: tuple
     inverse: tuple
     inverse_vars: tuple
-
-    def apply_forward(self, values):
-        return self._apply(self.forward, self.forward_vars, values)
-
-    def apply_inverse(self, values):
-        return self._apply(self.inverse, self.inverse_vars, values)
-
-    @staticmethod
-    def _apply(maps, names, values):
-        binding = dict(zip(names, values))
-        out = []
-        for component in maps:
-            try:
-                out.append(component.eval(binding))
-            except PoleAtPoint as exc:
-                raise MapPole(str(exc)) from exc
-        return tuple(out)
 
 
 def special_curve_rhs(D, t):
@@ -772,17 +676,13 @@ def mixed_point(
     r = 1 / V
     s = t - 1 / V
     pt = Point4(p, q, r, s, FIELD_TAG_Q)
-    res = _f_eval(0, 0, c, p) + _f_eval(0, 0, f, q) - _f_eval(0, 0, c, r) - _f_eval(
-        0, 0, f, s
-    )
-    assert res == 0
+    Fp, Fr = f_value(0, 0, c, p), f_value(0, 0, c, r)
+    res = Fp + f_value(0, 0, f, q) - Fr - f_value(0, 0, f, s)
     # triviality for the mixed equation: sides are (F(p), G(q)) vs (F(r), G(s))
-    value_overlap = _f_eval(0, 0, c, p) == _f_eval(0, 0, c, r)
-    coordinate_overlap = p == r or q == s
     report = TrivialityReport(
-        on_hypersurface=True,
-        coordinate_overlap=coordinate_overlap,
-        value_overlap=value_overlap,
+        on_hypersurface=not res,
+        coordinate_overlap=p == r or q == s,
+        value_overlap=Fp == Fr,
     )
     return Certificate(
         construction="mixed",
@@ -791,354 +691,6 @@ def mixed_point(
         residual=res,
         report=report,
         notes=(f"(U,V) preimage: ({U}, {V})",),
-    )
-
-
-# ---------------------------------------------------------------------------
-# numeric cubic -> Weierstrass (Nagell-style), both flex and generic cases
-
-def _line_sections(cubic: MultiPoly, u0: Fraction, v0: Fraction):
-    """Pencil of lines through (u0, v0): returns (swap, K, Q, L) where the
-    cubic restricted to the line with parameter m is
-    lam * (K(m) lam^2 + Q(m) lam + L(m)); swap marks the (U,V)-role exchange
-    used when the tangent is vertical."""
-    cu = cubic.derivative("U").eval({"U": u0, "V": v0})
-    cv = cubic.derivative("V").eval({"U": u0, "V": v0})
-    if cu == 0 and cv == 0:
-        raise SingularCubic(f"({u0}, {v0}) is a singular point")
-    swap = cv == 0
-    lam, m = MultiPoly.variables("lam m")
-    if swap:
-        bindings = {"U": u0 + m * lam, "V": v0 + lam}
-    else:
-        bindings = {"U": u0 + lam, "V": v0 + m * lam}
-    restricted = cubic.substitute(bindings)
-    assert restricted.den == MultiPoly.constant(1)
-    poly = restricted.num
-    assert poly.coefficient_of("lam", 0).is_zero
-    L = poly.coefficient_of("lam", 1)
-    Qm = poly.coefficient_of("lam", 2)
-    K = poly.coefficient_of("lam", 3)
-    return swap, K, Qm, L
-
-
-def _matrix_inverse_3x3(mat):
-    det = (
-        mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-        - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-        + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-    )
-    if det == 0:
-        raise ValueError("singular matrix")
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [mat[r][c] for c in range(3) if c != j]
-                for r in range(3)
-                if r != i
-            ]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[i][j] = (-1) ** (i + j) * minor
-    return [[Fraction(cof[j][i], 1) / det for j in range(3)] for i in range(3)]
-
-
-def _homogenize(cubic: MultiPoly) -> MultiPoly:
-    W = MultiPoly.variable("W")
-    out = MultiPoly.zero()
-    for exps, coeff in cubic.terms.items():
-        mono = MultiPoly(cubic.field, cubic.vars, {exps: coeff})
-        d = sum(exps)
-        out = out + mono * W ** (3 - d)
-    return out
-
-
-def _flex_model(cubic: MultiPoly, u0: Fraction, v0: Fraction):
-    """Weierstrass model when the base point is a flex: send it to [0:1:0]
-    with its tangent to the line at infinity, then rescale to long form."""
-    cu = cubic.derivative("U").eval({"U": u0, "V": v0})
-    cv = cubic.derivative("V").eval({"U": u0, "V": v0})
-    line = (cu, cv, -cu * u0 - cv * v0)
-    p1 = (cv, -cu, Fraction(0))
-    for candidate in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        if sum(l * c for l, c in zip(line, candidate)) != 0:
-            p2 = tuple(Fraction(c) for c in candidate)
-            break
-    cols = [p1, (Fraction(u0), Fraction(v0), Fraction(1)), p2]
-    matrix = [[cols[j][i] for j in range(3)] for i in range(3)]
-    inverse = _matrix_inverse_3x3(matrix)
-
-    hom = _homogenize(cubic)
-    Xv, Yv, Zv = (MultiPoly.variable(n) for n in ("Xm", "Ym", "Zm"))
-    subs = {
-        "U": matrix[0][0] * Xv + matrix[0][1] * Yv + matrix[0][2] * Zv,
-        "V": matrix[1][0] * Xv + matrix[1][1] * Yv + matrix[1][2] * Zv,
-        "W": matrix[2][0] * Xv + matrix[2][1] * Yv + matrix[2][2] * Zv,
-    }
-    transformed = hom.substitute(subs).num
-
-    def coeff(i, j, k):
-        return (
-            transformed.coefficient_of("Xm", i)
-            .coefficient_of("Ym", j)
-            .coefficient_of("Zm", k)
-            .constant_value()
-        )
-
-    if coeff(0, 3, 0) != 0 or coeff(1, 2, 0) != 0 or coeff(2, 1, 0) != 0:
-        raise AssertionError("flex normalization failed")
-    c300 = coeff(3, 0, 0)
-    c021 = coeff(0, 2, 1)
-    if c300 == 0 or c021 == 0:
-        raise SingularCubic("degenerate cubic: tangent line is a component")
-    c111 = coeff(1, 1, 1)
-    c201 = coeff(2, 0, 1)
-    c012 = coeff(0, 1, 2)
-    c102 = coeff(1, 0, 2)
-    c003 = coeff(0, 0, 3)
-    curve = WeierstrassCurve(
-        a1=-c111 / (c021 * c300),
-        a2=-c201 / (c021 * c300**2),
-        a3=c012 / (c021**2 * c300**2),
-        a4=c102 / (c021**2 * c300**3),
-        a6=-c003 / (c021**3 * c300**4),
-    )
-    if curve.is_singular:
-        raise SingularCubic("cubic has a singular Weierstrass model")
-
-    alpha = -c021 * c300
-    beta = c021 * c300**2
-    U, V = MultiPoly.variables("U V")
-    x, y = MultiPoly.variables("x y")
-    # forward: (U, V) -> projective inverse image -> (X/(alpha Z), Y/(beta Z))
-    Xp = inverse[0][0] * U + inverse[0][1] * V + inverse[0][2]
-    Yp = inverse[1][0] * U + inverse[1][1] * V + inverse[1][2]
-    Zp = inverse[2][0] * U + inverse[2][1] * V + inverse[2][2]
-    fwd = (
-        RationalFunction(Xp, MultiPoly.constant(alpha) * Zp),
-        RationalFunction(Yp, MultiPoly.constant(beta) * Zp),
-    )
-    # inverse: (x, y) -> M (alpha x, beta y, 1), dehomogenized
-    Ux = matrix[0][0] * alpha * x + matrix[0][1] * beta * y + matrix[0][2]
-    Vx = matrix[1][0] * alpha * x + matrix[1][1] * beta * y + matrix[1][2]
-    Wx = matrix[2][0] * alpha * x + matrix[2][1] * beta * y + matrix[2][2]
-    inv = (RationalFunction(Ux, Wx), RationalFunction(Vx, Wx))
-
-    checks = []
-    # the inverse map pulls the cubic back to the Weierstrass polynomial
-    w_poly = (
-        y * y
-        + curve.a1 * x * y
-        + curve.a3 * y
-        - x**3
-        - curve.a2 * x * x
-        - curve.a4 * x
-        - curve.a6
-    )
-    pulled = as_rational_function(cubic).substitute({"U": inv[0], "V": inv[1]})
-    target = RationalFunction(
-        MultiPoly.constant(c021) * beta * beta * w_poly, Wx**3
-    )
-    checks.append(IdentityCheck("cubic pulls back to the Weierstrass equation", pulled == target))
-    ok = all(
-        fwd[k].substitute({"U": inv[0], "V": inv[1]})
-        == as_rational_function(MultiPoly.variable(n))
-        for k, n in ((0, "x"), (1, "y"))
-    ) and all(
-        inv[k].substitute({"x": fwd[0], "y": fwd[1]})
-        == as_rational_function(MultiPoly.variable(n))
-        for k, n in ((0, "U"), (1, "V"))
-    )
-    checks.append(IdentityCheck("projective maps are mutually inverse", ok))
-    return curve, fwd, inv, checks
-
-
-def cubic_to_weierstrass(
-    cubic: MultiPoly, point: tuple
-) -> tuple[WeierstrassCurve, BirationalMapPair, list[IdentityCheck]]:
-    """Numeric plane cubic with a rational point -> long Weierstrass model
-    plus both birational maps.
-
-    The generic path projects from the point (lines of slope m), reads the
-    second-intersection condition as v^2 = quartic(m) with the known square
-    value at the tangent slope, and applies the classical quartic-to-cubic
-    completion of the square.  A flex base point gets the direct projective
-    normalization instead.
-    """
-    if cubic.degree() != 3 or cubic.field != FIELD_Q:
-        raise ValueError("need a cubic over Q in (U, V)")
-    u0 = Fraction(point[0])
-    v0 = Fraction(point[1])
-    if cubic.eval({"U": u0, "V": v0}) != 0:
-        raise PointNotOnCubic(f"({u0}, {v0})")
-
-    swap, K, Qm, L = _line_sections(cubic, u0, v0)
-    # tangent slope: root of the linear L(m)
-    l1 = L.coefficient_of("m", 1).constant_value()
-    l0 = L.coefficient_of("m", 0).constant_value()
-    if l1 == 0:
-        raise SingularCubic("degenerate tangent pencil")
-    m0 = -l0 / l1
-    q_at_m0 = Qm.eval({"m": m0})
-
-    if q_at_m0 == 0:
-        curve, fwd, inv, checks = _flex_model(cubic, u0, v0)
-        maps = BirationalMapPair(
-            forward=fwd, forward_vars=("U", "V"), inverse=inv, inverse_vars=("x", "y")
-        )
-        checks += _roundtrip_checks(cubic, curve, maps)
-        return curve, maps, checks
-
-    # generic path through the slope quartic delta(m) = Q^2 - 4 K L
-    delta = Qm * Qm - 4 * K * L
-    mu = MultiPoly.variable("mu")
-    shifted = delta.substitute({"m": mu + m0}).num
-    A = [shifted.coefficient_of("mu", k).constant_value() for k in range(5)]
-    if len([a for a in A if a]) == 0 or shifted.degree("mu") < 3:
-        raise SingularCubic("slope quartic degenerates")
-    qv = q_at_m0  # A[0] = qv^2
-    assert A[0] == qv * qv
-    alpha = A[1] / (2 * qv)
-    beta = (A[2] - alpha * alpha) / (2 * qv)
-    e_coef = A[3] - 2 * alpha * beta
-    g_coef = A[4] - beta * beta
-    curve = WeierstrassCurve(
-        a1=alpha / qv,
-        a2=-beta / qv,
-        a3=e_coef / (4 * qv * qv),
-        a4=-g_coef / (4 * qv * qv),
-        a6=0,
-    )
-    if curve.is_singular:
-        raise SingularCubic("cubic has a singular Weierstrass model")
-
-    U, V = MultiPoly.variables("U V")
-    x, y = MultiPoly.variables("x y")
-    if swap:
-        lam_expr = V - v0
-        m_expr = RationalFunction(U - u0, lam_expr)
-    else:
-        lam_expr = U - u0
-        m_expr = RationalFunction(V - v0, lam_expr)
-    mu_expr = m_expr - m0
-    vq_expr = (
-        as_rational_function(K).substitute({"m": m_expr}) * 2 * lam_expr
-        + as_rational_function(Qm).substitute({"m": m_expr})
-    )
-    two_q = 2 * qv
-    fwd_x = (vq_expr + qv + alpha * mu_expr + beta * mu_expr**2) / (
-        two_q * mu_expr**2
-    )
-    fwd_y = fwd_x / mu_expr
-    # inverse: mu = x/y, v = 2q x mu^2 - q - alpha mu - beta mu^2
-    mu_inv = RationalFunction(x, y)
-    v_inv = two_q * x * mu_inv**2 - qv - alpha * mu_inv - beta * mu_inv**2
-    m_inv = mu_inv + m0
-    k_inv = as_rational_function(K).substitute({"m": m_inv})
-    q_inv = as_rational_function(Qm).substitute({"m": m_inv})
-    lam_inv = (v_inv - q_inv) / (2 * k_inv)
-    if swap:
-        inv_maps = (u0 + m_inv * lam_inv, v0 + lam_inv)
-    else:
-        inv_maps = (u0 + lam_inv, v0 + m_inv * lam_inv)
-    maps = BirationalMapPair(
-        forward=(fwd_x, fwd_y),
-        forward_vars=("U", "V"),
-        inverse=inv_maps,
-        inverse_vars=("x", "y"),
-    )
-    checks = _roundtrip_checks(cubic, curve, maps)
-    # symbolic: forward(inverse(x, y)) == (x, y) modulo the curve relation
-    y_reduction = (
-        x**3
-        + curve.a2 * x * x
-        + curve.a4 * x
-        + curve.a6
-        - curve.a1 * x * y
-        - curve.a3 * y
-    )
-    round_ok = True
-    for k, name in ((0, "x"), (1, "y")):
-        comp = maps.forward[k].substitute({"U": inv_maps[0], "V": inv_maps[1]})
-        diff = comp - as_rational_function(MultiPoly.variable(name))
-        round_ok &= _reduce_square(diff.num, "y", y_reduction).is_zero
-    checks.append(
-        IdentityCheck("forward(inverse) = id (mod curve relation)", round_ok)
-    )
-    # symbolic certificate on the quartic model: the (x, y) maps satisfy the
-    # curve equation modulo v^2 = quartic(mu)
-    Xs = (MultiPoly.variable("vq") + qv + alpha * mu + beta * mu**2) / (
-        two_q * mu**2
-    )
-    Ys = Xs / mu
-    eq = (
-        Ys**2
-        + curve.a1 * Xs * Ys
-        + curve.a3 * Ys
-        - Xs**3
-        - curve.a2 * Xs**2
-        - curve.a4 * Xs
-        - curve.a6
-    )
-    reduced = _reduce_square(eq.num, "vq", shifted)
-    checks.append(
-        IdentityCheck("quartic maps satisfy the Weierstrass equation", reduced.is_zero)
-    )
-    return curve, maps, checks
-
-
-def _small_cubic_points(cubic, limit: int = 8):
-    """Exact grid sweep for rational points on the cubic (small heights)."""
-    values = [
-        Fraction(n, d)
-        for d in (1, 2, 3)
-        for n in range(-limit * d, limit * d + 1)
-        if math.gcd(abs(n), d) == 1
-    ]
-    hits = []
-    for uval in values:
-        for vval in values:
-            if cubic.eval({"U": uval, "V": vval}) == 0:
-                hits.append((uval, vval))
-    return hits
-
-
-def _roundtrip_checks(cubic, curve, maps) -> list[IdentityCheck]:
-    """Evaluation certificate: round-trip exact points found on either side."""
-    verified = 0
-    ok = True
-    for pt in elliptic.search_points(curve, SearchBounds(num_bound=300, den_bound=2))[:10]:
-        if pt.is_identity:
-            continue
-        try:
-            uv = maps.apply_inverse((pt.x, pt.y))
-            back = maps.apply_forward(uv)
-        except MapPole:
-            continue
-        ok &= cubic.eval({"U": uv[0], "V": uv[1]}) == 0 and back == (pt.x, pt.y)
-        verified += 1
-    for uv in _small_cubic_points(cubic)[:10]:
-        try:
-            xy = maps.apply_forward(uv)
-            back = maps.apply_inverse(xy)
-        except MapPole:
-            continue
-        ok &= on_weierstrass(curve, xy) and back == uv
-        verified += 1
-    return [
-        IdentityCheck(
-            f"round-trip at {verified} sample points",
-            ok,
-            "" if verified else "no small points on either side",
-        )
-    ]
-
-
-def on_weierstrass(curve: WeierstrassCurve, xy) -> bool:
-    x, y = xy
-    return (
-        y * y + curve.a1 * x * y + curve.a3 * y
-        == x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6
     )
 
 
@@ -1254,7 +806,6 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
     r = t - 1 / V
     s = 1 / V
     res = coeffs.f_eval(p, q) - coeffs.f_eval(r, s)
-    assert not res, "symmetric construction failed its certificate"
     field = FIELD_TAG_QI if isinstance(p, GaussianRational) else FIELD_TAG_Q
     point = Point4(p, q, r, s, field)
     # trivial iff the unordered pairs coincide (f is symmetric)
@@ -1262,7 +813,7 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
         [p, q], key=lambda z: str(z)
     ) == sorted([r, s], key=lambda z: str(z))
     report = TrivialityReport(
-        on_hypersurface=True,
+        on_hypersurface=not res,
         coordinate_overlap=same_pairs,
         value_overlap=same_pairs,
     )
@@ -1380,8 +931,6 @@ def symmetric_rational_point(
 # the identity suite
 
 def _check_r1_factorization() -> bool:
-    from .quintic import residual_symbolic
-
     res = residual_symbolic()
     x, y, z = MultiPoly.variables("x y z")
     sub = {
@@ -1396,8 +945,6 @@ def _check_r1_factorization() -> bool:
 
 
 def _check_r4_factorization() -> bool:
-    from .quintic import residual_symbolic
-
     res = residual_symbolic()
     x, y, z, a = MultiPoly.variables("x y z a")
     sub = {
@@ -1446,8 +993,6 @@ def _check_gaussian_parametrization() -> bool:
 
 
 def _check_gaussian_residual() -> bool:
-    from .quintic import residual_symbolic
-
     pd, qd, rd, sd = _gaussian_display()
     res = residual_symbolic(field=FIELD_QI).substitute(
         {"p": pd, "q": qd, "r": rd, "s": sd}
@@ -1554,6 +1099,8 @@ def _check_corollary1_scaling() -> bool:
 
 
 def _check_thm1_spotchecks(seed: int) -> bool:
+    """Five random thm1 points; a point off V_f raises CertificateError,
+    which the suite reports as a failed check."""
     rng = random.Random(seed)
     done = 0
     while done < 5:
@@ -1563,11 +1110,9 @@ def _check_thm1_spotchecks(seed: int) -> bool:
         u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         v = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         try:
-            cert, _ = thm1_point(QuinticCoeffs(a, b, c), u, v)
-        except (DegenerateParameters, ValueError):
+            thm1_point(QuinticCoeffs(a, b, c), u, v)
+        except ValueError:  # a degenerate draw, not a failure
             continue
-        if cert.residual != 0:
-            return False
         done += 1
     return True
 
@@ -1595,8 +1140,6 @@ def identity_suite(only=None, mutate: bool = False, seed: int = 0) -> list[Ident
     ]
     if mutate:
         def broken():
-            from .quintic import residual_symbolic
-
             res = residual_symbolic()
             x, y, z = MultiPoly.variables("x y z")
             sub = {

@@ -1,0 +1,85 @@
+import json
+
+import pytest
+
+from quinticpoints import cli, surfaces
+from quinticpoints.exact import CertificateError
+
+
+def parse(*argv):
+    return cli.build_parser().parse_args(list(argv))
+
+
+class TestOptions:
+    def test_bound_defaults_per_subcommand(self):
+        assert parse("construct", "thm2", "--a=-1").bound == 60
+        assert parse("solve-form", "1", "2", "3", "-5").bound == 60
+        assert parse("table").bound == 3000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("question3", "--bound", "5"),
+            ("verify-identities", "--bound", "5"),
+            ("scale-integers", "--jobs", "2"),
+            ("construct", "thm1", "--out", "x.csv"),
+            ("solve-form", "1", "2", "3", "-5", "--seed", "1"),
+        ],
+    )
+    def test_options_that_change_nothing_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(*argv)
+        assert exc.value.code == 2
+
+    def test_store_on_every_subcommand(self, tmp_path):
+        for argv in (
+            ("verify-identities",), ("construct", "thm1"), ("solve-form", "1", "2", "3", "4"),
+            ("table",), ("question3",), ("scale-integers",),
+        ):
+            assert parse(*argv, "--store", str(tmp_path / "s")).store == str(tmp_path / "s")
+
+
+class TestConstructErrors:
+    def test_certificate_error_exits_1(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise CertificateError("residual 1")
+
+        monkeypatch.setattr(surfaces, "thm1_point", broken)
+        assert cli.main(["construct", "thm1", "--b=1", "--u=1", "--v=1"]) == cli.EXIT_FAIL
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "CertificateError", "message": "residual 1"}
+
+    def test_invalid_input_ledger_carries_the_arguments(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["construct", "thm1", "--a=1", "--b=0", "--v=2", "--store", str(ledger)]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["error"] == "WrongFamily"
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        inputs = record["inputs"]
+        assert isinstance(inputs, dict)
+        assert inputs["family"] == "thm1" and inputs["a"] == 1 and inputs["v"] == "2"
+        assert "func" not in inputs
+
+    def test_arithmetic_error_is_invalid_input_and_stored(self, tmp_path, capsys):
+        # y = 0 is a pole of the Q(i) parametrization (PoleAtPoint, a ZeroDivisionError)
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["construct", "gaussian", "--y=0", "--store", str(ledger)]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["error"] == "PoleAtPoint"
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert record["command"] == "construct gaussian"
+        assert record["inputs"]["y"] == "0"
+
+    def test_short_seed_point_is_invalid_input(self, capsys):
+        argv = ["construct", "symmetric", "--preset=c29", "--variant=rational", "--seed-point=3"]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+
+
+def test_question3_points_are_integral(capsys):
+    assert cli.main(["question3", "--N=2", "--c=1"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["points"]) == 2
+    for entry in payload["points"]:
+        assert entry["residual"] == "0"
+        assert all("/" not in entry["point"][k] for k in "pqrs")
