@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import datetime
 import json
 import os
@@ -103,7 +104,15 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
         return _SYMMETRIC_PRESETS[args.preset]
     if args.coeffs:
         raw = json.loads(args.coeffs)
-        return surfaces.SymmetricQuinticCoeffs(**{k: int(v) for k, v in raw.items()})
+        if not isinstance(raw, dict):
+            raise ValueError("--coeffs must be a JSON object")
+        known = {f.name for f in dataclasses.fields(surfaces.SymmetricQuinticCoeffs)}
+        for key, value in raw.items():
+            if key not in known:
+                raise ValueError(f"--coeffs: unknown coefficient {key!r}")
+            if type(value) is not int:
+                raise ValueError(f"--coeffs: {key} must be an integer, got {value!r}")
+        return surfaces.SymmetricQuinticCoeffs(**raw)
     raise ValueError("symmetric construction needs --preset or --coeffs")
 
 
@@ -194,9 +203,8 @@ def cmd_solve_form(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 
-def _verify_row_task(index: int):
-    rows = elliptic.load_table()
-    return elliptic.verify_row(rows[index]).to_json()
+def _verify_row_task(row: elliptic.TableRow):
+    return elliptic.verify_row(row).to_json()
 
 
 def _search_row_task(task):
@@ -242,8 +250,8 @@ def cmd_table(args) -> int:
         _emit({"error": "InvalidInput", "message": "--dmax must be >= 1"})
         return EXIT_INVALID
     if args.mode == "verify":
-        count = min(args.dmax, 100)
-        results = _run_parallel(_verify_row_task, range(count), args.jobs)
+        rows = elliptic.load_table()[: args.dmax]
+        results = _run_parallel(_verify_row_task, rows, args.jobs)
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
@@ -332,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_sub(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
 
     p_verify = add_sub("verify-identities", help="run the symbolic identity suite")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")

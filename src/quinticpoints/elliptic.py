@@ -138,13 +138,22 @@ def negate(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
     return CurvePoint(point.x, -point.y - curve.a1 * point.x - curve.a3)
 
 
-def add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition in long Weierstrass form."""
+def _check(curve: WeierstrassCurve, *points: CurvePoint) -> None:
     if curve.is_singular:
         raise SingularCurve(str(curve))
-    for pt in (p, q):
+    for pt in points:
         if not on_curve(curve, pt):
             raise PointNotOnCurve(str(pt))
+
+
+def add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    """Chord-tangent addition in long Weierstrass form."""
+    _check(curve, p, q)
+    return _add(curve, p, q)
+
+
+def _add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    """The chord-tangent step of ``add``, for points already checked."""
     if p.is_identity:
         return q
     if q.is_identity:
@@ -166,34 +175,46 @@ def add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
 
 
 def mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
+    _check(curve, point)
     if n < 0:
-        return mul(curve, -n, negate(curve, point))
+        n, point = -n, negate(curve, point)
     result = IDENTITY
     base = point
     while n:
         if n & 1:
-            result = add(curve, result, base)
+            result = _add(curve, result, base)
         n >>= 1
         if n:
-            base = add(curve, base, base)
+            base = _add(curve, base, base)
     return result
 
 
-def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
-    """n*P != O for n <= 16.
+MAZUR_BOUND = 12  # largest order of a rational torsion point (Mazur 1977)
 
-    Rational torsion points have order at most 12, so surviving every
-    multiple up to 16 certifies infinite order.
+
+def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
+    """True when P has infinite order, False when nP = O for some n <= 12.
+
+    By Mazur's theorem a rational torsion point has order at most 12, so
+    nP != O for n = 1..12 certifies infinite order.  On a curve with
+    a1 = a3 = 0 the loop usually stops far earlier, by Nagell-Lutz: with
+    u the lcm of the denominators of a2, a4, a6, the model
+    y^2 = x^3 + a2 u^2 x^2 + a4 u^4 x + a6 u^6 is integral and a torsion
+    point (x, y) maps to integer coordinates (u^2 x, u^3 y) on it.  A
+    multiple nP whose image is not integral is therefore of infinite order,
+    and so is P.  Curves with a1 or a3 nonzero use the 12-multiple loop
+    alone.
     """
-    if not on_curve(curve, point):
-        raise PointNotOnCurve(str(point))
-    if point.is_identity:
-        return False
-    acc = point
-    for _ in range(15):
-        acc = add(curve, acc, point)
+    _check(curve, point)
+    short = curve.a1 == 0 and curve.a3 == 0
+    u = math.lcm(curve.a2.denominator, curve.a4.denominator, curve.a6.denominator)
+    acc = IDENTITY
+    for _ in range(MAZUR_BOUND):
+        acc = _add(curve, acc, point)
         if acc.is_identity:
             return False
+        if short and ((u * u) % acc.x.denominator or u**3 % acc.y.denominator):
+            return True
     return True
 
 

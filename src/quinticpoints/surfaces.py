@@ -653,9 +653,7 @@ def mixed_point(
                 f"no shipped table row for D = {D} at t = {t}; pass a point explicitly"
             )
         point = rows[0].point()
-    if not elliptic.on_curve(curve, point):
-        raise elliptic.PointNotOnCurve(str(point))
-    pk = elliptic.mul(curve, k, point)
+    pk = elliptic.mul(curve, k, point)  # raises PointNotOnCurve for a foreign point
     if pk.is_identity:
         raise MapPole(f"{k}*P is the identity")
     maps, _ = mixed_special_maps(c, f)

@@ -24,6 +24,9 @@ class TestOptions:
             ("scale-integers", "--jobs", "2"),
             ("construct", "thm1", "--out", "x.csv"),
             ("solve-form", "1", "2", "3", "-5", "--seed", "1"),
+            # no prefix matching: these would set --seed-point and --dmax
+            ("construct", "symmetric", "--variant=rational", "--seed", "5,9"),
+            ("table", "--dm", "3"),
         ],
     )
     def test_options_that_change_nothing_are_rejected(self, argv):
@@ -74,6 +77,44 @@ class TestConstructErrors:
         argv = ["construct", "symmetric", "--preset=c29", "--variant=rational", "--seed-point=3"]
         assert cli.main(argv) == cli.EXIT_INVALID
         assert json.loads(capsys.readouterr().out)["error"] == "ValueError"
+
+
+    def test_symmetric_coeffs_match_preset(self, capsys):
+        c29 = '{"a1": 1, "a2": 1, "a3": 1, "a4": 1, "a5": 1, "b1": 1, "b2": 1, "b3": 1, "c0": 1, "c1": 29}'
+        outputs = []
+        for flag in ("--preset=c29", f"--coeffs={c29}"):
+            assert cli.main(["construct", "symmetric", flag, "--variant=rational", "--t=1"]) == cli.EXIT_OK
+            outputs.append(json.loads(capsys.readouterr().out)["point"])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ('{"zz": 1}', "'zz'"),
+            ("[1, 2]", "JSON object"),
+            ('{"a1": "1"}', "a1 must be an integer"),
+            ('{"a1": 1.5}', "a1 must be an integer"),
+            ('{"a1": true}', "a1 must be an integer"),
+        ],
+    )
+    def test_bad_symmetric_coeffs_are_invalid_input(self, tmp_path, capsys, coeffs, message):
+        ledger = tmp_path / "ledger.jsonl"
+        argv = ["construct", "symmetric", f"--coeffs={coeffs}", "--store", str(ledger)]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ValueError" and message in payload["message"]
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert record["inputs"]["coeffs"] == coeffs
+
+
+class TestTable:
+    def test_jobs_match_serial_output(self, capsys):
+        outputs = []
+        for jobs in (1, 2):
+            assert cli.main(["table", "--mode=verify", "--dmax=6", f"--jobs={jobs}"]) == cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [row["D"] for row in json.loads(outputs[0])["rows"]] == list(range(1, 7))
 
 
 def test_question3_points_are_integral(capsys):

@@ -90,6 +90,17 @@ class TestGroupLaw:
         with pytest.raises(PointNotOnCurve):
             add(D1_CURVE, CurvePoint(0, 0), D1_POINT)
 
+    def test_mul_checks_at_entry(self):
+        # also for n = 0 and n < 0, where no chord step runs
+        for n in (0, -2, 3):
+            with pytest.raises(PointNotOnCurve):
+                mul(D1_CURVE, n, CurvePoint(0, 0))
+        with pytest.raises(SingularCurve):
+            mul(WeierstrassCurve(0, 0, 0, 0, 0), 0, CurvePoint(1, 1))
+
+    def test_mul_negative(self):
+        assert mul(D1_CURVE, -3, D1_POINT) == negate(D1_CURVE, mul(D1_CURVE, 3, D1_POINT))
+
 
 class TestNontorsion:
     def test_table_point_nontorsion(self):
@@ -106,6 +117,47 @@ class TestNontorsion:
 
     def test_identity_is_torsion(self):
         assert not is_nontorsion(D1_CURVE, IDENTITY)
+
+    @pytest.mark.parametrize(
+        "curve, point, order",
+        [
+            (WeierstrassCurve(0, 0, 0, 0, 1), CurvePoint(2, 3), 6),  # y^2 = x^3 + 1
+            (WeierstrassCurve(0, 0, 0, 0, 1), CurvePoint(0, 1), 3),
+            (WeierstrassCurve(0, 0, 0, 0, 1), CurvePoint(-1, 0), 2),
+            (WeierstrassCurve(0, 0, 0, 4, 0), CurvePoint(2, 4), 4),  # y^2 = x^3 + 4x
+            # (2, 3) scaled to y^2 = x^3 + 1/64: integral only after clearing denominators
+            (WeierstrassCurve(0, 0, 0, 0, Fraction(1, 64)), CurvePoint(Fraction(1, 2), Fraction(3, 8)), 6),
+            # long form y^2 + y = x^3 - x^2: no integrality exit, the loop alone decides
+            (WeierstrassCurve(0, -1, 1, 0, 0), CurvePoint(0, 0), 5),
+        ],
+    )
+    def test_torsion_points_detected(self, curve, point, order):
+        assert mul(curve, order, point).is_identity
+        assert all(not mul(curve, n, point).is_identity for n in range(1, order))
+        assert not is_nontorsion(curve, point)
+
+    def test_integral_point_of_infinite_order(self):
+        curve = WeierstrassCurve(0, 0, 0, 0, -2)  # y^2 = x^3 - 2
+        assert is_nontorsion(curve, CurvePoint(3, 5))
+
+    def test_checks_at_entry(self):
+        with pytest.raises(PointNotOnCurve):
+            is_nontorsion(D1_CURVE, CurvePoint(0, 0))
+        with pytest.raises(SingularCurve):
+            is_nontorsion(WeierstrassCurve(0, 0, 0, 0, 0), CurvePoint(1, 1))
+
+    def test_agrees_with_sixteen_multiples_on_every_row(self):
+        def reference(curve, point):
+            acc = IDENTITY
+            for _ in range(16):
+                acc = add(curve, acc, point)
+                if acc.is_identity:
+                    return False
+            return True
+
+        for row in load_table():
+            curve, point = row.curve(), row.point()
+            assert is_nontorsion(curve, point) == reference(curve, point), row.d
 
 
 class TestIntegralModel:

@@ -83,6 +83,12 @@ class TestFamiliesCertify:
         )
         assert sym.residual == 0 and sym.nontrivial
 
+    def test_mixed_rejects_a_point_off_its_curve(self):
+        # the check is elliptic.mul's own, made at entry, for every k
+        for k in (0, 2):
+            with pytest.raises(surfaces.elliptic.PointNotOnCurve):
+                surfaces.mixed_point(1, 0, 1, k, point=surfaces.elliptic.CurvePoint(0, 0))
+
 
 class TestBrokenPipelinesFail:
     def test_thm1_spotchecks_fail_instead_of_skipping(self, monkeypatch):
