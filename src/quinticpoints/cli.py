@@ -14,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -174,15 +175,33 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-form
 
+def _certify_witness(form, norm, report, witness, pulled) -> None:
+    """Check in Python ints, before anything is emitted, that the witness is
+    a primitive zero of the normalized form, that its pull-back is a nonzero
+    zero of the input form, and that a witness comes with a solvable form."""
+    if norm.form.value(witness) != 0 or math.gcd(*witness) != 1:
+        raise CertificateError(f"{list(witness)} is not a primitive zero of {norm.form}")
+    if not any(pulled) or form.value(pulled) != 0:
+        raise CertificateError(f"pulled-back witness {list(pulled)} is not a zero of {form}")
+    if not report.solvable:
+        raise CertificateError(f"witness {list(witness)} for a form decided unsolvable")
+
+
 def cmd_solve_form(args) -> int:
     try:
         norm = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
         report = quadform.represents_zero(norm.form)
         witness = quadform.find_zero(norm.form, args.bound)
         pulled = norm.pull_back_witness(witness) if witness else None
+        if witness:
+            form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
+            _certify_witness(form, norm, report, witness, pulled)
     except quadform.ZeroCoefficient as exc:
         _emit({"error": "ZeroCoefficient", "message": str(exc)})
         return EXIT_INVALID
+    except CertificateError as exc:  # a fault of the program, not of the input
+        _emit({"error": type(exc).__name__, "message": str(exc)})
+        return EXIT_FAIL
     payload = {
         "form": [args.a1, args.a2, args.a3, args.a4],
         "normalized": list(norm.form.coeffs()),
@@ -228,10 +247,15 @@ def _search_row_task(task):
 
 
 def _run_parallel(task_fn, tasks, jobs: int):
-    if jobs <= 1:
+    """Map task_fn over tasks in order, on at most one worker per task and per
+    CPU; each worker gets one chunk, as one pickled round trip per row costs
+    more than a row."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [task_fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task_fn, tasks))
+    chunksize = math.ceil(len(tasks) / workers)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task_fn, tasks, chunksize=chunksize))
 
 
 def _rows_to_csv(rows) -> str:

@@ -4,7 +4,13 @@ search, and the specialization family
 
     E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4
 
-behind the shipped 100-row table of nontorsion points."""
+behind the shipped 100-row table of nontorsion points.
+
+The point search is a bitset sieve in the style of Stoll's *ratpoints*: the
+window of candidate x-numerators is one Python int with a bit per candidate,
+and each small odd prime clears the bits at which the completed square
+4x^3 + b2 x^2 + 2 b4 x + b6 is a non-square mod p.  Only the few survivors
+reach an exact square test.  Everything is Python ints; nothing can wrap."""
 
 from __future__ import annotations
 
@@ -12,10 +18,8 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
-
-import numpy as np
 
 from .exact import factor_trial, format_rational, parse_rational, rational_square_root
 
@@ -32,6 +36,21 @@ class DegenerateSpecialization(ValueError):
     """t = 0 or c = f collapses the specialization family."""
 
 
+# weights of a1, a2, a3, a4, a6 under (x, y) -> (u^2 x, u^3 y)
+_WEIGHTS = (1, 2, 3, 4, 6)
+
+
+def _b_invariants(a1, a2, a3, a4, a6):
+    """The standard (b2, b4, b6, b8) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
+    a4 x + a6, for integer or rational coefficients."""
+    return (
+        a1 * a1 + 4 * a2,
+        2 * a4 + a1 * a3,
+        a3 * a3 + 4 * a6,
+        a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4,
+    )
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q."""
@@ -46,37 +65,26 @@ class WeierstrassCurve:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
-    # standard b- and c-invariants
-    @property
-    def b2(self):
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self):
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self):
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self):
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @property
     def c4(self):
-        return self.b2 * self.b2 - 24 * self.b4
+        b2, b4, _, _ = _b_invariants(*self.coeffs())
+        return b2 * b2 - 24 * b4
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        """Computed once per curve and in integers: the discriminant has
+        weight 12, so it is the discriminant of the integral coefficients
+        u^w a_w, u the lcm of the denominators, divided by u^12.  The cache
+        lives in the instance __dict__, which the frozen dataclass allows."""
+        coeffs = self.coeffs()
+        u = math.lcm(*(a.denominator for a in coeffs))
+        b2, b4, b6, b8 = _b_invariants(
+            *(a.numerator * (u // a.denominator) * u ** (w - 1) for a, w in zip(coeffs, _WEIGHTS))
+        )
+        return Fraction(-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6, u**12)
 
     @property
     def is_singular(self) -> bool:
@@ -255,9 +263,7 @@ class IntegralModel:
 def integral_model(curve: WeierstrassCurve) -> IntegralModel:
     """Rescale (x, y) -> (u^2 x, u^3 y) with the minimal positive integer u
     making every coefficient integral."""
-    weights = zip(
-        (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6), (1, 2, 3, 4, 6)
-    )
+    weights = zip(curve.coeffs(), _WEIGHTS)
     u = _minimal_clearing_factor(
         (coeff.denominator, w) for coeff, w in weights if coeff.denominator > 1
     )
@@ -283,66 +289,94 @@ class SearchBounds:
             raise ValueError("bounds must be positive")
 
 
-_FILTER_PRIMES = (63901, 63907, 63913, 63929, 63949)
+# odd primes below 200, smallest first: most curves of the specialization
+# family have no survivor left after about ten of them
+_SIEVE_PRIMES = tuple(
+    p for p in range(3, 200, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+)
 
 
 @lru_cache(maxsize=None)
-def _squares_mod(p: int):
-    """Boolean table of the quadratic residues mod p, built once per prime."""
-    roots = np.arange((p + 1) // 2, dtype=np.int64)
-    squares = np.zeros(p, dtype=bool)
-    squares[(roots * roots) % p] = True
-    squares.flags.writeable = False  # shared by every later call
-    return squares
+def _squares_mod(p: int) -> bytes:
+    """Residue flags mod p as ASCII digits: byte v is b"1" when v is a
+    square mod p (0 included), else b"0".  Built once per prime and process."""
+    flags = bytearray(b"0" * p)
+    for r in range((p + 1) // 2):
+        flags[r * r % p] = ord("1")
+    return bytes(flags)
 
 
-def _square_candidates(m_values, a2: int, a4: int, a6: int, e: int):
-    """Vectorized quadratic-residue sieve for m^3 + a2 m^2 e^2 + a4 m e^4 +
-    a6 e^6 being a perfect square; survivors still need exact verification."""
-    keep = np.ones(len(m_values), dtype=bool)
-    for p in _FILTER_PRIMES:
-        m = m_values % p
-        val = (
-            m * m % p * m
-            + (a2 % p) * (e * e % p) % p * (m * m % p)
-            + (a4 % p) * (pow(e, 4, p)) % p * m
-            + (a6 % p) * pow(e, 6, p)
-        ) % p
-        keep &= _squares_mod(p)[val]
-        if not keep.any():
+@lru_cache(maxsize=4096)
+def _cubic_residues(p: int, c2: int, c1: int, s: int) -> bytes:
+    """(4m^3 + c2 m^2 + c1 m) mod p as one byte per m, for m = s + p - 1
+    down to s.  Along a specialization family c2 and c1 take few values mod
+    p, so nearly every call after the first few is a cache hit."""
+    return bytes([((4 * m + c2) * m + c1) * m % p for m in range(s + p - 1, s - 1, -1)])
+
+
+def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
+    """Bit j is set when R(m) = 4m^3 + c2 m^2 + c1 m + c0 at m = start + j
+    is a square modulo every sieve prime.  An integer square is a square
+    mod every p, so no square is ever cleared."""
+    mask = (1 << length) - 1
+    for p in _SIEVE_PRIMES:
+        flags, c0p = _squares_mod(p), c0 % p
+        # byte v -> b"1" when v + c0 is a square mod p; every v is below p
+        plus_c0 = (flags[c0p:] + flags[:c0p]).ljust(256, b"0")
+        # the p-bit pattern of m = start .. start + p - 1, high bit first
+        bits = int(_cubic_residues(p, c2 % p, c1 % p, start % p).translate(plus_c0), 2)
+        width = p
+        while width < length:
+            bits |= bits << width
+            width <<= 1
+        mask &= bits
+        if not mask:
             break
-    return m_values[keep]
+    return mask
+
+
+def _set_bits(mask: int, start: int):
+    """start + j for each set bit j of mask, ascending, in one pass."""
+    digits = format(mask, "b")[::-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield start + j
+        j = digits.find("1", j + 1)
 
 
 def search_points(curve: WeierstrassCurve, bounds: SearchBounds) -> list[CurvePoint]:
     """Enumerate X = m/e^2 on the integral model (e ascending, m ascending),
     test the right side for a rational square, and map hits back.  Output
-    order is deterministic."""
+    order is deterministic.
+
+    Completing the square, y^2 + (a1 x + a3) y = rhs(x) has a rational y
+    iff (a1 x + a3)^2 + 4 rhs(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 is a rational
+    square.  At x = m/e^2 that is R(m)/e^6 with the integer
+    R(m) = 4m^3 + b2 e^2 m^2 + 2 b4 e^4 m + b6 e^6, so the window
+    |m| <= num_bound e^2 goes through ``_square_sieve`` as one bitset, and
+    only the survivors' R(m) reach ``rational_square_root``.  Survivors
+    with gcd(m, e) > 1 are skipped: the x of a point is m/e^2 in lowest
+    terms.
+    """
     if curve.is_singular:
         raise SingularCurve(str(curve))
     model = integral_model(curve)
     ic = model.curve
+    b2, b4, b6, _ = _b_invariants(*map(int, ic.coeffs()))
     found: list[CurvePoint] = []
-    short = ic.a1 == 0 and ic.a3 == 0
-    a2n, a4n, a6n = int(ic.a2), int(ic.a4), int(ic.a6)
     for e in range(1, bounds.den_bound + 1):
-        limit = bounds.num_bound * e * e
-        ms = np.arange(-limit, limit + 1, dtype=np.int64)
-        if e > 1:
-            ms = ms[np.gcd(ms, e) == 1]
-        if short:
-            candidates = _square_candidates(ms, a2n, a4n, a6n, e)
-        else:
-            candidates = ms
-        for m in candidates:
-            m = int(m)
-            x = Fraction(m, e * e)
-            # y^2 + (a1 x + a3) y - rhs(x) = 0
-            lin = ic.a1 * x + ic.a3
-            disc = lin * lin + 4 * ic.rhs(x)
-            root = rational_square_root(disc)
+        e2 = e * e
+        limit = bounds.num_bound * e2
+        c2, c1, c0 = b2 * e2, 2 * b4 * e2**2, b6 * e2**3
+        for m in _set_bits(_square_sieve(-limit, 2 * limit + 1, c2, c1, c0), -limit):
+            if e > 1 and math.gcd(m, e) != 1:
+                continue
+            root = rational_square_root(((4 * m + c2) * m + c1) * m + c0)
             if root is None:
                 continue
+            x = Fraction(m, e2)
+            lin = ic.a1 * x + ic.a3
+            root /= e * e2
             for sign in (1, -1) if root else (1,):
                 y = (-lin + sign * root) / 2
                 found.append(model.from_integral(CurvePoint(x, y)))

@@ -1,0 +1,232 @@
+"""The independent local oracle for diagonal quaternary forms, and the
+sweeps that compare it with ``quadform.represents_zero``.
+
+``local_oracle`` decides solvability by exhaustive residue search with the
+standard Hensel lifting criterion at every relevant prime.  It knows nothing
+about the three conditions of ``represents_zero`` and is the cross-check of
+that decision procedure.  No command needs it, so it lives with the tests.
+``_zp_isotropic_odd`` builds arrays of size p and p^2: keep p small.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from quinticpoints.exact import squarefree_decompose
+from quinticpoints.quadform import (
+    DiagonalForm,
+    NotNormalized,
+    factorint_small,
+    normalize,
+    represents_zero,
+    ternary_solvable,
+)
+
+
+@lru_cache(maxsize=4096)
+def _square_value_sets(a_mod: int, p: int):
+    """Boolean tables over Z/p of values a*x^2: (any x, x a unit)."""
+    xs = np.arange(p, dtype=np.int64)
+    vals = (a_mod * ((xs * xs) % p)) % p
+    any_set = np.zeros(p, dtype=bool)
+    any_set[vals] = True
+    unit_set = np.zeros(p, dtype=bool)
+    if a_mod % p != 0:
+        unit_set[vals[1:]] = True
+    return any_set, unit_set
+
+
+def _sumset_mod(p: int, left, right):
+    out = np.zeros(p, dtype=bool)
+    for s in np.nonzero(left)[0]:
+        out |= np.roll(right, s)
+    return out
+
+
+def _zp_isotropic_odd(coeffs, p: int) -> bool:
+    """Primitive solution of the form = 0 (mod p^3) with the Hensel criterion.
+
+    Level 1: any zero mod p with a unit partial derivative lifts directly.
+    Otherwise only zeros supported on the p-divisible slots remain, and the
+    mod-p^3 condition collapses to a two-variable search mod p^2 against the
+    value set of the unit part.  Exact for squarefree coefficients.
+    """
+    any_sets = []
+    unit_sets = []
+    for a in coeffs:
+        s_any, s_unit = _square_value_sets(a % p, p)
+        any_sets.append(s_any)
+        unit_sets.append(s_unit)
+    neg_index = (-np.arange(p)) % p
+    for i in range(4):
+        if not unit_sets[i].any():
+            continue
+        rest = [any_sets[j] for j in range(4) if j != i]
+        acc = _sumset_mod(p, _sumset_mod(p, rest[0], rest[1]), rest[2])
+        if np.any(unit_sets[i] & acc[neg_index]):
+            return True
+    divisible = [i for i in range(4) if coeffs[i] % p == 0]
+    if len(divisible) != 2:
+        return False
+    units = [i for i in range(4) if coeffs[i] % p != 0]
+    reachable = np.zeros(p, dtype=bool)
+    reachable[0] = True
+    for i in units:
+        reachable = _sumset_mod(p, reachable, any_sets[i])
+    b1 = (coeffs[divisible[0]] // p) % (p * p)
+    b2 = (coeffs[divisible[1]] // p) % (p * p)
+    # scaling by units fixes the first divisible slot at 1
+    p2 = p * p
+    ys = np.arange(p2, dtype=np.int64)
+    w = (b1 + b2 * ((ys * ys) % p2)) % p2
+    mask = w % p == 0
+    if not mask.any():
+        return False
+    h = (-(w[mask] // p)) % p
+    return bool(reachable[h].any())
+
+
+@lru_cache(maxsize=8192)
+def _pair_table_mod64(ai: int, aj: int):
+    """For (x_i, x_j) mod 64: which sums a_i x_i^2 + a_j x_j^2 occur, split by
+    (has a coordinate with a*x not 0 mod 4, has an odd coordinate)."""
+    xs = np.arange(64, dtype=np.int64)
+    xi = xs[:, None]
+    xj = xs[None, :]
+    v = (ai * xi * xi + aj * xj * xj) % 64
+    grad = ((ai * xi) % 4 != 0) | ((aj * xj) % 4 != 0)
+    odd = (xi % 2 == 1) | (xj % 2 == 1)
+    table = np.zeros((64, 2, 2), dtype=bool)
+    table[v.ravel(), grad.ravel().astype(int), odd.ravel().astype(int)] = True
+    return table
+
+
+def _z2_isotropic(coeffs) -> bool:
+    """Primitive solution mod 2^6 with a slot where a_i x_i is not 0 mod 4
+    (the 2-adic Hensel lifting criterion for squarefree coefficients)."""
+    t12 = _pair_table_mod64(coeffs[0], coeffs[1])
+    t34 = _pair_table_mod64(coeffs[2], coeffs[3])
+    for v in range(64):
+        for g1 in (0, 1):
+            for o1 in (0, 1):
+                if not t12[v, g1, o1]:
+                    continue
+                for g2 in (0, 1):
+                    for o2 in (0, 1):
+                        if (
+                            t34[(-v) % 64, g2, o2]
+                            and (g1 or g2)
+                            and (o1 or o2)
+                        ):
+                            return True
+    return False
+
+
+def local_oracle(form: DiagonalForm) -> bool:
+    """Hasse-principle verdict by brute force: real solvability plus a
+    liftable residue solution at 2 and at every odd prime dividing the
+    discriminant."""
+    if not form.is_normalized():
+        raise NotNormalized(f"{form} is not normalized")
+    cs = form.coeffs()
+    if all(a > 0 for a in cs) or all(a < 0 for a in cs):
+        return False
+    odd_primes = sorted(
+        p for p in factorint_small(form.discriminant) if p != 2
+    )
+    for p in odd_primes:
+        if not _zp_isotropic_odd(cs, p):
+            return False
+    return _z2_isotropic(cs)
+
+
+def normalized_forms_up_to(max_abs: int):
+    """Every normalized form with |a_i| <= max_abs, up to coefficient order
+    and global sign (neither affects the zero set): sorted coefficient
+    tuples, first coefficient positive."""
+    values = [
+        n
+        for n in range(-max_abs, max_abs + 1)
+        if n and squarefree_decompose(n).square_root_cofactor == 1
+    ]
+    values.sort()
+    out = []
+    k = len(values)
+    for i1 in range(k):
+        for i2 in range(i1, k):
+            for i3 in range(i2, k):
+                for i4 in range(i3, k):
+                    form = (values[i1], values[i2], values[i3], values[i4])
+                    mirrored = tuple(sorted(-a for a in form))
+                    if form < mirrored:
+                        continue  # global sign symmetry: keep one orientation
+                    ok = True
+                    for skip in range(4):
+                        triple = [c for t, c in enumerate(form) if t != skip]
+                        if math.gcd(math.gcd(triple[0], triple[1]), triple[2]) > 1:
+                            ok = False
+                            break
+                    if ok:
+                        out.append(DiagonalForm(*form))
+    return out
+
+
+def agreement_sweep(max_abs: int) -> dict:
+    """represents_zero versus local_oracle over every normalized form with
+    |a_i| <= max_abs; returns counts and any disagreeing forms."""
+    forms = normalized_forms_up_to(max_abs)
+    disagreements = []
+    solvable = 0
+    for form in forms:
+        jones = represents_zero(form).solvable
+        if jones:
+            solvable += 1
+        if jones != local_oracle(form):
+            disagreements.append(form.coeffs())
+    return {
+        "max_abs": max_abs,
+        "forms": len(forms),
+        "solvable": solvable,
+        "disagreements": disagreements,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the mod-48 question from the abstract
+
+def congruence_sweep(a_min: int = -200, a_max: int = -1) -> dict:
+    """Sweep a over [a_min, a_max], compare the three-condition verdict with
+    the local oracle, and summarize which -a are unsolvable.
+
+    The abstract claims unsolvability exactly for -a = 2, 18, 34 (mod 48)
+    while the theorem body says a = 2, 18, 34 (mod 48); the sweep reports
+    what actually happens instead of hard-coding either congruence.
+    """
+    insolvable = []
+    disagreements = []
+    for a in range(a_min, a_max + 1):
+        jones = ternary_solvable(a)
+        oracle_verdict = local_oracle(normalize(1, 2, 3, 5 * a).form)
+        if jones != oracle_verdict:
+            disagreements.append(a)
+        if not jones:
+            insolvable.append(-a)
+    insolvable.sort()
+    residues = sorted({v % 48 for v in insolvable})
+    abstract_set = [2, 18, 34]
+    pure_abstract_classes = all(
+        (v % 48 in abstract_set) <= (v in insolvable)
+        for v in range(-a_max, -a_min + 1)
+    )
+    return {
+        "range": [a_min, a_max],
+        "insolvable_minus_a": insolvable,
+        "insolvable_residues_mod_48": residues,
+        "matches_abstract_residues": residues == abstract_set,
+        "abstract_classes_fully_insolvable": pure_abstract_classes,
+        "theorem_statement_uses_a_not_minus_a": True,
+        "oracle_disagreements": disagreements,
+    }

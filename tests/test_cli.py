@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quinticpoints import cli, surfaces
+from quinticpoints import cli, quadform, surfaces
 from quinticpoints.exact import CertificateError
 
 
@@ -115,6 +120,77 @@ class TestTable:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert [row["D"] for row in json.loads(outputs[0])["rows"]] == list(range(1, 7))
+
+
+    @pytest.mark.parametrize(
+        "jobs, dmax, cpus, pool",
+        [
+            (64, 6, 4, (4, 2)),  # capped by the CPUs, one chunk per worker
+            (3, 7, 8, (3, 3)),
+            (64, 5, 8, (5, 1)),  # capped by the rows
+            (64, 1, 8, None),  # one row: serial, no pool
+            (64, 6, None, None),  # unknown CPU count: serial
+        ],
+    )
+    def test_jobs_are_capped(self, monkeypatch, capsys, jobs, dmax, cpus, pool):
+        pools = []
+
+        class RecordingPool:  # never starts a process
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                self.chunksize = chunksize
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["table", "--mode=verify", f"--dmax={dmax}", f"--jobs={jobs}"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert [(p.max_workers, p.chunksize) for p in pools] == ([pool] if pool else [])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["D"] for row in rows] == list(range(1, dmax + 1))
+
+
+class TestSolveForm:
+    def test_wrapped_int64_zero_is_no_witness(self, capsys):
+        # 9 * 2049638230412172402 = 2^64 + 2, so (0, 3, 1, 1) was a zero in int64
+        argv = ["solve-form", "1", "2049638230412172402", "1", "-3", "--bound", "3"]
+        assert cli.main(argv) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"] is None and payload["witness_original_form"] is None
+        assert payload["solvable"] is False
+
+    @pytest.mark.parametrize("witness", [(1, 1, 1, 1), (0, 2, 2, 2)])  # not a zero, not primitive
+    def test_bad_witness_is_a_certificate_error(self, monkeypatch, capsys, witness):
+        monkeypatch.setattr(quadform, "find_zero", lambda form, bound: witness)
+        assert cli.main(["solve-form", "1", "2", "3", "-5"]) == cli.EXIT_FAIL
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "CertificateError" and str(list(witness)) in payload["message"]
+
+    def test_witness_of_an_unsolvable_verdict_is_a_certificate_error(self, monkeypatch, capsys):
+        decide = quadform.represents_zero
+
+        def unsolvable(form):
+            return dataclasses.replace(decide(form), signs_ok=False)
+
+        monkeypatch.setattr(quadform, "represents_zero", unsolvable)
+        assert cli.main(["solve-form", "1", "2", "3", "-5"]) == cli.EXIT_FAIL
+        assert json.loads(capsys.readouterr().out)["error"] == "CertificateError"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import quinticpoints.cli, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_question3_points_are_integral(capsys):

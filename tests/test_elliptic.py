@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints.elliptic import (
@@ -193,6 +194,56 @@ class TestSearch:
         run2 = search_points(c, SearchBounds(num_bound=30, den_bound=2))
         assert run1 == run2 and run1
         assert all(on_curve(c, p) for p in run1)
+
+    @given(
+        st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
+        st.integers(1, 60), st.sampled_from([1, 2]),
+    )
+    # at e = 2 the window has 233 m: a multiple of no sieve prime
+    @example(a2=0, a4=-2, a6=1, num_bound=29, den_bound=2)
+    # y^2 = x^3 - x: three points with y = 0
+    @example(a2=0, a4=-1, a6=0, num_bound=1, den_bound=1)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_on_short_curves(self, a2, a4, a6, num_bound, den_bound):
+        curve = WeierstrassCurve(0, a2, 0, a4, a6)
+        assume(not curve.is_singular)
+        bounds = SearchBounds(num_bound=num_bound, den_bound=den_bound)
+        assert search_points(curve, bounds) == _search_reference(curve, bounds)
+
+    @given(
+        st.integers(-3, 3), st.integers(-9, 9), st.integers(-3, 3), st.integers(-9, 9),
+        st.integers(-9, 9), st.integers(1, 30), st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force_on_long_curves(self, a1, a2, a3, a4, a6, num_bound, den_bound):
+        curve = WeierstrassCurve(a1, a2, a3, a4, a6)
+        assume(not curve.is_singular)
+        bounds = SearchBounds(num_bound=num_bound, den_bound=den_bound)
+        assert search_points(curve, bounds) == _search_reference(curve, bounds)
+
+
+def _search_reference(curve, bounds):
+    """Every X = m/e^2 of the window, no sieve: y solves
+    y^2 + (a1 x + a3) y = rhs(x), tested with math.isqrt.  Integral curves
+    only, so the integral model is the curve itself."""
+    found = []
+    for e in range(1, bounds.den_bound + 1):
+        limit = bounds.num_bound * e * e
+        for m in range(-limit, limit + 1):
+            if e > 1 and math.gcd(m, e) != 1:
+                continue
+            x = Fraction(m, e * e)
+            lin = curve.a1 * x + curve.a3
+            disc = lin * lin + 4 * curve.rhs(x)
+            if disc < 0:
+                continue
+            num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+            if num * num != disc.numerator or den * den != disc.denominator:
+                continue
+            root = Fraction(num, den)
+            for sign in (1, -1) if root else (1,):
+                found.append(CurvePoint(x, (-lin + sign * root) / 2))
+    return found
 
 
 class TestSpecialization:

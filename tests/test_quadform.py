@@ -11,10 +11,7 @@ from quinticpoints.quadform import (
     NotNormalized,
     TernarySolution,
     ZeroCoefficient,
-    agreement_sweep,
-    congruence_sweep,
     find_zero,
-    local_oracle,
     normalize,
     parametrize_conic,
     question3_family,
@@ -22,6 +19,8 @@ from quinticpoints.quadform import (
     ternary_base_solution,
     ternary_solvable,
 )
+
+from oracle import agreement_sweep, congruence_sweep, local_oracle
 
 
 class TestNormalize:
@@ -155,6 +154,43 @@ class TestFindZero:
     def test_deterministic(self):
         form = DiagonalForm(1, 1, -1, -1)
         assert find_zero(form, 5) == find_zero(form, 5)
+
+    @given(
+        st.lists(st.integers(-40, 40).filter(bool), min_size=4, max_size=4),
+        st.sampled_from([0, 1, 3, 8]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_triple_loop(self, coeffs, bound):
+        form = DiagonalForm(*coeffs)
+        witness = find_zero(form, bound)
+        assert witness == _find_zero_reference(form, bound)
+        if bound == 0:
+            assert witness is None
+
+    def test_no_wraparound(self):
+        # 9 * 2049638230412172402 = 2^64 + 2: in int64, (0, 3, 1, 1) looked like a zero
+        form = DiagonalForm(1, 2049638230412172402, 1, -3)
+        assert form.value((0, 3, 1, 1)) == 2**64
+        assert find_zero(form, 3) is None
+
+
+def _find_zero_reference(form, bound):
+    """O(bound^3): every (x1, x2, x3) of the box, x4 solved with math.isqrt,
+    the first primitive zero by max-norm, then 0, 1, -1, 2, -2, ... per slot."""
+    a1, a2, a3, a4 = form.coeffs()
+    box = range(-bound, bound + 1)
+    hits = []
+    for x1 in box:
+        for x2 in box:
+            for x3 in box:
+                q, r = divmod(-(a1 * x1 * x1 + a2 * x2 * x2 + a3 * x3 * x3), a4)
+                t = math.isqrt(q) if q >= 0 else -1
+                if r or t < 0 or t * t != q or t > bound:
+                    continue
+                hits.extend((x1, x2, x3, x4) for x4 in {t, -t} if math.gcd(x1, x2, x3, x4) == 1)
+    if not hits:
+        return None
+    return min(hits, key=lambda w: (max(map(abs, w)),) + tuple((abs(v), v < 0) for v in w))
 
 
 class TestTernary:
