@@ -63,7 +63,7 @@ def _parse_gaussian(text: str) -> GaussianRational:
 # verify-identities
 
 def cmd_verify_identities(args) -> int:
-    checks = surfaces.identity_suite(only=args.only, mutate=args.mutate, seed=args.seed)
+    checks = surfaces.identity_suite(only=args.only, seed=args.seed)
     payload = {
         "checks": [
             {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
@@ -74,7 +74,7 @@ def cmd_verify_identities(args) -> int:
     _emit(payload)
     for c in checks:
         _note(f"{'PASS' if c.ok else 'FAIL'}  {c.name}")
-    _store_record(args, "verify-identities", {"only": args.only, "mutate": args.mutate}, payload)
+    _store_record(args, "verify-identities", {"only": args.only}, payload)
     return EXIT_OK if payload["all_pass"] and checks else EXIT_FAIL
 
 
@@ -270,9 +270,10 @@ def _rows_to_csv(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.dmax < 1:
-        _emit({"error": "InvalidInput", "message": "--dmax must be >= 1"})
-        return EXIT_INVALID
+    for option, value in (("--dmax", args.dmax), ("--bound", args.bound)):
+        if value < 1:
+            _emit({"error": "InvalidInput", "message": f"{option} must be >= 1"})
+            return EXIT_INVALID
     if args.mode == "verify":
         rows = elliptic.load_table()[: args.dmax]
         results = _run_parallel(_verify_row_task, rows, args.jobs)
@@ -366,10 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_sub(name, **kwargs):
         return sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
 
-    p_verify = add_sub("verify-identities", help="run the symbolic identity suite")
+    p_verify = add_sub(
+        "verify-identities",
+        help="prove the displayed identities on the formulas the constructors run",
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     p_verify.add_argument("--only", help="substring filter on check names")
-    p_verify.add_argument("--mutate", action="store_true", help="test hook: perturb one identity")
     p_verify.set_defaults(func=cmd_verify_identities)
 
     p_construct = add_sub("construct", help="construct one certified point")

@@ -68,11 +68,6 @@ class WeierstrassCurve:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
-    def c4(self):
-        b2, b4, _, _ = _b_invariants(*self.coeffs())
-        return b2 * b2 - 24 * b4
-
     @cached_property
     def discriminant(self) -> Fraction:
         """Computed once per curve and in integers: the discriminant has
@@ -89,12 +84,6 @@ class WeierstrassCurve:
     @property
     def is_singular(self) -> bool:
         return self.discriminant == 0
-
-    def j_invariant(self) -> Fraction:
-        d = self.discriminant
-        if d == 0:
-            raise SingularCurve("j-invariant of a singular curve")
-        return self.c4**3 / d
 
     def rhs(self, x: Fraction) -> Fraction:
         return ((x + self.a2) * x + self.a4) * x + self.a6

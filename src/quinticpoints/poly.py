@@ -262,12 +262,6 @@ class MultiPoly:
                 terms[exps[:i] + exps[i + 1:]] = coeff
         return MultiPoly(self.field, rest, terms, _skip_clean=True)
 
-    def constant_value(self):
-        """The scalar value of a constant polynomial."""
-        if self.degree() > 0:
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.vars), _zero(self.field))
-
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.vars:
             return MultiPoly.zero(self.field)

@@ -32,6 +32,8 @@ class TestOptions:
             # no prefix matching: these would set --seed-point and --dmax
             ("construct", "symmetric", "--variant=rational", "--seed", "5,9"),
             ("table", "--dm", "3"),
+            # the perturbation test in test_surfaces.py does this hook's job
+            ("verify-identities", "--mutate"),
         ],
     )
     def test_options_that_change_nothing_are_rejected(self, argv):
@@ -113,6 +115,14 @@ class TestConstructErrors:
 
 
 class TestTable:
+    @pytest.mark.parametrize("option", ["--dmax", "--bound"])
+    def test_bounds_below_one_are_invalid_input(self, capsys, option):
+        argv = ["table", "--mode=search", "--dmax=1", "--tmax=1", f"{option}=0"]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InvalidInput", "message": f"{option} must be >= 1"
+        }
+
     def test_jobs_match_serial_output(self, capsys):
         outputs = []
         for jobs in (1, 2):

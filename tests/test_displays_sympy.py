@@ -1,0 +1,67 @@
+"""The shared display functions of surfaces.py, evaluated over sympy and
+checked there, so that poly.MultiPoly is not the only judge of its own
+identities.  Residuals are put over one denominator and expanded; sympy's
+simplify is avoided because it is several times slower and decides nothing
+more here."""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from quinticpoints import surfaces  # noqa: E402
+
+
+def vanishes(expr) -> bool:
+    return sympy.expand(sympy.numer(sympy.together(expr))) == 0
+
+
+def quintic_residual(a, b, c, p, q, r, s):
+    def f(x):
+        return x**5 + a * x**3 + b * x**2 + c * x
+
+    return f(p) + f(q) - f(r) - f(s)
+
+
+def test_gaussian_coords_lie_on_every_v_f():
+    a, b, c, y, u = sympy.symbols("a b c y u")
+    coords = surfaces._gaussian_coords(a, b, y, u, sympy.I)
+    assert vanishes(quintic_residual(a, b, c, *coords))
+
+
+def test_fifth_power_coords_solve_the_equal_sums():
+    u, v = sympy.symbols("u v")
+    p, q, r, s = surfaces._fifth_power_coords(u, v, sympy.I)
+    assert sympy.expand(p**5 + q**5 - r**5 - s**5) == 0
+
+
+def test_r4_point_factors_the_residual_as_displayed():
+    x, y, z, a, c = sympy.symbols("x y z a c")
+    res = quintic_residual(a, 0, c, *surfaces.r4_point(x, y, z))
+    displayed = (
+        6 * (x - y) * (x + 2 * y - 3 * z) * (x + 2 * y + 3 * z)
+        * (x**2 + 2 * y**2 + 3 * z**2 + 5 * a)
+    )
+    assert sympy.expand(625 * res - displayed) == 0
+
+
+def test_lines_through_i_meet_the_conic():
+    b20, b02, t, u = sympy.symbols("b20 b02 t u")
+    U, V = surfaces._lines_through_i(b20, b02, t, u, sympy.I)
+    assert vanishes(b20 * (U**2 + 1) - t * b20 * (U * V + V) + b02 * V**2)
+    assert vanishes(U - sympy.I - u * V)
+
+
+def test_ansatz_values_put_the_r2_point_on_e():
+    """Under (R3) the (R2) point (X, Y, t)(T) on
+    Y^2 = X^3 - 75 a^2 X - 125(5 b^2 t^2 + 10 b^2 + 2 a^3) leaves an equation
+    linear in T, and the displayed T is its root; a, b, u, v are free, and the
+    displayed coefficients a_0..a_5 are not used."""
+    a, b, u, v, T = sympy.symbols("a b u v T")
+    P, Q, R, S, root = surfaces._ansatz_values(a, b, u, v)
+    X = T**2 + 10 * u * T + P
+    Y = T**3 + Q * T**2 + R * T
+    t = v / (5 * b) * T**2 + S
+    E = Y**2 - X**3 + 75 * a**2 * X + 625 * b**2 * t**2 + 1250 * b**2 + 250 * a**3
+    a0, a1 = sympy.Poly(sympy.expand(sympy.numer(sympy.together(E))), T).all_coeffs()[::-1]
+    assert a1 != 0
+    assert vanishes(a0 + a1 * root)

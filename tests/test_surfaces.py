@@ -107,6 +107,80 @@ class TestBrokenPipelinesFail:
             surfaces.thm2_parametrize.cache_clear()
 
 
+def _perturb_first(display):
+    def perturbed(*args):
+        first, *rest = display(*args)
+        return (first + 1, *rest)
+
+    return perturbed
+
+
+C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
+
+
+@pytest.mark.parametrize(
+    "display, checks, constructors",
+    [
+        (
+            "_gaussian_coords",
+            ["gaussian-residual", "gaussian-parametrization"],
+            [lambda: surfaces.gaussian_point((1, -2, 0), 2, GaussianRational(1, 1))],
+        ),
+        (
+            "_fifth_power_coords",
+            ["fifth-power"],
+            [lambda: surfaces.fifth_power_solution(2, GaussianRational(1, 1))],
+        ),
+        (
+            "_ansatz_values",
+            ["thm1-surface", "thm1-spotchecks"],
+            [lambda: surfaces.thm1_point(QuinticCoeffs(2, 1, -1), Fraction(1, 2), 1)],
+        ),
+        (
+            "_surface_map",
+            ["thm1-surface", "thm1-spotchecks"],
+            [lambda: surfaces.thm1_point(QuinticCoeffs(2, 1, -1), Fraction(1, 2), 1)],
+        ),
+        (
+            "_lines_through_i",
+            ["consani-scholten-display"],
+            [lambda: surfaces.symmetric_gaussian_point(surfaces.CONSANI_SCHOLTEN, 2, 1)],
+        ),
+        (
+            "_uv_coords",
+            ["mixed-h", "symmetric-g", "consani-scholten-display", "c29-display"],
+            [
+                lambda: surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 2),
+                lambda: surfaces.symmetric_gaussian_point(surfaces.CONSANI_SCHOLTEN, 2, 1),
+                lambda: surfaces.symmetric_rational_point(C29, 1, (3, 8), 2),
+            ],
+        ),
+        (
+            "r4_point",
+            ["r4-factorization", "example1-display"],
+            [lambda: surfaces.thm2_point(-1, 3, 1, 3, search_bound=30)],
+        ),
+    ],
+)
+def test_a_wrong_display_fails_its_check_and_its_constructor(
+    monkeypatch, display, checks, constructors
+):
+    """Each display is one function that the constructor runs and the
+    identity suite proves: perturb it, and both must fail."""
+    for cached in (surfaces.thm2_parametrize, surfaces.mixed_special_maps):
+        cached.cache_clear()
+    monkeypatch.setattr(surfaces, display, _perturb_first(getattr(surfaces, display)))
+    try:
+        failed = {c.name for c in surfaces.identity_suite() if not c.ok}
+        assert failed == set(checks)
+        for construct in constructors:
+            with pytest.raises(CertificateError):
+                construct()
+    finally:
+        for cached in (surfaces.thm2_parametrize, surfaces.mixed_special_maps):
+            cached.cache_clear()
+
+
 def test_no_assert_statements_in_src():
     """Checks must survive python -O: raise CertificateError instead."""
     found = []
