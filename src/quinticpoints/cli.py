@@ -51,6 +51,29 @@ def _store_record(args, command: str, inputs: dict, outputs) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _inputs(args) -> dict:
+    """The parsed arguments of a call, as its ledger record stores them."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
+
+
+def _invalid_input(args, command: str, message: str) -> int:
+    """Emit and store a typed InvalidInput error; the exit code for it."""
+    payload = {"error": "InvalidInput", "message": message}
+    _emit(payload)
+    _note(f"invalid input: {message}")
+    _store_record(args, command, _inputs(args), payload)
+    return EXIT_INVALID
+
+
+def _below_one(args, command: str, *options: str) -> int | None:
+    """The InvalidInput exit for the first of the integer ``options`` that is
+    below 1, or None when each is at least 1."""
+    for option in options:
+        if getattr(args, option) < 1:
+            return _invalid_input(args, command, f"--{option} must be >= 1")
+    return None
+
+
 def _parse_gaussian(text: str) -> GaussianRational:
     """Accept 'a/b' or 'a/b,c/d' (real,imaginary)."""
     if "," in text:
@@ -64,6 +87,9 @@ def _parse_gaussian(text: str) -> GaussianRational:
 
 def cmd_verify_identities(args) -> int:
     checks = surfaces.identity_suite(only=args.only, seed=args.seed)
+    if not checks:
+        message = f"--only {args.only!r} matches no check name"
+        return _invalid_input(args, "verify-identities", message)
     payload = {
         "checks": [
             {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
@@ -75,7 +101,7 @@ def cmd_verify_identities(args) -> int:
     for c in checks:
         _note(f"{'PASS' if c.ok else 'FAIL'}  {c.name}")
     _store_record(args, "verify-identities", {"only": args.only}, payload)
-    return EXIT_OK if payload["all_pass"] and checks else EXIT_FAIL
+    return EXIT_OK if payload["all_pass"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +145,8 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
 
 def cmd_construct(args) -> int:
     family = args.family
+    if (invalid := _below_one(args, f"construct {family}", "bound")) is not None:
+        return invalid
     try:
         if family == "thm1":
             cert = surfaces.thm1_point(
@@ -166,8 +194,7 @@ def cmd_construct(args) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         _emit(payload)
         _note(f"invalid input: {exc}")
-        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
-        _store_record(args, f"construct {family}", inputs, payload)
+        _store_record(args, f"construct {family}", _inputs(args), payload)
         return EXIT_INVALID
     return _certificate_exit(cert, args)
 
@@ -188,6 +215,8 @@ def _certify_witness(form, norm, report, witness, pulled) -> None:
 
 
 def cmd_solve_form(args) -> int:
+    if (invalid := _below_one(args, "solve-form", "bound")) is not None:
+        return invalid
     try:
         norm = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
         report = quadform.represents_zero(norm.form)
@@ -270,10 +299,8 @@ def _rows_to_csv(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    for option, value in (("--dmax", args.dmax), ("--bound", args.bound)):
-        if value < 1:
-            _emit({"error": "InvalidInput", "message": f"{option} must be >= 1"})
-            return EXIT_INVALID
+    if (invalid := _below_one(args, "table", "dmax", "bound")) is not None:
+        return invalid
     if args.mode == "verify":
         rows = elliptic.load_table()[: args.dmax]
         results = _run_parallel(_verify_row_task, rows, args.jobs)
@@ -302,9 +329,8 @@ def cmd_table(args) -> int:
 # question3
 
 def cmd_question3(args) -> int:
-    if args.N < 1:
-        _emit({"error": "InvalidInput", "message": "--N must be >= 1"})
-        return EXIT_INVALID
+    if (invalid := _below_one(args, "question3", "N")) is not None:
+        return invalid
     a_n, sols = quadform.question3_family(args.N)
     f = QuinticCoeffs(a_n, 0, args.c)
     points = []

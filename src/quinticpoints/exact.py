@@ -2,9 +2,14 @@
 number-theoretic symbols (Legendre, 2-adic Hilbert, squarefree splitting)
 that the solvability machinery is built on.
 
-Rationals are plain ``fractions.Fraction`` values: always reduced, denominator
-always positive, hashable and immutable.  Gaussian rationals are a pair of
-those.
+Rationals are ``fractions.Fraction`` values: always reduced, denominator
+always positive, hashable and immutable; every function here also accepts an
+``int`` where it takes a rational.  A Gaussian rational is an immutable pair
+whose parts are each an ``int`` when integral and a ``Fraction`` otherwise.
+Its ring operations build their result without calling ``Fraction()``, so
+sums and products of integral values stay in Python ints; division (``/``,
+``inverse``) and ``norm`` go through ``Fraction``, so no part is ever a
+``float``.
 """
 
 from __future__ import annotations
@@ -49,33 +54,68 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
-@dataclass(frozen=True)
+def _canonical(q):
+    """An int or Fraction value as an int when it is integral."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
+
+
+def _gaussian(re, im):
+    """The one private constructor: wraps two parts that are already
+    canonical (an int when integral, a Fraction otherwise), without Fraction()."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
 class GaussianRational:
-    """Element of Q(i), stored as two canonical rationals (re + im*i, i^2 = -1)."""
+    """Element of Q(i), re + im*i with i^2 = -1: immutable and hashable, each
+    part an ``int`` when it is integral and a ``Fraction`` otherwise.  Equal
+    only to another GaussianRational of the same value."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re, im):
+        _set_re(self, re if re.__class__ is int else _canonical(Fraction(re)))
+        _set_im(self, im if im.__class__ is int else _canonical(Fraction(im)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational(re={Fraction(self.re)!r}, im={Fraction(self.im)!r})"
 
     @staticmethod
     def of(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+        if value.__class__ is GaussianRational:
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value), Fraction(0))
+            return _gaussian(_canonical(value), 0)
         raise TypeError(f"cannot coerce {value!r} into Q(i)")
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        return _gaussian(_canonical(self.re + other.re), _canonical(self.im + other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-GaussianRational.of(other))
@@ -84,26 +124,25 @@ class GaussianRational:
         return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gaussian(_canonical(a * c - b * d), _canonical(a * d + b * c))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def norm(self) -> Fraction:
         """x * conj(x) as a plain rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.re * self.re + self.im * self.im)
 
     def inverse(self) -> "GaussianRational":
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(_canonical(self.re / n), _canonical(-self.im / n))
 
     def __truediv__(self, other):
         return self * GaussianRational.of(other).inverse()
@@ -145,9 +184,15 @@ class GaussianRational:
         return GaussianRational(parse_rational(obj["re"]), parse_rational(obj["im"]))
 
 
-GAUSSIAN_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GAUSSIAN_ONE = GaussianRational(Fraction(1), Fraction(0))
-GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
+# the slot setters bypass the immutable __setattr__; only _gaussian and
+# __init__ use them
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+GAUSSIAN_ZERO = GaussianRational(0, 0)
+GAUSSIAN_ONE = GaussianRational(1, 0)
+GAUSSIAN_I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,22 @@ polynomials are dicts keyed by exponent vectors, rational functions are
 unreduced numerator/denominator pairs compared by cross-multiplication.
 Polynomial GCD is deliberately out of scope; zero-testing and evaluation are
 all the certificates need.
+
+Coefficients over Q are ``int`` or ``Fraction`` (a scalar coerced in becomes
+an ``int`` when it is integral); over Q(i) they are ``GaussianRational``,
+whose parts follow the same rule.  No coefficient and no value is ever a
+``float``.  A rational function keeps its integral representative: integer
+coefficients with joint content 1.  Since the displayed formulas have small
+rational coefficients, the expansions behind the identity checks multiply
+machine-sized Python ints, not Fractions (content and primitive part, as in
+Cohen, *A Course in Computational Algebraic Number Theory*, 3.2).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from operator import add
 
 from .exact import GAUSSIAN_ZERO, GaussianRational
 
@@ -36,19 +45,29 @@ class PoleAtPoint(ZeroDivisionError):
 
 
 def _coerce(field: str, value):
+    """A scalar as a coefficient of ``field``: over Q an int when integral and
+    a Fraction otherwise, over Q(i) a GaussianRational."""
     if field == FIELD_Q:
+        if value.__class__ is int:
+            return value
         if isinstance(value, GaussianRational):
             if not value.is_rational():
                 raise FieldMismatch("Q(i) scalar in a Q context")
             return value.re
-        return Fraction(value)
+        q = Fraction(value)
+        return q.numerator if q.denominator == 1 else q
     return GaussianRational.of(
         value if not isinstance(value, float) else Fraction(value)
     )
 
 
 def _zero(field: str):
-    return Fraction(0) if field == FIELD_Q else GAUSSIAN_ZERO
+    return 0 if field == FIELD_Q else GAUSSIAN_ZERO
+
+
+def _grlex(exps):
+    """Sort key of the graded lexicographic term order."""
+    return sum(exps), exps
 
 
 class MultiPoly:
@@ -190,15 +209,14 @@ class MultiPoly:
             other = MultiPoly.constant(other, self.field)
         a, b, vars = self._unified(other)
         terms: dict = {}
+        get = terms.get
         zero = _zero(self.field)
+        b_terms = list(b.terms.items())
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(key, zero) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+            for e2, c2 in b_terms:
+                key = tuple(map(add, e1, e2))
+                terms[key] = get(key, zero) + c1 * c2
+        terms = {e: c for e, c in terms.items() if c}
         return MultiPoly(self.field, vars, terms, _skip_clean=True)
 
     __rmul__ = __mul__
@@ -280,8 +298,8 @@ class MultiPoly:
 
         Unbound variables stay symbolic.  Values may be scalars, MultiPoly or
         RationalFunction.  The result's denominator is the product of binding
-        denominators raised to the needed powers (reduced by content only).
-        """
+        denominators raised to the needed powers (not reduced: only scaled to
+        the integral representative)."""
         nums: dict[str, MultiPoly] = {}
         dens: dict[str, MultiPoly] = {}
         for name, value in bindings.items():
@@ -352,9 +370,7 @@ class MultiPoly:
     # -- printing -----------------------------------------------------------
 
     def _ordered_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -378,34 +394,63 @@ class MultiPoly:
         return f"MultiPoly({self.field}, {self})"
 
 
-def _int_content(poly: MultiPoly) -> Fraction:
-    """gcd of all rational components of the coefficients (positive)."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for c in poly.terms.values():
-        comps = (c,) if isinstance(c, Fraction) else (c.re, c.im)
-        for q in comps:
-            if q:
-                nums.append(abs(q.numerator))
-                dens.append(q.denominator)
-    if not nums:
-        return Fraction(1)
-    return Fraction(reduce(math.gcd, nums), reduce(math.lcm, dens))
+def _components(poly: MultiPoly):
+    """The rational components of the coefficients: each coefficient over Q,
+    both parts of each coefficient over Q(i)."""
+    if poly.field == FIELD_Q:
+        return poly.terms.values()
+    return [q for c in poly.terms.values() for q in (c.re, c.im)]
+
+
+def _int_content(*polys: MultiPoly) -> tuple[int, int]:
+    """(g, d): the gcd of the numerators and the lcm of the denominators of
+    the components of all coefficients of ``polys``, whose joint content is
+    g / d."""
+    g = 0
+    d = 1
+    for poly in polys:
+        for q in _components(poly):
+            if q.__class__ is int:
+                g = math.gcd(g, q)
+            else:
+                g = math.gcd(g, q.numerator)
+                d = math.lcm(d, q.denominator)
+    return g, d
+
+
+def _scaled(poly: MultiPoly, sign: int, g: int, d: int) -> MultiPoly:
+    """poly * sign * d / g, for (g, d) the content of a set of polynomials
+    that includes poly: every component comes out an int."""
+
+    def scale(q):
+        return sign * (d // q.denominator) * q.numerator // g
+
+    if poly.field == FIELD_Q:
+        terms = {e: scale(c) for e, c in poly.terms.items()}
+    else:
+        terms = {
+            e: GaussianRational(scale(c.re), scale(c.im)) for e, c in poly.terms.items()
+        }
+    return MultiPoly(poly.field, poly.vars, terms, _skip_clean=True)
 
 
 class RationalFunction:
     """Quotient of two MultiPoly values; equality by cross-multiplication.
 
-    Not reduced to lowest terms (no multivariate GCD); only the integer
-    content and the sign of the denominator's leading term are normalized so
-    printing is stable.
+    Not reduced to lowest terms (no multivariate GCD).  num and den are
+    stored as the integral representative of the quotient: both are scaled
+    by one rational so that every coefficient (both parts over Q(i)) is an
+    integer, their joint content is 1, and the sign of the denominator's
+    leading term (its real part, or its imaginary part when that is 0) is
+    positive.  Products and sums of these then run on Python ints.  ``den``
+    is a MultiPoly or a scalar, 1 by default.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.constant(1, num.field)
+    def __init__(self, num: MultiPoly, den=None):
+        if not isinstance(den, MultiPoly):
+            den = MultiPoly.constant(1 if den is None else den, num.field)
         if num.field != den.field:
             raise FieldMismatch(f"{num.field} vs {den.field}")
         if den.is_zero:
@@ -413,15 +458,14 @@ class RationalFunction:
         if num.is_zero:
             den = MultiPoly.constant(1, num.field)
         else:
-            lead = den._ordered_terms()[0][1]
-            lead_sign = lead if isinstance(lead, Fraction) else (
-                lead.re if lead.re else lead.im
-            )
-            content = _int_content(den) * (1 if lead_sign > 0 else -1)
-            if content != 1:
-                inv = MultiPoly.constant(1 / content, num.field)
-                num = num * inv
-                den = den * inv
+            lead = den.terms[max(den.terms, key=_grlex)]
+            if isinstance(lead, GaussianRational):
+                lead = lead.re or lead.im
+            sign = 1 if lead > 0 else -1
+            g, d = _int_content(num, den)
+            if g != 1 or d != 1 or sign != 1:
+                num = _scaled(num, sign, g, d)
+                den = _scaled(den, sign, g, d)
         self.num = num
         self.den = den
 
@@ -484,10 +528,15 @@ class RationalFunction:
         return self.num.substitute(bindings) / self.den.substitute(bindings)
 
     def eval(self, point: dict):
+        """Exact value at a fully scalar point: a Fraction over Q, a
+        GaussianRational over Q(i)."""
         d = self.den.eval(point)
         if not d:
             raise PoleAtPoint(f"denominator vanishes at {point}")
-        return self.num.eval(point) / d
+        n = self.num.eval(point)
+        if self.field == FIELD_Q:
+            return Fraction(n, d)
+        return n / d
 
     def __str__(self):
         if self.den == MultiPoly.constant(1, self.field):

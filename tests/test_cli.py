@@ -169,6 +169,25 @@ class TestTable:
         assert [row["D"] for row in rows] == list(range(1, dmax + 1))
 
 
+@pytest.mark.parametrize(
+    "argv, command, message",
+    [
+        (["verify-identities", "--only=zzz"], "verify-identities",
+         "--only 'zzz' matches no check name"),
+        (["solve-form", "1", "2", "3", "-5", "--bound=-1"], "solve-form", "--bound must be >= 1"),
+        (["solve-form", "1", "2", "3", "-5", "--bound=0"], "solve-form", "--bound must be >= 1"),
+        (["construct", "thm2", "--a=-1", "--bound=-5"], "construct thm2", "--bound must be >= 1"),
+    ],
+)
+def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_INVALID
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"error": "InvalidInput", "message": message}
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
+
+
 class TestSolveForm:
     def test_wrapped_int64_zero_is_no_witness(self, capsys):
         # 9 * 2049638230412172402 = 2^64 + 2, so (0, 3, 1, 1) was a zero in int64

@@ -51,6 +51,40 @@ def test_lines_through_i_meet_the_conic():
     assert vanishes(U - sympy.I - u * V)
 
 
+def test_mixed_h_coeffs_cancel_the_mixed_residual():
+    """V^4 (F(p) + G(q) - F(r) - G(s)) + (tV - U - 1) H(U, V, t) = 0 with
+    all six coefficients of F = x^5+ax^3+bx^2+cx, G = x^5+dx^3+ex^2+fx free,
+    under (p, q, s, r) = _uv_coords(t, U, V) as in mixed_point."""
+    a, b, c, d, e, f, t, U, V = sympy.symbols("a b c d e f t U V")
+    H = sum(
+        coeff * U**i * V**j
+        for (i, j), coeff in surfaces._mixed_h_coeffs(a, b, c, d, e, f, t).items()
+    )
+    p, q, s, r = surfaces._uv_coords(t, U, V)
+
+    def F(x):
+        return x**5 + a * x**3 + b * x**2 + c * x
+
+    def G(x):
+        return x**5 + d * x**3 + e * x**2 + f * x
+
+    residual = F(p) + G(q) - F(r) - G(s)
+    assert vanishes(V**4 * residual + (t * V - U - 1) * H)
+
+
+def test_conic_at_cancels_the_symmetric_residual():
+    """V^4 (f(p, q) - f(r, s)) + (U - 1)(tV - U - 1) G(U, V, t) = 0 for the
+    symmetric quintic with all ten coefficients free, f and G taken from
+    SymmetricQuinticCoeffs.f_eval and conic_at."""
+    names = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "c0", "c1")
+    coeffs = surfaces.SymmetricQuinticCoeffs(*sympy.symbols(names))
+    t, U, V = sympy.symbols("t U V")
+    p, q, s, r = surfaces._uv_coords(t, U, V)
+    residual = coeffs.f_eval(p, q) - coeffs.f_eval(r, s)
+    G = coeffs.conic_at(t, U, V)
+    assert vanishes(V**4 * residual + (U - 1) * (t * V - U - 1) * G)
+
+
 def test_ansatz_values_put_the_r2_point_on_e():
     """Under (R3) the (R2) point (X, Y, t)(T) on
     Y^2 = X^3 - 75 a^2 X - 125(5 b^2 t^2 + 10 b^2 + 2 a^3) leaves an equation

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,18 @@ class TestGaussian:
         y = GaussianRational(c, d)
         xy = x * y
         assert xy * xy.conjugate() == GaussianRational(x.norm() * y.norm(), 0)
+
+    def test_immutable_value_with_int_parts(self):
+        x = GaussianRational(Fraction(4, 2), Fraction(1, 3))
+        assert type(x.re) is int and x.re == 2 and x.im == Fraction(1, 3)
+        with pytest.raises(AttributeError):
+            x.re = 5
+        with pytest.raises(AttributeError):
+            del x.im
+        y = GaussianRational(2, Fraction(2, 6))
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert GaussianRational(1, 0) != 1  # equal only to another GaussianRational
 
     def test_json_round_trip(self):
         x = GaussianRational(Fraction(-3, 4), Fraction(5, 7))

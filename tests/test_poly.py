@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints.exact import GAUSSIAN_I, GaussianRational
@@ -168,3 +169,101 @@ class TestRationalFunction:
         x, y = MultiPoly.variables("x y")
         p = 3 * x**2 * y - y + 1
         assert str(p) == "3*x^2*y + -1*y + 1"
+
+
+# ---------------------------------------------------------------------------
+# the scalar contract: int-or-Fraction coefficients, integral representatives
+
+def scalars(field):
+    q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    return q if field == FIELD_Q else st.builds(GaussianRational, q, q)
+
+
+def polys(field):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, scalars(field), max_size=4).map(
+        lambda terms: MultiPoly(field, ("x", "y"), terms)
+    )
+
+
+def components(poly):
+    for c in poly.terms.values():
+        yield from (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
+
+
+def assert_exact_scalar(value):
+    """An int or Fraction; a GaussianRational whose parts are each an int
+    when integral and a Fraction otherwise."""
+    if isinstance(value, GaussianRational):
+        for part in (value.re, value.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+    else:
+        assert type(value) in (int, Fraction)
+
+
+def assert_exact_poly(poly):
+    for c in poly.terms.values():
+        assert isinstance(c, GaussianRational) == (poly.field == FIELD_QI)
+        assert_exact_scalar(c)
+
+
+def assert_integral_representative(rf):
+    comps = [*components(rf.num), *components(rf.den)]
+    assert all(type(q) is int for q in comps)
+    assert math.gcd(*comps) == 1
+    lead = rf.den.terms[max(rf.den.terms, key=lambda e: (sum(e), e))]
+    if isinstance(lead, GaussianRational):
+        lead = lead.re or lead.im
+    assert lead > 0
+
+
+class TestScalarContract:
+    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_agree_with_scalar_arithmetic(self, field, data):
+        p, q = data.draw(polys(field)), data.draw(polys(field))
+        n = data.draw(st.integers(0, 3))
+        at = {"x": data.draw(scalars(field)), "y": data.draw(scalars(field))}
+        exact = Fraction if field == FIELD_Q else GaussianRational.of
+        P, Q = exact(p.eval(at)), exact(q.eval(at))
+        for poly, value in ((p + q, P + Q), (p - q, P - Q), (p * q, P * Q), (p**n, P**n)):
+            assert_exact_poly(poly)
+            assert poly.eval(at) == value
+        assume(Q and Q * Q + Q)
+        r = p / q
+        s = RationalFunction(p + q, q * q + q)
+        R, S = P / Q, (P + Q) / (Q * Q + Q)
+        cases = [(r, R), (s, S), (r + s, R + S), (r - s, R - S), (r * s, R * S),
+                 (r**n, R**n), (p / 3, P / 3), (p * r, P * R)]
+        if R:
+            cases += [(s / r, S / R), (r**-n, R**-n)]
+        for rf, value in cases:
+            assert_exact_poly(rf.num)
+            assert_exact_poly(rf.den)
+            assert_integral_representative(rf)
+            result = rf.eval(at)
+            assert_exact_scalar(result)
+            if field == FIELD_Q:
+                assert type(result) is Fraction
+            assert result == value
+
+    def test_integral_quotient_evaluates_to_a_fraction(self):
+        x = MultiPoly.variable("x")
+        half = RationalFunction(x, 2).eval({"x": 1})
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        assert type((x / 2).eval({"x": 4})) is Fraction
+
+    def test_integral_coefficients_are_ints(self):
+        x = MultiPoly.variable("x")
+        p = MultiPoly(FIELD_Q, ("x",), {(1,): Fraction(4, 2), (0,): 3})
+        assert [type(c) for c in p.terms.values()] == [int, int]
+        assert type((p * x).eval({"x": 2})) is int
+
+    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
+    def test_representative_is_scaled_to_integers(self, field):
+        x = MultiPoly.variable("x", field)
+        third = Fraction(1, 3) if field == FIELD_Q else GaussianRational(0, Fraction(1, 3))
+        rf = RationalFunction(x * Fraction(2, 3), -4 * x * x + MultiPoly.constant(third, field))
+        assert_integral_representative(rf)
+        assert rf == RationalFunction(x * 2, -12 * x * x + MultiPoly.constant(third * 3, field))
