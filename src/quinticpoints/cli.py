@@ -56,9 +56,10 @@ def _inputs(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
 
 
-def _invalid_input(args, command: str, message: str) -> int:
-    """Emit and store a typed InvalidInput error; the exit code for it."""
-    payload = {"error": "InvalidInput", "message": message}
+def _invalid_input(args, command: str, message: str, error: str = "InvalidInput") -> int:
+    """Emit and store a typed invalid-input error (``error`` names its type);
+    the exit code for it."""
+    payload = {"error": error, "message": message}
     _emit(payload)
     _note(f"invalid input: {message}")
     _store_record(args, command, _inputs(args), payload)
@@ -191,11 +192,7 @@ def cmd_construct(args) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        _emit(payload)
-        _note(f"invalid input: {exc}")
-        _store_record(args, f"construct {family}", _inputs(args), payload)
-        return EXIT_INVALID
+        return _invalid_input(args, f"construct {family}", str(exc), type(exc).__name__)
     return _certificate_exit(cert, args)
 
 
@@ -226,8 +223,7 @@ def cmd_solve_form(args) -> int:
             form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
             _certify_witness(form, norm, report, witness, pulled)
     except quadform.ZeroCoefficient as exc:
-        _emit({"error": "ZeroCoefficient", "message": str(exc)})
-        return EXIT_INVALID
+        return _invalid_input(args, "solve-form", str(exc), "ZeroCoefficient")
     except CertificateError as exc:  # a fault of the program, not of the input
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_FAIL
@@ -364,8 +360,7 @@ def cmd_scale_integers(args) -> int:
         points = [Point4.from_json(obj) for obj in raw]
         big, scaled = scale_to_integers(f, points)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INVALID
+        return _invalid_input(args, "scale-integers", str(exc), type(exc).__name__)
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},
         "F": {"a": big.a, "b": big.b, "c": big.c},

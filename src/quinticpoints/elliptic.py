@@ -6,6 +6,16 @@ search, and the specialization family
 
 behind the shipped 100-row table of nontorsion points.
 
+Each curve caches one integral model (``WeierstrassCurve.integral``): with u
+the lcm of the coefficient denominators, (x, y) -> (u^2 x, u^3 y) gives the
+integer coefficients u^w a_w.  The discriminant, the on-curve test and the
+torsion certificate all run on it in Python ints.  The certificate rests on
+Nagell-Lutz (Silverman-Tate, *Rational Points on Elliptic Curves*, II.4): on
+y^2 = x^3 + a x^2 + b x + c with integer coefficients a torsion point has
+integer coordinates, so when P and its first multiples are integral, a
+chord or tangent step from them whose slope is not an integer proves that P
+has infinite order.
+
 The point search is a bitset sieve in the style of Stoll's *ratpoints*: the
 window of candidate x-numerators is one Python int with a bit per candidate,
 and each small odd prime clears the bits at which the completed square
@@ -21,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .exact import factor_trial, format_rational, parse_rational, rational_square_root
+from .exact import factor_trial, format_rational, rational_square_root
 
 
 class SingularCurve(ArithmeticError):
@@ -63,22 +73,32 @@ class WeierstrassCurve:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @cached_property
-    def discriminant(self) -> Fraction:
-        """Computed once per curve and in integers: the discriminant has
-        weight 12, so it is the discriminant of the integral coefficients
-        u^w a_w, u the lcm of the denominators, divided by u^12.  The cache
-        lives in the instance __dict__, which the frozen dataclass allows."""
+    def integral(self) -> tuple[int, int, int, int, int, int]:
+        """(u, A1, A2, A3, A4, A6) in ints: u is the lcm of the coefficient
+        denominators and A_w = u^w a_w are the coefficients of the integral
+        model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  Computed
+        once per curve; the cache lives in the instance __dict__, which the
+        frozen dataclass allows."""
         coeffs = self.coeffs()
         u = math.lcm(*(a.denominator for a in coeffs))
-        b2, b4, b6, b8 = _b_invariants(
-            *(a.numerator * (u // a.denominator) * u ** (w - 1) for a, w in zip(coeffs, _WEIGHTS))
-        )
+        return (u, *(a.numerator * (u // a.denominator) * u ** (w - 1)
+                     for a, w in zip(coeffs, _WEIGHTS)))
+
+    @cached_property
+    def discriminant(self) -> Fraction:
+        """Computed once per curve and in integers: the discriminant has
+        weight 12, so it is the discriminant of the integral model divided
+        by u^12."""
+        u, *ints = self.integral
+        b2, b4, b6, b8 = _b_invariants(*ints)
         return Fraction(-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6, u**12)
 
     @property
@@ -106,8 +126,10 @@ class CurvePoint:
         if (self.x is None) != (self.y is None):
             raise ValueError("affine points need both coordinates")
         if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            if not isinstance(self.x, Fraction):
+                object.__setattr__(self, "x", Fraction(self.x))
+            if not isinstance(self.y, Fraction):
+                object.__setattr__(self, "y", Fraction(self.y))
 
     @property
     def is_identity(self) -> bool:
@@ -123,10 +145,18 @@ IDENTITY = CurvePoint()
 
 
 def on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
+    """Whether the point satisfies the curve's equation, decided in ints:
+    with x = xn/xd, y = yn/yd and (X, Y) = (u^2 xn, u^3 yn), the equation of
+    the integral model, multiplied through by xd^3 yd^2, reads
+    Y xd^2 (Y xd + A1 X yd + A3 xd yd) = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
     if point.is_identity:
         return True
+    u, a1, a2, a3, a4, a6 = curve.integral
     x, y = point.x, point.y
-    return y * y + curve.a1 * x * y + curve.a3 * y == curve.rhs(x)
+    xd, yd = x.denominator, y.denominator
+    big_x, big_y = u * u * x.numerator, u**3 * y.numerator
+    lhs = big_y * xd * xd * (big_y * xd + (a1 * big_x + a3 * xd) * yd)
+    return lhs == yd * yd * (((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3)
 
 
 def negate(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
@@ -192,26 +222,49 @@ MAZUR_BOUND = 12  # largest order of a rational torsion point (Mazur 1977)
 def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     """True when P has infinite order, False when nP = O for some n <= 12.
 
-    By Mazur's theorem a rational torsion point has order at most 12, so
-    nP != O for n = 1..12 certifies infinite order.  On a curve with
-    a1 = a3 = 0 the loop usually stops far earlier, by Nagell-Lutz: with
-    u the lcm of the denominators of a2, a4, a6, the model
-    y^2 = x^3 + a2 u^2 x^2 + a4 u^4 x + a6 u^6 is integral and a torsion
-    point (x, y) maps to integer coordinates (u^2 x, u^3 y) on it.  A
-    multiple nP whose image is not integral is therefore of infinite order,
-    and so is P.  Curves with a1 or a3 nonzero use the 12-multiple loop
-    alone.
+    The work is in ints, on an integral short model y^2 = x^3 + a x^2 +
+    b x + c.  When a1 = a3 = 0 that is the cached ``integral`` model and P
+    maps to (u^2 x, u^3 y); otherwise the square is completed there as well,
+    (X, Y) -> (4X, 8Y + 4 A1 X + 4 A3), onto y^2 = x^3 + b2 x^2 + 8 b4 x +
+    16 b6.  By Nagell-Lutz a torsion point has integer coordinates on this
+    model, so a P whose image is not integral has infinite order.  Otherwise
+    kP = (k-1)P + P is built for k = 2..12 from integral points, and
+    x(kP) = lam^2 - a - x((k-1)P) - x(P) is an integer iff the slope lam
+    is: the first slope that is not an integer proves infinite order, and a
+    vertical chord means kP = O.  By Mazur's theorem a rational torsion
+    point has order at most 12, so twelve multiples other than O certify
+    infinite order.
     """
     _check(curve, point)
-    short = curve.a1 == 0 and curve.a3 == 0
-    u = math.lcm(curve.a2.denominator, curve.a4.denominator, curve.a6.denominator)
-    acc = IDENTITY
-    for _ in range(MAZUR_BOUND):
-        acc = _add(curve, acc, point)
-        if acc.is_identity:
-            return False
-        if short and ((u * u) % acc.x.denominator or u**3 % acc.y.denominator):
+    if point.is_identity:
+        return False
+    u, a1, a2, a3, a4, a6 = curve.integral
+    x, y = point.x, point.y
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if a1 == 0 and a3 == 0:
+        a, b = a2, a4
+        x_num, x_den, y_num, y_den = u * u * xn, xd, u**3 * yn, yd
+    else:
+        b2, b4, _, _ = _b_invariants(a1, a2, a3, a4, a6)
+        a, b = b2, 8 * b4
+        x_num, x_den = 4 * u * u * xn, xd
+        y_num, y_den = 4 * (2 * u**3 * yn * xd + (a1 * u * u * xn + a3 * xd) * yd), xd * yd
+    if x_num % x_den or y_num % y_den:
+        return True
+    x1, y1 = x_num // x_den, y_num // y_den
+    xk, yk = x1, y1
+    for _ in range(2, MAZUR_BOUND + 1):
+        if xk == x1:
+            if yk == -y1:
+                return False
+            num, den = (3 * x1 + 2 * a) * x1 + b, 2 * y1
+        else:
+            num, den = yk - y1, xk - x1
+        if num % den:
             return True
+        lam = num // den
+        xk = lam * lam - a - xk - x1
+        yk = lam * (x1 - xk) - y1
     return True
 
 
@@ -252,16 +305,12 @@ class IntegralModel:
 def integral_model(curve: WeierstrassCurve) -> IntegralModel:
     """Rescale (x, y) -> (u^2 x, u^3 y) with the minimal positive integer u
     making every coefficient integral."""
-    weights = zip(curve.coeffs(), _WEIGHTS)
+    coeffs = curve.coeffs()
     u = _minimal_clearing_factor(
-        (coeff.denominator, w) for coeff, w in weights if coeff.denominator > 1
+        (coeff.denominator, w) for coeff, w in zip(coeffs, _WEIGHTS) if coeff.denominator > 1
     )
     scaled = WeierstrassCurve(
-        curve.a1 * u,
-        curve.a2 * u**2,
-        curve.a3 * u**3,
-        curve.a4 * u**4,
-        curve.a6 * u**6,
+        *(coeff.numerator * u**w // coeff.denominator for coeff, w in zip(coeffs, _WEIGHTS))
     )
     return IntegralModel(curve=scaled, u=u)
 
@@ -380,8 +429,10 @@ def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
     t = Fraction(t)
     if c == f or t == 0:
         raise DegenerateSpecialization("need c != f and t != 0")
-    t4 = t**4
-    return WeierstrassCurve(0, -25 * t4, 0, 0, -2500 * (c - f) ** 2 * t4)
+    n4, d4 = t.numerator**4, t.denominator**4
+    return WeierstrassCurve(
+        0, Fraction(-25 * n4, d4), 0, 0, Fraction(-2500 * (c - f) ** 2 * n4, d4)
+    )
 
 
 @dataclass(frozen=True)
@@ -398,18 +449,29 @@ class TableRow:
         return specialization_curve(self.d, 0, self.t)
 
 
+def _table_cell(text: str) -> Fraction:
+    """A canonical table cell, "n/d" or "n", as a Fraction."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
 def load_table() -> list[TableRow]:
     """The 100 rows (D = 1..100) of specialization data shipped with the
-    package: for each D a rational t and a nontorsion point on E_t."""
-    text = resources.files("quinticpoints.data").joinpath("table_d100.csv").read_text()
+    package: for each D a rational t and a nontorsion point on E_t.
+
+    ``verify_row`` certifies a row in ints on the cached integral model of
+    E_t: the point satisfies the cross-multiplied equation, and it or one
+    of its first multiples has a non-integral image (``is_nontorsion``).
+    The shipped rows need at most three multiples."""
+    text = (resources.files("quinticpoints") / "data" / "table_d100.csv").read_text()
     rows = []
     for rec in csv.DictReader(text.splitlines()):
         rows.append(
             TableRow(
                 d=int(rec["D"]),
-                t=parse_rational(rec["t"]),
-                x=parse_rational(rec["X"]),
-                y=parse_rational(rec["Y"]),
+                t=_table_cell(rec["t"]),
+                x=_table_cell(rec["X"]),
+                y=_table_cell(rec["Y"]),
             )
         )
     return rows

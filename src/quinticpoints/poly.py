@@ -130,7 +130,9 @@ class MultiPoly:
         return tuple(v for v, u in zip(self.vars, used) if u)
 
     def _projected(self) -> "MultiPoly":
-        keep = self.support()
+        """The same polynomial on its sorted support: the one form that
+        ``__eq__`` and ``__hash__`` compare, whatever the order of ``vars``."""
+        keep = tuple(sorted(self.support()))
         if keep == self.vars:
             return self
         idx = [self.vars.index(v) for v in keep]

@@ -188,6 +188,24 @@ def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, c
     assert record["command"] == command and record["outputs"] == payload
 
 
+@pytest.mark.parametrize(
+    "argv, command, error",
+    [
+        (["solve-form", "0", "1", "2", "3"], "solve-form", "ZeroCoefficient"),
+        (["scale-integers", "--points", '[{"p":"x"}]'], "scale-integers", "DegenerateQuintic"),
+        (["scale-integers", "--a=1", "--points", '[{"p":"x"}]'], "scale-integers", "ValueError"),
+    ],
+)
+def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["error"] == error and captured.err.startswith("invalid input: ")
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
+
+
 class TestSolveForm:
     def test_wrapped_int64_zero_is_no_witness(self, capsys):
         # 9 * 2049638230412172402 = 2^64 + 2, so (0, 3, 1, 1) was a zero in int64

@@ -13,6 +13,7 @@ from quinticpoints.elliptic import (
     SearchBounds,
     SingularCurve,
     WeierstrassCurve,
+    _b_invariants,
     add,
     conjecture2_search,
     integral_model,
@@ -177,6 +178,81 @@ class TestIntegralModel:
         c = WeierstrassCurve(0, 0, 0, Fraction(-1, 4), 0)
         model = integral_model(c)
         assert model.u == 2 and model.curve.a4 == -4
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+short_curves = st.builds(
+    lambda a2, a4, a6: WeierstrassCurve(0, a2, 0, a4, a6),
+    small_rationals, small_rationals, small_rationals,
+)
+long_curves = st.builds(
+    WeierstrassCurve, small_rationals, small_rationals, small_rationals, small_rationals,
+    small_rationals,
+)
+curves = st.one_of(short_curves, long_curves)
+
+
+def _on_curve_reference(curve, point):
+    x, y = point.x, point.y
+    return y * y + curve.a1 * x * y + curve.a3 * y == curve.rhs(x)
+
+
+def _nontorsion_reference(curve, point):
+    """Up to 12 multiples on the checked, Fraction-based ``add``."""
+    acc = IDENTITY
+    for _ in range(12):
+        acc = add(curve, acc, point)
+        if acc.is_identity:
+            return False
+    return True
+
+
+class TestIntegerArithmetic:
+    """The integer on-curve test, torsion certificate and discriminant
+    against the Fraction formulas they replace."""
+
+    @given(curves)
+    @settings(max_examples=100, deadline=None)
+    def test_integral_model_is_ints(self, curve):
+        u, *ints = curve.integral
+        assert all(type(v) is int for v in (u, *ints))
+        assert u == math.lcm(*(a.denominator for a in curve.coeffs()))
+        assert ints == [u**w * a for a, w in zip(curve.coeffs(), (1, 2, 3, 4, 6))]
+
+    @given(curves)
+    @settings(max_examples=100, deadline=None)
+    def test_discriminant_matches_fraction_formula(self, curve):
+        b2, b4, b6, b8 = _b_invariants(*curve.coeffs())
+        assert curve.discriminant == -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @given(curves, small_rationals, small_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_on_curve_matches_fraction_equation(self, curve, x, y):
+        point = CurvePoint(x, y)
+        assert on_curve(curve, point) == _on_curve_reference(curve, point)
+
+    @given(curves)
+    # y^2 = x^3 + 1: torsion of order 2, 3 and 6
+    @example(WeierstrassCurve(0, 0, 0, 0, 1))
+    # y^2 = x^3 + 1/64: the same torsion, integral only on the scaled model
+    @example(WeierstrassCurve(0, 0, 0, 0, Fraction(1, 64)))
+    # y^2 + y = x^3 - x^2 scaled by u = 2: long-form 5-torsion such as (1/4, 0)
+    @example(WeierstrassCurve(0, Fraction(-1, 4), Fraction(1, 8), 0, 0))
+    # y^2 + xy = x^3 - x^2 - 1/4 x: long form, rational a4
+    @example(WeierstrassCurve(1, -1, 0, Fraction(-1, 4), 0))
+    @settings(max_examples=100, deadline=None)
+    def test_searched_points_match_references(self, curve):
+        assume(not curve.is_singular)
+        for point in search_points(curve, SearchBounds(num_bound=12, den_bound=2)):
+            assert on_curve(curve, point) and _on_curve_reference(curve, point)
+            assert is_nontorsion(curve, point) == _nontorsion_reference(curve, point), point
+            moved = CurvePoint(point.x, point.y + Fraction(1, 3))
+            assert on_curve(curve, moved) == _on_curve_reference(curve, moved)
+
+    def test_examples_include_torsion(self):
+        curve = WeierstrassCurve(0, 0, 0, 0, Fraction(1, 64))
+        points = search_points(curve, SearchBounds(num_bound=12, den_bound=2))
+        assert sum(not is_nontorsion(curve, p) for p in points) == 5  # 2 of order 6, 2 of 3, 1 of 2
 
 
 class TestSearch:

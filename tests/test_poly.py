@@ -68,6 +68,15 @@ class TestRingOps:
         assert left == right
         assert hash(left) == hash(right)
 
+    def test_equality_ignores_order_of_vars(self):
+        # xy + y, once on ("y", "x") and once on ("x", "y")
+        p = MultiPoly(FIELD_Q, ("y", "x"), {(1, 1): 1, (1, 0): 1})
+        q = MultiPoly(FIELD_Q, ("x", "y"), {(1, 1): 1, (0, 1): 1})
+        assert (p - q).is_zero
+        assert p == q
+        assert hash(p) == hash(q)
+        assert p != MultiPoly(FIELD_Q, ("x", "y"), {(1, 1): 1, (1, 0): 1})
+
 
 class TestSubstituteEval:
     def test_identity_binding(self):

@@ -203,6 +203,22 @@ class TestTernary:
     def test_minus_two_unsolvable(self):
         assert not ternary_solvable(-2)
 
+    def test_dickson_criterion(self):
+        # Theorem 2: solvable iff a < 0 and -a is not 4^k (16m + 2); with
+        # n = -5a this is Dickson's criterion for x^2 + 2y^2 + 3z^2 = n
+        def excluded(n):
+            while n % 4 == 0:
+                n //= 4
+            return n % 16 == 2
+
+        for a in range(-5000, 1):
+            assert ternary_solvable(a) == (a < 0 and not excluded(-a)), a
+
+    def test_abstract_congruence_alone_admits_minus_eight(self):
+        # -a = 8 avoids 2, 18, 34 mod 48, but 8 = 4 * 2 is excluded
+        assert 8 % 48 not in (2, 18, 34)
+        assert not ternary_solvable(-8)
+
     def test_base_solution(self):
         base = ternary_base_solution(-1)
         assert base == TernarySolution(0, 1, 1)
