@@ -3,8 +3,10 @@
 JSON goes to stdout (stable key order, no timestamps), human summaries to
 stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure
 (a trivial point, or a failed exact certificate: CertificateError), 2 invalid
-input or degenerate construction, 3 search exhausted.  ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to
-a JSON-lines ledger; only the timestamp differs between identical reruns.
+input or degenerate construction, 3 search exhausted (a table search, or a
+coefficient that ``exact.factor`` could not split: FactorizationExhausted).
+``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
+ledger; only the timestamp differs between identical reruns.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__, elliptic, quadform, surfaces
-from .exact import CertificateError, GaussianRational, format_rational, parse_rational
+from .exact import (
+    CertificateError,
+    FactorizationExhausted,
+    GaussianRational,
+    format_rational,
+    parse_rational,
+)
 from .quintic import Point4, QuinticCoeffs, classify, residual, scale_to_integers
 
 EXIT_OK = 0
@@ -56,14 +64,16 @@ def _inputs(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
 
 
-def _invalid_input(args, command: str, message: str, error: str = "InvalidInput") -> int:
-    """Emit and store a typed invalid-input error (``error`` names its type);
-    the exit code for it."""
+def _invalid_input(
+    args, command: str, message: str, error: str = "InvalidInput", code: int = EXIT_INVALID
+) -> int:
+    """Emit and store a typed error (``error`` names its type), invalid input
+    or, with ``code`` EXIT_EXHAUSTED, an exhaustion; returns ``code``."""
     payload = {"error": error, "message": message}
     _emit(payload)
-    _note(f"invalid input: {message}")
+    _note(f"{'exhausted' if code == EXIT_EXHAUSTED else 'invalid input'}: {message}")
     _store_record(args, command, _inputs(args), payload)
-    return EXIT_INVALID
+    return code
 
 
 def _below_one(args, command: str, *options: str) -> int | None:
@@ -192,7 +202,8 @@ def cmd_construct(args) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
-        return _invalid_input(args, f"construct {family}", str(exc), type(exc).__name__)
+        code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
+        return _invalid_input(args, f"construct {family}", str(exc), type(exc).__name__, code)
     return _certificate_exit(cert, args)
 
 
@@ -222,8 +233,9 @@ def cmd_solve_form(args) -> int:
         if witness:
             form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
             _certify_witness(form, norm, report, witness, pulled)
-    except quadform.ZeroCoefficient as exc:
-        return _invalid_input(args, "solve-form", str(exc), "ZeroCoefficient")
+    except (quadform.ZeroCoefficient, FactorizationExhausted) as exc:
+        code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
+        return _invalid_input(args, "solve-form", str(exc), type(exc).__name__, code)
     except CertificateError as exc:  # a fault of the program, not of the input
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_FAIL

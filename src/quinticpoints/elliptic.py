@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .exact import factor_trial, format_rational, rational_square_root
+from .exact import factor, format_rational, rational_square_root
 
 
 class SingularCurve(ArithmeticError):
@@ -276,7 +276,7 @@ def _minimal_clearing_factor(denominators_with_weights) -> int:
     u = 1
     needed: dict[int, int] = {}
     for d, w in denominators_with_weights:
-        for p, e in factor_trial(d).items():
+        for p, e in factor(d).items():
             k = -(-e // w)  # ceil
             if needed.get(p, 0) < k:
                 needed[p] = k

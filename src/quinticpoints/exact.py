@@ -1,6 +1,15 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, and the small
-number-theoretic symbols (Legendre, 2-adic Hilbert, squarefree splitting)
-that the solvability machinery is built on.
+number theory (primality, factorization, squarefree splitting, Legendre and
+2-adic Hilbert symbols) that the solvability machinery is built on.
+
+``factor`` is the one integer factorizer.  It trial-divides below 10^4
+(``factor_trial``), splits exact perfect powers by integer k-th roots, and
+runs Pollard's rho with Brent's cycle finding on what is left (Brent, BIT 20,
+1980; Cohen, A Course in Computational Algebraic Number Theory, 8.5), with a
+fixed budget of 2^20 rho steps per call: about a second on a 2-core x86
+machine.  A composite part it cannot split within the budget raises
+``FactorizationExhausted`` carrying that cofactor; no composite is ever
+reported as a prime, nor a number as squarefree that is not.
 
 Rationals are ``fractions.Fraction`` values: always reduced, denominator
 always positive, hashable and immutable; every function here also accepts an
@@ -14,6 +23,7 @@ sums and products of integral values stay in Python ints; division (``/``,
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -289,7 +299,20 @@ def hilbert2(alpha: int, beta: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition
+# factorization and squarefree decomposition
+
+_TRIAL_LIMIT = 10**4
+_RHO_STEPS = 1 << 20  # the rho steps one factor() call may spend
+
+
+class FactorizationExhausted(ArithmeticError):
+    """factor() spent its rho steps without splitting ``cofactor``, a
+    composite with no prime factor below 10^4."""
+
+    def __init__(self, cofactor: int):
+        super().__init__(f"no factor of {cofactor} found within {_RHO_STEPS} rho steps")
+        self.cofactor = cofactor
+
 
 @dataclass(frozen=True)
 class SquarefreeDecomposition:
@@ -299,56 +322,99 @@ class SquarefreeDecomposition:
     square_root_cofactor: int
 
 
-def factor_trial(n: int, limit: int = 10**6) -> dict[int, int]:
-    """Trial-division factorization of |n| up to ``limit``; any remaining
-    cofactor is returned as a single (possibly composite) key."""
+def factor_trial(n: int) -> tuple[dict[int, int], int]:
+    """The primes below 10^4 dividing |n|, with exponents, and what is left:
+    1, a prime, or a number whose prime factors all exceed 10^4."""
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in range(2, limit + 1):
+    for p in range(2, _TRIAL_LIMIT):
         if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    return factors, n
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the composite n and the steps left: Pollard's rho
+    on x -> x^2 + c with Brent's cycle finding, one gcd per 128 steps.
+    Raises FactorizationExhausted(n) when ``steps`` run out."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise FactorizationExhausted(n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the last batch overshot: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, steps
+
+
+def factor(n: int) -> dict[int, int]:
+    """The prime factorization of |n|, primes ascending (see the module
+    docstring); raises FactorizationExhausted rather than guess."""
+    if n == 0:
+        raise ZeroArgument("cannot factor 0")
+    factors, rest = factor_trial(n)
+    if rest < _TRIAL_LIMIT**2:  # 1 or a prime
+        if rest > 1:
+            factors[rest] = 1
+        return factors
+    large: dict[int, int] = {}
+    parts = [(rest, 1)]
+    steps = _RHO_STEPS
+    while parts:
+        m, e = parts.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + e
+            continue
+        # prime factors exceed 2^13, so m = r^k needs k <= bits / 13
+        for k in range(2, m.bit_length() // 13 + 1):
+            r = _iroot(m, k)
+            if r**k == m:
+                parts.append((r, e * k))
+                break
+        else:
+            d, steps = _rho(m, steps)
+            parts += [(d, e), (m // d, e)]
+    factors.update(sorted(large.items()))
     return factors
 
 
 def squarefree_decompose(n: int) -> SquarefreeDecomposition:
-    """Split n = s * k^2 with s squarefree and sign(s) = sign(n).
-
-    Trial division handles every prime below 10^6; the remaining cofactor is
-    stripped of perfect-square content, which is exact for the small inputs
-    this library produces.
-    """
-    if n == 0:
-        raise ZeroArgument("cannot decompose 0")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    squarefree = 1
-    cofactor = 1
-    for p in range(2, 10**6 + 1):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            cofactor *= p ** (e // 2)
-            if e % 2:
-                squarefree *= p
-    # m is now coprime to everything below 10^6; peel perfect squares
-    while m > 1:
-        r = math.isqrt(m)
-        if r * r == m:
-            cofactor *= r
-            m = 1
-        else:
-            squarefree *= m
-            m = 1
-    return SquarefreeDecomposition(sign * squarefree, cofactor)
+    """Split n = s * k^2 with s squarefree and sign(s) = sign(n), read off
+    ``factor(n)``."""
+    factors = factor(n)
+    s = math.prod(p for p, e in factors.items() if e % 2)
+    k = math.prod(p ** (e // 2) for p, e in factors.items())
+    return SquarefreeDecomposition(s if n > 0 else -s, k)
 
 
 def rational_square_root(q) -> Fraction | None:

@@ -1,5 +1,8 @@
 """Solvability of a1*X1^2 + a2*X2^2 + a3*X3^2 + a4*X4^2 = 0 over Q.
 
+:func:`normalize` makes the coefficients squarefree and leaves no prime in
+three of them, moving one prime at a time over the factorizations that each
+:class:`DiagonalForm` computes once (``exact.factor``).
 :func:`represents_zero` decides by the classical three-condition criterion
 (sign mixing, an odd-prime Legendre condition, a 2-adic Hilbert-symbol
 condition) on a normalized form.  Its independent cross-check, a local
@@ -16,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import CertificateError, hilbert2, legendre, squarefree_decompose
+from .exact import CertificateError, factor, hilbert2, legendre
 from .poly import MultiPoly, RationalFunction
 
 
@@ -49,6 +53,11 @@ class DiagonalForm:
     def coeffs(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4)
 
+    @cached_property
+    def factors(self) -> tuple[dict[int, int], ...]:
+        """``exact.factor`` of each coefficient, computed once per form."""
+        return tuple(factor(a) for a in self.coeffs())
+
     @property
     def discriminant(self) -> int:
         return self.a1 * self.a2 * self.a3 * self.a4
@@ -57,15 +66,10 @@ class DiagonalForm:
         return sum(a * x * x for a, x in zip(self.coeffs(), xs))
 
     def is_normalized(self) -> bool:
-        for a in self.coeffs():
-            if squarefree_decompose(a).square_root_cofactor != 1:
-                return False
-        cs = self.coeffs()
-        for skip in range(4):
-            triple = [c for i, c in enumerate(cs) if i != skip]
-            if math.gcd(math.gcd(triple[0], triple[1]), triple[2]) > 1:
-                return False
-        return True
+        """Every coefficient squarefree, and no prime divides three of them."""
+        if any(e > 1 for f in self.factors for e in f.values()):
+            return False
+        return all(sum(p in f for f in self.factors) < 3 for p in set().union(*self.factors))
 
 
 @dataclass(frozen=True)
@@ -88,52 +92,29 @@ class NormalizationResult:
 
 
 def normalize(a1: int, a2: int, a3: int, a4: int) -> NormalizationResult:
-    """Make every coefficient squarefree and remove common factors of any
-    three coefficients; both moves preserve solvability and are recorded as
-    per-variable scalings."""
-    coeffs = [a1, a2, a3, a4]
-    if 0 in coeffs:
-        raise ZeroCoefficient("all four coefficients must be nonzero")
+    """Make every coefficient squarefree and leave no prime in three of them,
+    one prime p at a time; both moves preserve solvability and are recorded
+    as per-variable scalings.
+
+    With p^e_i in a_i, slot i first drops p^(2*(e_i//2)) (a*X^2 = s*(kX)^2,
+    so back_i /= p^(e_i//2)).  If p is then left in three or four slots,
+    those slots drop it too (back_i /= p) and the form is multiplied by p,
+    so the slots that keep p flip: the fourth of three gains it, none of four
+    keeps it.  Primes move independently, so one pass over them suffices.
+    """
+    form = DiagonalForm(a1, a2, a3, a4)
     back = [Fraction(1)] * 4
-    while True:
-        changed = False
-        for i, a in enumerate(coeffs):
-            dec = squarefree_decompose(a)
-            if dec.square_root_cofactor != 1:
-                # a*X^2 = s*(k*X)^2: the normalized variable is k*X
-                coeffs[i] = dec.squarefree_part
-                back[i] /= dec.square_root_cofactor
-                changed = True
-        for skip in range(4):
-            triple = [i for i in range(4) if i != skip]
-            g = math.gcd(
-                math.gcd(coeffs[triple[0]], coeffs[triple[1]]), coeffs[triple[2]]
-            )
-            if g > 1:
-                p = min(k for k in factorint_small(g))
-                for i in triple:
-                    coeffs[i] //= p
-                    back[i] /= p
-                coeffs[skip] *= p
-                changed = True
-                break
-        if not changed:
-            return NormalizationResult(DiagonalForm(*coeffs), tuple(back))
-
-
-def factorint_small(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (inputs here are small)."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    kept: list[dict[int, int]] = [{}, {}, {}, {}]
+    for p in sorted(set().union(*form.factors)):
+        es = [f.get(p, 0) for f in form.factors]
+        flip = sum(e % 2 for e in es) >= 3
+        for i, e in enumerate(es):
+            back[i] /= p ** (e // 2 + (e % 2 if flip else 0))
+            if e % 2 != flip:
+                kept[i][p] = 1
+    result = DiagonalForm(*((1 if a > 0 else -1) * math.prod(k) for a, k in zip(form.coeffs(), kept)))
+    result.__dict__["factors"] = tuple(kept)  # known already: never factor twice
+    return NormalizationResult(result, tuple(back))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +171,8 @@ def represents_zero(form: DiagonalForm) -> SolvabilityReport:
     odd_conditions = []
     odd_primes = sorted(
         p
-        for p in set().union(*(factorint_small(a) for a in cs))
-        if p != 2 and sum(1 for a in cs if a % p == 0) == 2
+        for p in set().union(*form.factors)
+        if p != 2 and sum(p in f for f in form.factors) == 2
     )
     for p in odd_primes:
         unit_pair = [a for a in cs if a % p != 0]
@@ -267,13 +248,17 @@ class TernarySolution:
 def ternary_solvable(a: int) -> bool:
     """Is x^2 + 2y^2 + 3z^2 = -5a solvable in rationals (nontrivially)?
 
-    Decided as represents_zero of the normalized quaternary
-    (1, 2, 3, 5a); the definite ternary part makes the two questions
-    equivalent.  a >= 0 is immediately unsolvable.
+    Iff a < 0 and -a is not 4^k(16m + 2): Dickson's theorem (Modern
+    Elementary Theory of Numbers, 1939) that the regular form x^2+2y^2+3z^2
+    represents n iff n is not 4^k(16m + 10), at n = -5a.  The tests check it
+    against represents_zero of the normalized quaternary (1, 2, 3, 5a).
     """
     if a >= 0:
         return False
-    return represents_zero(normalize(1, 2, 3, 5 * a).form).solvable
+    n = -a
+    while n % 4 == 0:
+        n //= 4
+    return n % 16 != 2
 
 
 def ternary_base_solution(a: int, search_bound: int = 60) -> TernarySolution | None:

@@ -15,11 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from quinticpoints.exact import squarefree_decompose
+from quinticpoints.exact import factor, squarefree_decompose
 from quinticpoints.quadform import (
     DiagonalForm,
     NotNormalized,
-    factorint_small,
     normalize,
     represents_zero,
     ternary_solvable,
@@ -134,9 +133,7 @@ def local_oracle(form: DiagonalForm) -> bool:
     cs = form.coeffs()
     if all(a > 0 for a in cs) or all(a < 0 for a in cs):
         return False
-    odd_primes = sorted(
-        p for p in factorint_small(form.discriminant) if p != 2
-    )
+    odd_primes = [p for p in factor(form.discriminant) if p != 2]
     for p in odd_primes:
         if not _zp_isotropic_odd(cs, p):
             return False

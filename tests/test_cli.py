@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from quinticpoints import cli, quadform, surfaces
-from quinticpoints.exact import CertificateError
+from quinticpoints.exact import CertificateError, factor
 
 
 def parse(*argv):
@@ -231,6 +231,63 @@ class TestSolveForm:
         monkeypatch.setattr(quadform, "represents_zero", unsolvable)
         assert cli.main(["solve-form", "1", "2", "3", "-5"]) == cli.EXIT_FAIL
         assert json.loads(capsys.readouterr().out)["error"] == "CertificateError"
+
+    def test_square_of_a_prime_above_trial_division(self, capsys):
+        assert cli.main(["solve-form", "1000003", "1", "1", "-2000018000054000054"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["normalized"] == [1000003, 1, 1, -2000006]
+        assert payload["solvable"] is False
+
+    def test_each_coefficient_is_factored_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(quadform, "factor", counted)
+        assert cli.main(["solve-form", "12", "-18", "50", "-75"]) == cli.EXIT_OK
+        # the four input coefficients; the normalized form reuses their primes
+        assert sorted(calls) == [-75, -18, 12, 50]
+
+
+def _run_cli(*argv, timeout=5):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "quinticpoints.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-form", "--", "1", "2", "3", "-100000000000000000039"],
+        ["construct", "thm2", "--a=-100000000000000000039", "--u=1", "--v=2"],
+    ],
+)
+def test_large_prime_coefficients_finish(argv):
+    # factoring by trial division up to the square root ran for hours
+    assert _run_cli(*argv).returncode in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_EXHAUSTED)
+
+
+PQ = 10000000000000000051 * 10000000000000000087  # the primes after 10^19
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["solve-form", "--", "1", "2", "3", str(-PQ)], "solve-form"),
+        (["construct", "thm2", f"--a={-PQ}", "--u=1", "--v=2"], "construct thm2"),
+    ],
+)
+def test_unsplittable_coefficient_is_exhaustion(tmp_path, argv, command):
+    ledger = tmp_path / "ledger.jsonl"
+    done = _run_cli(argv[0], "--store", str(ledger), *argv[1:])
+    assert done.returncode == cli.EXIT_EXHAUSTED
+    payload = json.loads(done.stdout)
+    assert payload["error"] == "FactorizationExhausted" and str(PQ) in payload["message"]
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
 
 
 def test_cli_import_leaves_numpy_out():

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from quinticpoints.exact import (
     EmptyList,
+    FactorizationExhausted,
     GaussianRational,
     NotOddPrime,
     ZeroArgument,
+    factor,
+    factor_trial,
     format_rational,
     hilbert2,
+    is_prime,
     legendre,
     lcm_of_denominators,
     parse_rational,
@@ -145,6 +149,51 @@ class TestSquarefree:
         assert dec.squarefree_part * dec.square_root_cofactor**2 == n
         for p in range(2, 70):
             assert dec.squarefree_part % (p * p) != 0
+
+    def test_square_of_a_prime_above_trial_division(self):
+        # 1000003 is above the old trial-division limit of 10^6
+        dec = squarefree_decompose(1000003**2 * 1000033)
+        assert (dec.squarefree_part, dec.square_root_cofactor) == (1000033, 1000003)
+
+
+# primes after 10^19 (P, Q) and 10^20 (BIG): P * Q is out of reach of rho
+P, Q = 10000000000000000051, 10000000000000000087
+BIG = 100000000000000000039
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "n,factors",
+        [(1, {}), (-1, {}), (2, {2: 1}), (360, {2: 3, 3: 2, 5: 1}), (-50, {2: 1, 5: 2}),
+         (9999991, {9999991: 1}), (10007 * 10009, {10007: 1, 10009: 1}),
+         (2**64 + 1, {274177: 1, 67280421310721: 1}), (12 * BIG, {2: 2, 3: 1, BIG: 1})],
+    )
+    def test_examples(self, n, factors):
+        result = factor(n)
+        assert result == factors
+        assert list(result) == sorted(result)
+
+    def test_zero(self):
+        with pytest.raises(ZeroArgument):
+            factor(0)
+
+    def test_trial_stage_leaves_the_large_part(self):
+        assert factor_trial(-12 * BIG) == ({2: 2, 3: 1}, BIG)
+        assert factor_trial(10007**2) == ({}, 10007**2)
+
+    def test_prime_powers_of_any_size_split_at_once(self):
+        # rho alone would need about 10^10 steps on BIG^2
+        assert factor(BIG**2) == {BIG: 2}
+        assert factor(-7 * BIG**3) == {7: 1, BIG: 3}
+        assert factor(BIG**2 * 1000003**3) == {1000003: 3, BIG: 2}
+
+    def test_exhaustion_names_the_cofactor_and_claims_nothing(self):
+        assert is_prime(P) and is_prime(Q)
+        with pytest.raises(FactorizationExhausted) as exc:
+            factor(6 * P * Q)
+        assert exc.value.cofactor == P * Q and str(P * Q) in str(exc.value)
+        with pytest.raises(FactorizationExhausted):
+            squarefree_decompose(P * Q)
 
 
 class TestRationalSquareRoot:

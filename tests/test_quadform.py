@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quinticpoints.exact import factor
 from quinticpoints.quadform import (
     BaseNotOnConic,
     DiagonalForm,
@@ -55,11 +56,26 @@ class TestNormalize:
         with pytest.raises(ZeroCoefficient):
             DiagonalForm(0, 1, 1, 1)
 
-    @given(st.lists(st.integers(-40, 40).filter(bool), min_size=4, max_size=4))
-    @settings(max_examples=100)
+    @given(
+        st.lists(
+            st.builds(
+                lambda a, p, e: a * p**e,
+                st.integers(-40, 40).filter(bool),
+                st.sampled_from([3, 10007, 1000003, 10**20 + 39]),
+                st.integers(0, 3),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
     def test_invariants_hold_after(self, coeffs):
         n = normalize(*coeffs)
         assert n.form.is_normalized()
+        assert n.form.factors == tuple(factor(a) for a in n.form.coeffs())
+        # a_i X_i^2 with X_i = back_i Y_i is c * n_i Y_i^2, one c for all slots
+        ratios = {a * b * b / m for a, b, m in zip(coeffs, n.back_scalings, n.form.coeffs())}
+        assert len(ratios) == 1
 
 
 class TestRepresentsZero:
@@ -204,15 +220,12 @@ class TestTernary:
         assert not ternary_solvable(-2)
 
     def test_dickson_criterion(self):
-        # Theorem 2: solvable iff a < 0 and -a is not 4^k (16m + 2); with
-        # n = -5a this is Dickson's criterion for x^2 + 2y^2 + 3z^2 = n
-        def excluded(n):
-            while n % 4 == 0:
-                n //= 4
-            return n % 16 == 2
-
-        for a in range(-5000, 1):
-            assert ternary_solvable(a) == (a < 0 and not excluded(-a)), a
+        # Theorem 2: the closed form (a < 0 and -a is not 4^k (16m + 2),
+        # Dickson's criterion at n = -5a) agrees with the decision procedure
+        assert not ternary_solvable(0)
+        for a in range(-5000, 0):
+            decided = represents_zero(normalize(1, 2, 3, 5 * a).form).solvable
+            assert ternary_solvable(a) == decided, a
 
     def test_abstract_congruence_alone_admits_minus_eight(self):
         # -a = 8 avoids 2, 18, 34 mod 48, but 8 = 4 * 2 is excluded
