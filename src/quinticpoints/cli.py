@@ -36,6 +36,14 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 
+# Caps on inputs whose output grows without bound: the digits of kP grow
+# like k^2 (at k = 23 the D = 88 row passes Python's 4300-digit limit on int
+# to str), and a_N of question3 has about 4 log10(N!) digits.  At each cap a
+# call prints well within a second.
+MAX_MIXED_K = 20
+MAX_QUESTION3_N = 200
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -158,6 +166,8 @@ def cmd_construct(args) -> int:
     family = args.family
     if (invalid := _below_one(args, f"construct {family}", "bound")) is not None:
         return invalid
+    if family == "mixed" and abs(args.k) > MAX_MIXED_K:
+        return _invalid_input(args, "construct mixed", f"|--k| must be <= {MAX_MIXED_K}")
     try:
         if family == "thm1":
             cert = surfaces.thm1_point(
@@ -265,12 +275,7 @@ def _verify_row_task(row: elliptic.TableRow):
 
 def _search_row_task(task):
     d, height, bound = task
-    found = elliptic.conjecture2_search(
-        d,
-        0,
-        elliptic.rationals_by_height(height),
-        elliptic.SearchBounds(num_bound=bound, den_bound=1),
-    )
+    found = elliptic.conjecture2_search(d, 0, elliptic.rationals_by_height(height), bound)
     if found is None:
         return {"D": d, "status": "exhausted"}
     t, point = found
@@ -339,6 +344,8 @@ def cmd_table(args) -> int:
 def cmd_question3(args) -> int:
     if (invalid := _below_one(args, "question3", "N")) is not None:
         return invalid
+    if args.N > MAX_QUESTION3_N:
+        return _invalid_input(args, "question3", f"--N must be <= {MAX_QUESTION3_N}")
     a_n, sols = quadform.question3_family(args.N)
     f = QuinticCoeffs(a_n, 0, args.c)
     points = []

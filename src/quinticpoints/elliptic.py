@@ -7,20 +7,22 @@ search, and the specialization family
 behind the shipped 100-row table of nontorsion points.
 
 Each curve caches one integral model (``WeierstrassCurve.integral``): with u
-the lcm of the coefficient denominators, (x, y) -> (u^2 x, u^3 y) gives the
-integer coefficients u^w a_w.  The discriminant, the on-curve test and the
-torsion certificate all run on it in Python ints.  The certificate rests on
-Nagell-Lutz (Silverman-Tate, *Rational Points on Elliptic Curves*, II.4): on
-y^2 = x^3 + a x^2 + b x + c with integer coefficients a torsion point has
-integer coordinates, so when P and its first multiples are integral, a
-chord or tangent step from them whose slope is not an integer proves that P
-has infinite order.
+the least positive integer that makes every u^w a_w integral, (x, y) ->
+(u^2 x, u^3 y) gives the integer coefficients u^w a_w.  The discriminant,
+the on-curve test, the torsion certificate and the point search all run on
+it in Python ints.  The certificate rests on Nagell-Lutz (Silverman-Tate,
+*Rational Points on Elliptic Curves*, II.4), which holds on any integral
+model: on y^2 = x^3 + a x^2 + b x + c with integer coefficients a torsion
+point has integer coordinates, so when P and its first multiples are
+integral, a chord or tangent step from them whose slope is not an integer
+proves that P has infinite order.
 
 The point search is a bitset sieve in the style of Stoll's *ratpoints*: the
-window of candidate x-numerators is one Python int with a bit per candidate,
-and each small odd prime clears the bits at which the completed square
-4x^3 + b2 x^2 + 2 b4 x + b6 is a non-square mod p.  Only the few survivors
-reach an exact square test.  Everything is Python ints; nothing can wrap."""
+window of candidate integers x on the integral model is one Python int with
+a bit per candidate, and each small odd prime clears the bits at which the
+completed square 4x^3 + b2 x^2 + 2 b4 x + b6 is a non-square mod p.  Only
+the few survivors reach an exact square test.  Everything is Python ints;
+nothing can wrap."""
 
 from __future__ import annotations
 
@@ -82,15 +84,9 @@ class WeierstrassCurve:
 
     @cached_property
     def integral(self) -> tuple[int, int, int, int, int, int]:
-        """(u, A1, A2, A3, A4, A6) in ints: u is the lcm of the coefficient
-        denominators and A_w = u^w a_w are the coefficients of the integral
-        model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  Computed
-        once per curve; the cache lives in the instance __dict__, which the
-        frozen dataclass allows."""
-        coeffs = self.coeffs()
-        u = math.lcm(*(a.denominator for a in coeffs))
-        return (u, *(a.numerator * (u // a.denominator) * u ** (w - 1)
-                     for a, w in zip(coeffs, _WEIGHTS)))
+        """``integral_model(self)``, computed once per curve; the cache lives
+        in the instance __dict__, which the frozen dataclass allows."""
+        return integral_model(self)
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -104,9 +100,6 @@ class WeierstrassCurve:
     @property
     def is_singular(self) -> bool:
         return self.discriminant == 0
-
-    def rhs(self, x: Fraction) -> Fraction:
-        return ((x + self.a2) * x + self.a4) * x + self.a6
 
     def __str__(self):
         return (
@@ -271,60 +264,24 @@ def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
 # ---------------------------------------------------------------------------
 # integral model and naive search
 
-def _minimal_clearing_factor(denominators_with_weights) -> int:
-    """Smallest positive u with u^w * (1/d) integral for every (d, w)."""
-    u = 1
-    needed: dict[int, int] = {}
-    for d, w in denominators_with_weights:
-        for p, e in factor(d).items():
-            k = -(-e // w)  # ceil
-            if needed.get(p, 0) < k:
-                needed[p] = k
-    for p, k in needed.items():
-        u *= p**k
-    return u
-
-
-@dataclass(frozen=True)
-class IntegralModel:
-    curve: WeierstrassCurve
-    u: int
-
-    def to_integral(self, point: CurvePoint) -> CurvePoint:
-        if point.is_identity:
-            return point
-        return CurvePoint(self.u**2 * point.x, self.u**3 * point.y)
-
-    def from_integral(self, point: CurvePoint) -> CurvePoint:
-        if point.is_identity:
-            return point
-        u = Fraction(self.u)
-        return CurvePoint(point.x / u**2, point.y / u**3)
-
-
-def integral_model(curve: WeierstrassCurve) -> IntegralModel:
-    """Rescale (x, y) -> (u^2 x, u^3 y) with the minimal positive integer u
-    making every coefficient integral."""
+def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int, int, int]:
+    """(u, A1, A2, A3, A4, A6) in ints: u is the least positive integer for
+    which every A_w = u^w a_w is integral, and the A_w are the coefficients
+    of the model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  A prime
+    p enters u to the power max over w of ceil(v_p(den a_w) / w), so only
+    the lcm of the denominators is factored."""
     coeffs = curve.coeffs()
-    u = _minimal_clearing_factor(
-        (coeff.denominator, w) for coeff, w in zip(coeffs, _WEIGHTS) if coeff.denominator > 1
-    )
-    scaled = WeierstrassCurve(
-        *(coeff.numerator * u**w // coeff.denominator for coeff, w in zip(coeffs, _WEIGHTS))
-    )
-    return IntegralModel(curve=scaled, u=u)
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """X = m/e^2 enumeration window: |m| <= num_bound * e^2, 1 <= e <= den_bound."""
-
-    num_bound: int
-    den_bound: int = 1
-
-    def __post_init__(self):
-        if self.num_bound < 1 or self.den_bound < 1:
-            raise ValueError("bounds must be positive")
+    dens = [(a.denominator, w) for a, w in zip(coeffs, _WEIGHTS) if a.denominator > 1]
+    u = 1
+    for p in factor(math.lcm(*(d for d, _ in dens))):
+        k = 0
+        for d, w in dens:
+            v = 0
+            while d % p == 0:
+                d, v = d // p, v + 1
+            k = max(k, -(-v // w))
+        u *= p**k
+    return (u, *(a.numerator * u**w // a.denominator for a, w in zip(coeffs, _WEIGHTS)))
 
 
 # odd primes below 200, smallest first: most curves of the specialization
@@ -382,42 +339,30 @@ def _set_bits(mask: int, start: int):
         j = digits.find("1", j + 1)
 
 
-def search_points(curve: WeierstrassCurve, bounds: SearchBounds) -> list[CurvePoint]:
-    """Enumerate X = m/e^2 on the integral model (e ascending, m ascending),
-    test the right side for a rational square, and map hits back.  Output
-    order is deterministic.
+def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
+    """Enumerate the integers |X| <= bound on the cached integral model
+    (ascending), test for a rational Y, and map hits back as (X/u^2, Y/u^3).
+    Output order is deterministic.
 
-    Completing the square, y^2 + (a1 x + a3) y = rhs(x) has a rational y
-    iff (a1 x + a3)^2 + 4 rhs(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 is a rational
-    square.  At x = m/e^2 that is R(m)/e^6 with the integer
-    R(m) = 4m^3 + b2 e^2 m^2 + 2 b4 e^4 m + b6 e^6, so the window
-    |m| <= num_bound e^2 goes through ``_square_sieve`` as one bitset, and
-    only the survivors' R(m) reach ``rational_square_root``.  Survivors
-    with gcd(m, e) > 1 are skipped: the x of a point is m/e^2 in lowest
-    terms.
+    Completing the square, Y^2 + (A1 X + A3) Y = X^3 + A2 X^2 + A4 X + A6
+    has a rational Y iff R(X) = 4X^3 + b2 X^2 + 2 b4 X + b6 is a square, and
+    R(X) is an integer.  So the window goes through ``_square_sieve`` as one
+    bitset, and only the survivors' R(X) reach ``rational_square_root``.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if curve.is_singular:
         raise SingularCurve(str(curve))
-    model = integral_model(curve)
-    ic = model.curve
-    b2, b4, b6, _ = _b_invariants(*map(int, ic.coeffs()))
+    u, a1, a2, a3, a4, a6 = curve.integral
+    b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
     found: list[CurvePoint] = []
-    for e in range(1, bounds.den_bound + 1):
-        e2 = e * e
-        limit = bounds.num_bound * e2
-        c2, c1, c0 = b2 * e2, 2 * b4 * e2**2, b6 * e2**3
-        for m in _set_bits(_square_sieve(-limit, 2 * limit + 1, c2, c1, c0), -limit):
-            if e > 1 and math.gcd(m, e) != 1:
-                continue
-            root = rational_square_root(((4 * m + c2) * m + c1) * m + c0)
-            if root is None:
-                continue
-            x = Fraction(m, e2)
-            lin = ic.a1 * x + ic.a3
-            root /= e * e2
-            for sign in (1, -1) if root else (1,):
-                y = (-lin + sign * root) / 2
-                found.append(model.from_integral(CurvePoint(x, y)))
+    for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, b2, 2 * b4, b6), -bound):
+        root = rational_square_root(((4 * m + b2) * m + 2 * b4) * m + b6)
+        if root is None:
+            continue
+        x, lin = Fraction(m, u * u), a1 * m + a3
+        for sign in (1, -1) if root else (1,):
+            found.append(CurvePoint(x, Fraction(-lin + sign * root.numerator, 2 * u**3)))
     return found
 
 
@@ -526,15 +471,13 @@ def rationals_by_height(max_height: int):
                 yield Fraction(num, den)
 
 
-def conjecture2_search(
-    c: int,
-    f: int,
-    t_candidates,
-    bounds: SearchBounds,
-):
+def conjecture2_search(c: int, f: int, t_candidates, bound: int):
     """First t in the given enumeration whose specialization E_t carries a
-    nontorsion point within the search bounds.  Evidence for the conjecture,
-    never proof; None when the enumeration is exhausted."""
+    nontorsion point that ``search_points`` finds within the bound.
+    Evidence for the conjecture, never proof; None when the enumeration is
+    exhausted."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     if c == f:
         raise DegenerateSpecialization("need c != f")
     for t in t_candidates:
@@ -543,7 +486,7 @@ def conjecture2_search(
         curve = specialization_curve(c, f, t)
         if curve.is_singular:
             continue
-        for point in search_points(curve, bounds):
+        for point in search_points(curve, bound):
             if not point.is_identity and is_nontorsion(curve, point):
                 return t, point
     return None

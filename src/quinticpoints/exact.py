@@ -141,9 +141,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return _gaussian(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """x * conj(x) as a plain rational."""
         return Fraction(self.re * self.re + self.im * self.im)

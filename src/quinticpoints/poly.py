@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials and rational functions over Q or Q(i).
 
 Every displayed identity in this package is proved by exact expansion here:
-polynomials are dicts keyed by exponent vectors, rational functions are
-unreduced numerator/denominator pairs compared by cross-multiplication.
+polynomials are dicts keyed by exponent vectors over the sorted tuple of the
+variables that occur, rational functions are unreduced numerator/denominator
+pairs compared by cross-multiplication.
 Polynomial GCD is deliberately out of scope; zero-testing and evaluation are
 all the certificates need.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .exact import GAUSSIAN_ZERO, GaussianRational
 
@@ -70,30 +71,57 @@ def _grlex(exps):
     return sum(exps), exps
 
 
+def _on_support(vars: tuple, terms: dict) -> tuple[tuple, dict]:
+    """(vars, terms) without the columns of the variables that do not occur."""
+    keep = [i for i, column in enumerate(zip(*terms)) if any(column)]
+    if len(keep) == len(vars):
+        return vars, terms
+    return tuple(vars[i] for i in keep), {tuple([e[i] for i in keep]): c for e, c in terms.items()}
+
+
+def _embedded(poly: "MultiPoly", vars: tuple) -> dict:
+    """The terms of ``poly`` on ``vars``, a sorted superset of its variables."""
+    if poly.vars == vars:
+        return poly.terms
+    if not poly.vars:
+        return {(0,) * len(vars): c for c in poly.terms.values()}
+    # a variable poly lacks reads the 0 appended to each exponent vector
+    get = itemgetter(*(poly.vars.index(v) if v in poly.vars else -1 for v in vars))
+    return {get(e + (0,)): c for e, c in poly.terms.items()}
+
+
 class MultiPoly:
     """Sparse polynomial: a map from exponent vectors to nonzero coefficients.
 
-    Variables are identified by (case-sensitive) name and unified
-    alphabetically when two polynomials meet.  Terms print in graded
-    lexicographic order, so equal polynomials print identically.
+    Variables are identified by (case-sensitive) name.  ``vars`` is always
+    the sorted tuple of the variables that occur: the constructor sorts the
+    variables it is given and drops unused ones, and every operation keeps
+    that form, so equal polynomials have equal fields.  Terms print in
+    graded lexicographic order, so equal polynomials print identically.
     """
 
     __slots__ = ("field", "vars", "terms")
 
     def __init__(self, field, vars, terms, _skip_clean=False):
+        """``_skip_clean`` is for callers whose ``vars`` and ``terms``
+        already are on the sorted support, with coerced nonzero
+        coefficients."""
         self.field = field
-        self.vars = tuple(vars)
         if _skip_clean:
-            self.terms = terms
-        else:
-            clean = {}
-            for exps, coeff in terms.items():
-                coeff = _coerce(field, coeff)
-                if coeff:
-                    if len(exps) != len(self.vars):
-                        raise ValueError("exponent arity != variable arity")
-                    clean[tuple(exps)] = coeff
-            self.terms = clean
+            self.vars, self.terms = vars, terms
+            return
+        vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable in {vars}")
+        order = sorted(range(len(vars)), key=vars.__getitem__)
+        clean = {}
+        for exps, coeff in terms.items():
+            coeff = _coerce(field, coeff)
+            if coeff:
+                if len(exps) != len(vars):
+                    raise ValueError("exponent arity != variable arity")
+                clean[tuple(exps[i] for i in order)] = coeff
+        self.vars, self.terms = _on_support(tuple(vars[i] for i in order), clean)
 
     # -- constructors -------------------------------------------------------
 
@@ -120,48 +148,15 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        """Variables that actually occur with a positive exponent."""
-        used = [False] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
-
-    def _projected(self) -> "MultiPoly":
-        """The same polynomial on its sorted support: the one form that
-        ``__eq__`` and ``__hash__`` compare, whatever the order of ``vars``."""
-        keep = tuple(sorted(self.support()))
-        if keep == self.vars:
-            return self
-        idx = [self.vars.index(v) for v in keep]
-        terms = {tuple(e[i] for i in idx): c for e, c in self.terms.items()}
-        return MultiPoly(self.field, keep, terms, _skip_clean=True)
-
-    def on_vars(self, vars) -> "MultiPoly":
-        """Re-express on a superset of the variables."""
-        vars = tuple(vars)
-        if vars == self.vars:
-            return self
-        pos = {v: i for i, v in enumerate(vars)}
-        for v in self.support():
-            if v not in pos:
-                raise ValueError(f"variable {v} missing from target list")
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(vars)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    new[pos[v]] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(self.field, vars, terms, _skip_clean=True)
-
     def _unified(self, other: "MultiPoly"):
+        """The terms of both operands on the sorted union of their
+        variables, and that union."""
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
-        vars = tuple(sorted(set(self.vars) | set(other.vars)))
-        return self.on_vars(vars), other.on_vars(vars), vars
+        if self.vars == other.vars:
+            return self.terms, other.terms, self.vars
+        vars = tuple(sorted(set(self.vars).union(other.vars)))
+        return _embedded(self, vars), _embedded(other, vars), vars
 
     def to_field(self, field: str) -> "MultiPoly":
         if field == self.field:
@@ -176,14 +171,18 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.field)
         a, b, vars = self._unified(other)
-        terms = dict(a.terms)
+        terms = dict(a)
         zero = _zero(self.field)
-        for exps, coeff in b.terms.items():
+        cancelled = False
+        for exps, coeff in b.items():
             s = terms.get(exps, zero) + coeff
             if s:
                 terms[exps] = s
             else:
-                terms.pop(exps, None)
+                del terms[exps]
+                cancelled = True
+        if cancelled:
+            vars, terms = _on_support(vars, terms)
         return MultiPoly(self.field, vars, terms, _skip_clean=True)
 
     __radd__ = __add__
@@ -210,14 +209,18 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.field)
         a, b, vars = self._unified(other)
+        if not a or not b:
+            return MultiPoly.zero(self.field)
         terms: dict = {}
         get = terms.get
         zero = _zero(self.field)
-        b_terms = list(b.terms.items())
-        for e1, c1 in a.terms.items():
+        b_terms = list(b.items())
+        for e1, c1 in a.items():
             for e2, c2 in b_terms:
                 key = tuple(map(add, e1, e2))
                 terms[key] = get(key, zero) + c1 * c2
+        # over a field the product of nonzero polynomials is nonzero and has
+        # each variable of either factor, so ``vars`` stays the support
         terms = {e: c for e, c in terms.items() if c}
         return MultiPoly(self.field, vars, terms, _skip_clean=True)
 
@@ -247,15 +250,12 @@ class MultiPoly:
             other = MultiPoly.constant(other, self.field)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.field != other.field:
-            return False
-        a = self._projected()
-        b = other._projected()
-        return a.vars == b.vars and a.terms == b.terms
+        return (
+            self.field == other.field and self.vars == other.vars and self.terms == other.terms
+        )
 
     def __hash__(self):
-        a = self._projected()
-        return hash((a.field, a.vars, frozenset(a.terms.items())))
+        return hash((self.field, self.vars, frozenset(self.terms.items())))
 
     # -- queries ------------------------------------------------------------
 
@@ -280,18 +280,7 @@ class MultiPoly:
         for exps, coeff in self.terms.items():
             if exps[i] == power:
                 terms[exps[:i] + exps[i + 1:]] = coeff
-        return MultiPoly(self.field, rest, terms, _skip_clean=True)
-
-    def derivative(self, var: str) -> "MultiPoly":
-        if var not in self.vars:
-            return MultiPoly.zero(self.field)
-        i = self.vars.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                terms[key] = coeff * exps[i]
-        return MultiPoly(self.field, self.vars, terms, _skip_clean=True)
+        return MultiPoly(self.field, *_on_support(rest, terms), _skip_clean=True)
 
     # -- substitution / evaluation ------------------------------------------
 
@@ -356,10 +345,10 @@ class MultiPoly:
 
     def eval(self, point: dict):
         """Exact value at a fully scalar point."""
-        missing = [v for v in self.support() if v not in point]
+        missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        vals = {v: _coerce(self.field, point[v]) for v in self.vars if v in point}
+        vals = {v: _coerce(self.field, point[v]) for v in self.vars}
         total = _zero(self.field)
         for exps, coeff in self.terms.items():
             term = coeff

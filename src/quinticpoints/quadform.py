@@ -282,12 +282,6 @@ class ConicParametrization:
     y: RationalFunction
     z: RationalFunction
 
-    def eval(self, u, v) -> TernarySolution:
-        point = {"u": Fraction(u), "v": Fraction(v)}
-        return TernarySolution(
-            self.x.eval(point), self.y.eval(point), self.z.eval(point)
-        )
-
 
 def parametrize_conic(a: int, base: TernarySolution) -> ConicParametrization:
     """Sweep lines of direction (u, v, 1) through the base point: the second

@@ -169,6 +169,23 @@ class TestTable:
         assert [row["D"] for row in rows] == list(range(1, dmax + 1))
 
 
+# the shipped row whose kP is the first to pass 4300 digits, at k = 23
+MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        MIXED_D88 + [f"--k={cli.MAX_MIXED_K}"],
+        MIXED_D88 + [f"--k={-cli.MAX_MIXED_K}"],
+        ["question3", f"--N={cli.MAX_QUESTION3_N}"],
+    ],
+)
+def test_caps_still_print(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize(
     "argv, command, message",
     [
@@ -177,6 +194,9 @@ class TestTable:
         (["solve-form", "1", "2", "3", "-5", "--bound=-1"], "solve-form", "--bound must be >= 1"),
         (["solve-form", "1", "2", "3", "-5", "--bound=0"], "solve-form", "--bound must be >= 1"),
         (["construct", "thm2", "--a=-1", "--bound=-5"], "construct thm2", "--bound must be >= 1"),
+        (MIXED_D88 + [f"--k={cli.MAX_MIXED_K + 1}"], "construct mixed", "|--k| must be <= 20"),
+        (MIXED_D88 + [f"--k={-cli.MAX_MIXED_K - 1}"], "construct mixed", "|--k| must be <= 20"),
+        (["question3", f"--N={cli.MAX_QUESTION3_N + 1}"], "question3", "--N must be <= 200"),
     ],
 )
 def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):

@@ -10,7 +10,6 @@ from quinticpoints.elliptic import (
     CurvePoint,
     DegenerateSpecialization,
     PointNotOnCurve,
-    SearchBounds,
     SingularCurve,
     WeierstrassCurve,
     _b_invariants,
@@ -28,9 +27,15 @@ from quinticpoints.elliptic import (
     table_verify,
     verify_row,
 )
+from quinticpoints.exact import factor
 
 D1_CURVE = specialization_curve(1, 0, Fraction(2, 45))
 D1_POINT = CurvePoint(1, Fraction(403, 405))
+
+
+def rhs(curve, x):
+    """The right side x^3 + a2 x^2 + a4 x + a6 of the curve's equation."""
+    return ((x + curve.a2) * x + curve.a4) * x + curve.a6
 
 
 class TestCurveBasics:
@@ -40,7 +45,7 @@ class TestCurveBasics:
         assert D1_CURVE.a6 == Fraction(-1600, 164025)
         assert on_curve(D1_CURVE, D1_POINT)
         assert D1_POINT.y ** 2 == Fraction(162409, 164025)
-        assert D1_CURVE.rhs(D1_POINT.x) == Fraction(162409, 164025)
+        assert rhs(D1_CURVE, D1_POINT.x) == Fraction(162409, 164025)
 
     def test_identity_on_curve(self):
         assert on_curve(D1_CURVE, IDENTITY)
@@ -164,20 +169,20 @@ class TestNontorsion:
 
 class TestIntegralModel:
     def test_round_trip_d1(self):
-        model = integral_model(D1_CURVE)
-        assert model.u == 405
-        image = model.to_integral(D1_POINT)
-        assert on_curve(model.curve, image)
-        assert model.from_integral(image) == D1_POINT
+        # a2 = -16/405^2 needs u = 405; the lcm of the denominators is 405^2
+        u, *ints = integral_model(D1_CURVE)
+        assert u == 405
+        image = CurvePoint(u * u * D1_POINT.x, u**3 * D1_POINT.y)
+        assert on_curve(WeierstrassCurve(*ints), image)
+        assert D1_CURVE.integral == (u, *ints)
 
     def test_already_integral(self):
         c = WeierstrassCurve(1, -2, 3, -4, 6)
-        assert integral_model(c).u == 1
+        assert integral_model(c) == (1, 1, -2, 3, -4, 6)
 
     def test_quarter_coefficient(self):
         c = WeierstrassCurve(0, 0, 0, Fraction(-1, 4), 0)
-        model = integral_model(c)
-        assert model.u == 2 and model.curve.a4 == -4
+        assert integral_model(c) == (2, 0, 0, 0, -4, 0)
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -194,7 +199,7 @@ curves = st.one_of(short_curves, long_curves)
 
 def _on_curve_reference(curve, point):
     x, y = point.x, point.y
-    return y * y + curve.a1 * x * y + curve.a3 * y == curve.rhs(x)
+    return y * y + curve.a1 * x * y + curve.a3 * y == rhs(curve, x)
 
 
 def _nontorsion_reference(curve, point):
@@ -216,8 +221,10 @@ class TestIntegerArithmetic:
     def test_integral_model_is_ints(self, curve):
         u, *ints = curve.integral
         assert all(type(v) is int for v in (u, *ints))
-        assert u == math.lcm(*(a.denominator for a in curve.coeffs()))
         assert ints == [u**w * a for a, w in zip(curve.coeffs(), (1, 2, 3, 4, 6))]
+        # minimal: dividing u by any of its primes leaves some u^w a_w non-integral
+        for p in factor(u):
+            assert any((u // p) ** w * a % 1 for a, w in zip(curve.coeffs(), (1, 2, 3, 4, 6)))
 
     @given(curves)
     @settings(max_examples=100, deadline=None)
@@ -243,7 +250,7 @@ class TestIntegerArithmetic:
     @settings(max_examples=100, deadline=None)
     def test_searched_points_match_references(self, curve):
         assume(not curve.is_singular)
-        for point in search_points(curve, SearchBounds(num_bound=12, den_bound=2)):
+        for point in search_points(curve, 12):
             assert on_curve(curve, point) and _on_curve_reference(curve, point)
             assert is_nontorsion(curve, point) == _nontorsion_reference(curve, point), point
             moved = CurvePoint(point.x, point.y + Fraction(1, 3))
@@ -251,74 +258,70 @@ class TestIntegerArithmetic:
 
     def test_examples_include_torsion(self):
         curve = WeierstrassCurve(0, 0, 0, 0, Fraction(1, 64))
-        points = search_points(curve, SearchBounds(num_bound=12, den_bound=2))
+        points = search_points(curve, 12)
         assert sum(not is_nontorsion(curve, p) for p in points) == 5  # 2 of order 6, 2 of 3, 1 of 2
 
 
 class TestSearch:
     def test_recovers_table_point(self):
-        pts = search_points(D1_CURVE, SearchBounds(num_bound=165000, den_bound=1))
+        # x = 1 is X = u^2 = 164025 on the integral model
+        pts = search_points(D1_CURVE, 165000)
         assert D1_POINT in pts
 
     def test_empty_is_legal(self):
         c = WeierstrassCurve(0, 0, 0, 0, 7)
-        assert search_points(c, SearchBounds(num_bound=3, den_bound=1)) == []
+        assert search_points(c, 3) == []
 
     def test_soundness_and_determinism(self):
         c = WeierstrassCurve(0, 0, 0, 0, 1)
-        run1 = search_points(c, SearchBounds(num_bound=30, den_bound=2))
-        run2 = search_points(c, SearchBounds(num_bound=30, den_bound=2))
+        run1 = search_points(c, 30)
+        run2 = search_points(c, 30)
         assert run1 == run2 and run1
         assert all(on_curve(c, p) for p in run1)
 
     @given(
-        st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-        st.integers(1, 60), st.sampled_from([1, 2]),
+        st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 120),
     )
-    # at e = 2 the window has 233 m: a multiple of no sieve prime
-    @example(a2=0, a4=-2, a6=1, num_bound=29, den_bound=2)
+    # the window has 233 X: a multiple of no sieve prime
+    @example(a2=0, a4=-2, a6=1, bound=116)
     # y^2 = x^3 - x: three points with y = 0
-    @example(a2=0, a4=-1, a6=0, num_bound=1, den_bound=1)
+    @example(a2=0, a4=-1, a6=0, bound=1)
     @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force_on_short_curves(self, a2, a4, a6, num_bound, den_bound):
+    def test_matches_brute_force_on_short_curves(self, a2, a4, a6, bound):
         curve = WeierstrassCurve(0, a2, 0, a4, a6)
         assume(not curve.is_singular)
-        bounds = SearchBounds(num_bound=num_bound, den_bound=den_bound)
-        assert search_points(curve, bounds) == _search_reference(curve, bounds)
+        assert search_points(curve, bound) == _search_reference(curve, bound)
 
     @given(
         st.integers(-3, 3), st.integers(-9, 9), st.integers(-3, 3), st.integers(-9, 9),
-        st.integers(-9, 9), st.integers(1, 30), st.sampled_from([1, 2]),
+        st.integers(-9, 9), st.integers(1, 60),
     )
     @settings(max_examples=50, deadline=None)
-    def test_matches_brute_force_on_long_curves(self, a1, a2, a3, a4, a6, num_bound, den_bound):
+    def test_matches_brute_force_on_long_curves(self, a1, a2, a3, a4, a6, bound):
         curve = WeierstrassCurve(a1, a2, a3, a4, a6)
         assume(not curve.is_singular)
-        bounds = SearchBounds(num_bound=num_bound, den_bound=den_bound)
-        assert search_points(curve, bounds) == _search_reference(curve, bounds)
+        assert search_points(curve, bound) == _search_reference(curve, bound)
+
+    def test_bound_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            search_points(D1_CURVE, 0)
+        with pytest.raises(ValueError, match=">= 1"):
+            conjecture2_search(1, 0, [], 0)
 
 
-def _search_reference(curve, bounds):
-    """Every X = m/e^2 of the window, no sieve: y solves
+def _search_reference(curve, bound):
+    """Every integer x with |x| <= bound, no sieve: y solves
     y^2 + (a1 x + a3) y = rhs(x), tested with math.isqrt.  Integral curves
     only, so the integral model is the curve itself."""
     found = []
-    for e in range(1, bounds.den_bound + 1):
-        limit = bounds.num_bound * e * e
-        for m in range(-limit, limit + 1):
-            if e > 1 and math.gcd(m, e) != 1:
-                continue
-            x = Fraction(m, e * e)
-            lin = curve.a1 * x + curve.a3
-            disc = lin * lin + 4 * curve.rhs(x)
-            if disc < 0:
-                continue
-            num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-            if num * num != disc.numerator or den * den != disc.denominator:
-                continue
-            root = Fraction(num, den)
-            for sign in (1, -1) if root else (1,):
-                found.append(CurvePoint(x, (-lin + sign * root) / 2))
+    for x in range(-bound, bound + 1):
+        lin = curve.a1 * x + curve.a3
+        disc = int(lin * lin + 4 * rhs(curve, x))  # an integer on an integral curve
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            continue
+        root = math.isqrt(disc)
+        for sign in (1, -1) if root else (1,):
+            found.append(CurvePoint(x, (-lin + sign * root) / 2))
     return found
 
 
@@ -354,17 +357,13 @@ class TestTable:
 class TestConjectureSearch:
     def test_d89_finds_paper_row(self):
         # t = 1 is the first enumerated rational and carries the paper's point
-        found = conjecture2_search(
-            89, 0, rationals_by_height(3), SearchBounds(num_bound=20000, den_bound=1)
-        )
+        found = conjecture2_search(89, 0, rationals_by_height(3), 20000)
         assert found is not None
         t, point = found
         assert t == 1 and point == CurvePoint(8381, 766104)
 
     def test_exhausted(self):
-        found = conjecture2_search(
-            1, 0, rationals_by_height(1), SearchBounds(num_bound=10, den_bound=1)
-        )
+        found = conjecture2_search(1, 0, rationals_by_height(1), 10)
         assert found is None
 
     def test_enumeration_order(self):

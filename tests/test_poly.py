@@ -78,6 +78,42 @@ class TestRingOps:
         assert p != MultiPoly(FIELD_Q, ("x", "y"), {(1, 1): 1, (1, 0): 1})
 
 
+def unsorted_polys(names=("z", "x", "w", "y"), degree=3):
+    """Polynomials built on the variables in an arbitrary order."""
+    exps = st.tuples(*[st.integers(0, degree) for _ in names])
+    return st.builds(
+        lambda order, terms: MultiPoly(FIELD_Q, order, terms),
+        st.permutations(names), st.dictionaries(exps, st.integers(-9, 9), max_size=4),
+    )
+
+
+def _on_sorted_support(p: MultiPoly) -> bool:
+    """vars is the sorted tuple of the variables that occur."""
+    used = {v for exps in p.terms for v, e in zip(p.vars, exps) if e}
+    return p.vars == tuple(sorted(used)) and all(len(e) == len(p.vars) for e in p.terms)
+
+
+class TestSortedSupport:
+    @given(
+        unsorted_polys(), unsorted_polys(), st.integers(0, 3),
+        st.sampled_from(["w", "x", "y", "z", "t"]), st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_operation_keeps_vars_on_the_sorted_support(self, p, q, n, var, power):
+        x, y = MultiPoly.variables("x y")
+        bound = p.substitute({"z": x - y, "w": RationalFunction(y, x + 1)})
+        results = (
+            p, q, p + q, (p + q) - q, p - p, p * q, p * MultiPoly.zero(), p**n,
+            p.coefficient_of(var, power), bound.num, bound.den,
+        )
+        for r in results:
+            assert _on_sorted_support(r), r
+
+    def test_repeated_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            MultiPoly(FIELD_Q, ("x", "x"), {(1, 0): 1})
+
+
 class TestSubstituteEval:
     def test_identity_binding(self):
         x = MultiPoly.variable("x")
