@@ -7,14 +7,18 @@ input or degenerate construction, 3 search exhausted (a table search, or a
 coefficient that ``exact.factor`` could not split: FactorizationExhausted).
 ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
 ledger; only the timestamp differs between identical reruns.
+
+Each subcommand's arguments are written once, in ``COMMANDS``.  A call
+builds only the parser of the subcommand it names, since the tree of all six
+costs more than the cheapest call's work; ``--help``, no command or an
+unknown one get the full tree (``build_parser()``).  ``concurrent.futures``
+and ``datetime`` are imported only by ``table --jobs`` and ``--store``.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
-import datetime
 import json
 import math
 import os
@@ -42,6 +46,9 @@ EXIT_EXHAUSTED = 3
 # call prints well within a second.
 MAX_MIXED_K = 20
 MAX_QUESTION3_N = 200
+# The witness box of find_zero costs O(B^2) time and memory: at B = 500 a
+# form with many zeros, (1, -1, 1, -1), takes about 2 s and 125 MB.
+MAX_WITNESS_BOUND = 500
 
 
 def _emit(payload: dict) -> None:
@@ -56,6 +63,8 @@ def _store_record(args, command: str, inputs: dict, outputs) -> None:
     path = getattr(args, "store", None) or os.environ.get("QUINTICPOINTS_STORE")
     if not path:
         return
+    import datetime  # only a stored call pays for it
+
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": command,
@@ -90,6 +99,16 @@ def _below_one(args, command: str, *options: str) -> int | None:
     for option in options:
         if getattr(args, option) < 1:
             return _invalid_input(args, command, f"--{option} must be >= 1")
+    return None
+
+
+def _bad_witness_bound(args, command: str) -> int | None:
+    """The InvalidInput exit for a --bound outside 1..MAX_WITNESS_BOUND, or
+    None when it is inside."""
+    if (invalid := _below_one(args, command, "bound")) is not None:
+        return invalid
+    if args.bound > MAX_WITNESS_BOUND:
+        return _invalid_input(args, command, f"--bound must be <= {MAX_WITNESS_BOUND}")
     return None
 
 
@@ -164,7 +183,7 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
 
 def cmd_construct(args) -> int:
     family = args.family
-    if (invalid := _below_one(args, f"construct {family}", "bound")) is not None:
+    if (invalid := _bad_witness_bound(args, f"construct {family}")) is not None:
         return invalid
     if family == "mixed" and abs(args.k) > MAX_MIXED_K:
         return _invalid_input(args, "construct mixed", f"|--k| must be <= {MAX_MIXED_K}")
@@ -233,7 +252,7 @@ def _certify_witness(form, norm, report, witness, pulled) -> None:
 
 
 def cmd_solve_form(args) -> int:
-    if (invalid := _below_one(args, "solve-form", "bound")) is not None:
+    if (invalid := _bad_witness_bound(args, "solve-form")) is not None:
         return invalid
     try:
         norm = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
@@ -295,6 +314,8 @@ def _run_parallel(task_fn, tasks, jobs: int):
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [task_fn(t) for t in tasks]
+    import concurrent.futures  # only a parallel table pays for it
+
     chunksize = math.ceil(len(tasks) / workers)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task_fn, tasks, chunksize=chunksize))
@@ -312,7 +333,7 @@ def _rows_to_csv(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    if (invalid := _below_one(args, "table", "dmax", "bound")) is not None:
+    if (invalid := _below_one(args, "table", "dmax", "bound", "tmax")) is not None:
         return invalid
     if args.mode == "verify":
         rows = elliptic.load_table()[: args.dmax]
@@ -395,84 +416,112 @@ def cmd_scale_integers(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_identities_arguments(p) -> None:
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    p.add_argument("--only", help="substring filter on check names")
+
+
+def _construct_arguments(p) -> None:
+    p.add_argument("--bound", type=int, default=60, help="thm2 base-point search bound")
+    p.add_argument(
+        "family",
+        choices=["thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"],
+    )
+    p.add_argument("--a", type=int, default=0)
+    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--c", type=int, default=0)
+    p.add_argument("--f", type=int, default=0)
+    p.add_argument("--u", default="0")
+    p.add_argument("--v", default="0")
+    p.add_argument("--y", default="1")
+    p.add_argument("--t", default="1")
+    p.add_argument("--w", default="0")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--branch", type=int, default=1, choices=[1, -1])
+    p.add_argument("--variant", choices=["gaussian", "rational"], default="gaussian")
+    p.add_argument("--preset", choices=sorted(_SYMMETRIC_PRESETS))
+    p.add_argument("--coeffs", help="symmetric coefficients as JSON")
+    p.add_argument("--seed-point", default="3,8", help="conic seed U,V")
+
+
+def _solve_form_arguments(p) -> None:
+    p.add_argument("--bound", type=int, default=60, help="witness search bound")
+    p.add_argument("a1", type=int)
+    p.add_argument("a2", type=int)
+    p.add_argument("a3", type=int)
+    p.add_argument("a4", type=int)
+
+
+def _table_arguments(p) -> None:
+    p.add_argument("--bound", type=int, default=3000, help="search-mode numerator bound")
+    p.add_argument("--dmax", type=int, default=100)
+    p.add_argument("--mode", choices=["verify", "search"], default="verify")
+    p.add_argument("--tmax", type=int, default=50, help="height cap for search mode")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--out", help="output file (table CSV)")
+
+
+def _question3_arguments(p) -> None:
+    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--c", type=int, default=1)
+
+
+def _scale_integers_arguments(p) -> None:
+    p.add_argument("--a", type=int, default=0)
+    p.add_argument("--b", type=int, default=0)
+    p.add_argument("--c", type=int, default=0)
+    p.add_argument("--points", help="JSON list of points (stdin when omitted)")
+
+
+# subcommand -> (help, handler, adds its arguments), in --help order
+COMMANDS = {
+    "verify-identities": (
+        "prove the displayed identities on the formulas the constructors run",
+        cmd_verify_identities,
+        _verify_identities_arguments,
+    ),
+    "construct": ("construct one certified point", cmd_construct, _construct_arguments),
+    "solve-form": ("decide a1 X1^2 + ... + a4 X4^2 = 0", cmd_solve_form, _solve_form_arguments),
+    "table": ("verify or extend the specialization table", cmd_table, _table_arguments),
+    "question3": ("N integer points with c fixed", cmd_question3, _question3_arguments),
+    "scale-integers": (
+        "clear denominators via Corollary-style scaling",
+        cmd_scale_integers,
+        _scale_integers_arguments,
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    _, func, add_arguments = COMMANDS[name]
+    parser.add_argument("--store", help="append-only JSONL result store")
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=func)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, standalone, for the words after its
+    name; with no ``command``, the full tree of all six for a whole argv."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"quintic-points {command}", allow_abbrev=False)
+        _add_command(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="quintic-points",
         description="Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--store", help="append-only JSONL result store")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sub(name, **kwargs):
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
-
-    p_verify = add_sub(
-        "verify-identities",
-        help="prove the displayed identities on the formulas the constructors run",
-    )
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    p_verify.add_argument("--only", help="substring filter on check names")
-    p_verify.set_defaults(func=cmd_verify_identities)
-
-    p_construct = add_sub("construct", help="construct one certified point")
-    p_construct.add_argument("--bound", type=int, default=60, help="thm2 base-point search bound")
-    p_construct.add_argument(
-        "family",
-        choices=["thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"],
-    )
-    p_construct.add_argument("--a", type=int, default=0)
-    p_construct.add_argument("--b", type=int, default=0)
-    p_construct.add_argument("--c", type=int, default=0)
-    p_construct.add_argument("--f", type=int, default=0)
-    p_construct.add_argument("--u", default="0")
-    p_construct.add_argument("--v", default="0")
-    p_construct.add_argument("--y", default="1")
-    p_construct.add_argument("--t", default="1")
-    p_construct.add_argument("--w", default="0")
-    p_construct.add_argument("--k", type=int, default=1)
-    p_construct.add_argument("--branch", type=int, default=1, choices=[1, -1])
-    p_construct.add_argument("--variant", choices=["gaussian", "rational"], default="gaussian")
-    p_construct.add_argument("--preset", choices=sorted(_SYMMETRIC_PRESETS))
-    p_construct.add_argument("--coeffs", help="symmetric coefficients as JSON")
-    p_construct.add_argument("--seed-point", default="3,8", help="conic seed U,V")
-    p_construct.set_defaults(func=cmd_construct)
-
-    p_solve = add_sub("solve-form", help="decide a1 X1^2 + ... + a4 X4^2 = 0")
-    p_solve.add_argument("--bound", type=int, default=60, help="witness search bound")
-    p_solve.add_argument("a1", type=int)
-    p_solve.add_argument("a2", type=int)
-    p_solve.add_argument("a3", type=int)
-    p_solve.add_argument("a4", type=int)
-    p_solve.set_defaults(func=cmd_solve_form)
-
-    p_table = add_sub("table", help="verify or extend the specialization table")
-    p_table.add_argument("--bound", type=int, default=3000, help="search-mode numerator bound")
-    p_table.add_argument("--dmax", type=int, default=100)
-    p_table.add_argument("--mode", choices=["verify", "search"], default="verify")
-    p_table.add_argument("--tmax", type=int, default=50, help="height cap for search mode")
-    p_table.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_table.add_argument("--out", help="output file (table CSV)")
-    p_table.set_defaults(func=cmd_table)
-
-    p_q3 = add_sub("question3", help="N integer points with c fixed")
-    p_q3.add_argument("--N", type=int, default=1)
-    p_q3.add_argument("--c", type=int, default=1)
-    p_q3.set_defaults(func=cmd_question3)
-
-    p_scale = add_sub("scale-integers", help="clear denominators via Corollary-style scaling")
-    p_scale.add_argument("--a", type=int, default=0)
-    p_scale.add_argument("--b", type=int, default=0)
-    p_scale.add_argument("--c", type=int, default=0)
-    p_scale.add_argument("--points", help="JSON list of points (stdin when omitted)")
-    p_scale.set_defaults(func=cmd_scale_integers)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:  # build only the parser this call needs
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:  # --help, no command or an unknown one: the full tree reports it
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover

@@ -26,14 +26,13 @@ nothing can wrap."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .exact import factor, format_rational, rational_square_root
+from .exact import FactorizationExhausted, factor, format_rational, rational_square_root
 
 
 class SingularCurve(ArithmeticError):
@@ -269,11 +268,18 @@ def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int, int, in
     which every A_w = u^w a_w is integral, and the A_w are the coefficients
     of the model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  A prime
     p enters u to the power max over w of ceil(v_p(den a_w) / w), so only
-    the lcm of the denominators is factored."""
+    the lcm of the denominators is factored.  When ``factor`` cannot split
+    that lcm, u is the lcm itself: integral but not minimal, which is all
+    Nagell-Lutz needs."""
     coeffs = curve.coeffs()
     dens = [(a.denominator, w) for a, w in zip(coeffs, _WEIGHTS) if a.denominator > 1]
+    lcm = math.lcm(*(d for d, _ in dens))
     u = 1
-    for p in factor(math.lcm(*(d for d, _ in dens))):
+    try:
+        primes = factor(lcm)
+    except FactorizationExhausted:
+        primes, u = {}, lcm
+    for p in primes:
         k = 0
         for d, w in dens:
             v = 0
@@ -409,16 +415,13 @@ def load_table() -> list[TableRow]:
     of its first multiples has a non-integral image (``is_nontorsion``).
     The shipped rows need at most three multiples."""
     text = (resources.files("quinticpoints") / "data" / "table_d100.csv").read_text()
+    header, *lines = text.splitlines()
+    if header != "D,t,X,Y":
+        raise ValueError(f"table header {header!r} is not 'D,t,X,Y'")
     rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(
-            TableRow(
-                d=int(rec["D"]),
-                t=_table_cell(rec["t"]),
-                x=_table_cell(rec["X"]),
-                y=_table_cell(rec["Y"]),
-            )
-        )
+    for line in lines:
+        d, t, x, y = line.split(",")
+        rows.append(TableRow(d=int(d), t=_table_cell(t), x=_table_cell(x), y=_table_cell(y)))
     return rows
 
 

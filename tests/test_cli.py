@@ -1,4 +1,7 @@
+import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -40,6 +43,33 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             parse(*argv)
         assert exc.value.code == 2
+
+    def test_one_subcommand_parser_parses_every_golden_argv_like_the_tree(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import golden
+
+        tree = cli.build_parser()
+        alone = {name: cli.build_parser(name) for name in cli.COMMANDS}
+        for ops in golden.golden_ops().values():
+            for op in ops:
+                argv = list(op.argv)
+                assert alone[argv[0]].parse_args(argv[1:]) == tree.parse_args(argv), argv
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_is_the_full_trees(self, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        texts = []
+        for run in (cli.main, cli.build_parser().parse_args):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        if command is None:
+            assert all(f"    {name}" in texts[0] for name in cli.COMMANDS)
+        else:
+            assert texts[0].startswith(f"usage: quintic-points {command} [-h] [--store STORE]")
 
     def test_store_on_every_subcommand(self, tmp_path):
         for argv in (
@@ -115,7 +145,7 @@ class TestConstructErrors:
 
 
 class TestTable:
-    @pytest.mark.parametrize("option", ["--dmax", "--bound"])
+    @pytest.mark.parametrize("option", ["--dmax", "--bound", "--tmax"])
     def test_bounds_below_one_are_invalid_input(self, capsys, option):
         argv = ["table", "--mode=search", "--dmax=1", "--tmax=1", f"{option}=0"]
         assert cli.main(argv) == cli.EXIT_INVALID
@@ -160,7 +190,7 @@ class TestTable:
                 self.chunksize = chunksize
                 return map(fn, iterable)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         argv = ["table", "--mode=verify", f"--dmax={dmax}", f"--jobs={jobs}"]
         assert cli.main(argv) == cli.EXIT_OK
@@ -179,6 +209,9 @@ MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
         MIXED_D88 + [f"--k={cli.MAX_MIXED_K}"],
         MIXED_D88 + [f"--k={-cli.MAX_MIXED_K}"],
         ["question3", f"--N={cli.MAX_QUESTION3_N}"],
+        ["solve-form", f"--bound={cli.MAX_WITNESS_BOUND}", "1", "2", "3", "-5"],
+        ["construct", "thm2", "--a=-1", "--c=1", "--u=1", "--v=1",
+         f"--bound={cli.MAX_WITNESS_BOUND}"],
     ],
 )
 def test_caps_still_print(capsys, argv):
@@ -197,6 +230,10 @@ def test_caps_still_print(capsys, argv):
         (MIXED_D88 + [f"--k={cli.MAX_MIXED_K + 1}"], "construct mixed", "|--k| must be <= 20"),
         (MIXED_D88 + [f"--k={-cli.MAX_MIXED_K - 1}"], "construct mixed", "|--k| must be <= 20"),
         (["question3", f"--N={cli.MAX_QUESTION3_N + 1}"], "question3", "--N must be <= 200"),
+        (["construct", "thm2", "--a=-1", "--c=1", "--u=1", "--v=1",
+          f"--bound={cli.MAX_WITNESS_BOUND + 1}"], "construct thm2", "--bound must be <= 500"),
+        (["solve-form", "1", "2", "3", "-5", f"--bound={cli.MAX_WITNESS_BOUND + 1}"],
+         "solve-form", "--bound must be <= 500"),
     ],
 )
 def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):
@@ -312,7 +349,13 @@ def test_unsplittable_coefficient_is_exhaustion(tmp_path, argv, command):
 
 def test_cli_import_leaves_numpy_out():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import quinticpoints.cli, sys; assert 'numpy' not in sys.modules"
+    # nor a parallel table's concurrent.futures, a stored call's datetime or
+    # csv; surfaces stays a top-level import, which ops forked after it skip
+    code = (
+        "import quinticpoints.cli, sys; "
+        "assert not {'numpy', 'concurrent.futures', 'datetime', 'csv'} & set(sys.modules); "
+        "assert 'quinticpoints.surfaces' in sys.modules"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

@@ -184,6 +184,12 @@ class TestIntegralModel:
         c = WeierstrassCurve(0, 0, 0, Fraction(-1, 4), 0)
         assert integral_model(c) == (2, 0, 0, 0, -4, 0)
 
+    def test_unsplittable_denominator_scales_by_the_lcm(self):
+        pq = 10000000000000000051 * 10000000000000000087  # the primes after 10^19
+        c = WeierstrassCurve(0, 0, 0, 0, Fraction(1, pq**2))
+        assert c.discriminant == Fraction(-432, pq**4)  # -16 * 27 * a6^2
+        assert c.integral == (pq**2, 0, 0, 0, 0, pq**10)
+
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 short_curves = st.builds(

@@ -181,6 +181,22 @@ def test_a_wrong_display_fails_its_check_and_its_constructor(
             cached.cache_clear()
 
 
+def test_printed_sign_of_the_v_map_fails_its_check_and_mixed_point(monkeypatch):
+    """The paper prints a leading minus on the V component of the forward
+    map: with it, the mixed-maps check and construct mixed both fail."""
+    maps = surfaces.mixed_special_maps
+
+    def printed(c, f):
+        fwd_U, fwd_V = maps(c, f).forward
+        return surfaces.BirationalMapPair(forward=(fwd_U, -fwd_V), inverse=maps(c, f).inverse)
+
+    monkeypatch.setattr(surfaces, "mixed_special_maps", printed)
+    assert not any(c.ok for c in surfaces.mixed_maps_checks(1, 0))
+    assert {c.name for c in surfaces.identity_suite(only="mixed") if not c.ok} == {"mixed-maps"}
+    with pytest.raises(CertificateError):
+        surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 1)
+
+
 def test_no_assert_statements_in_src():
     """Checks must survive python -O: raise CertificateError instead."""
     found = []
