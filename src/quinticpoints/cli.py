@@ -3,8 +3,9 @@
 JSON goes to stdout (stable key order, no timestamps), human summaries to
 stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure
 (a trivial point, or a failed exact certificate: CertificateError), 2 invalid
-input or degenerate construction, 3 search exhausted (a table search, or a
-coefficient that ``exact.factor`` could not split: FactorizationExhausted).
+input or degenerate construction, 3 search exhausted (a table search, a
+thm2 base-point box with no witness: NoBasePointFound, or a coefficient
+that ``exact.factor`` could not split: FactorizationExhausted).
 ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
 ledger; only the timestamp differs between identical reruns.
 
@@ -231,7 +232,8 @@ def cmd_construct(args) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
-        code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
+        exhausted = isinstance(exc, (FactorizationExhausted, surfaces.NoBasePointFound))
+        code = EXIT_EXHAUSTED if exhausted else EXIT_INVALID
         return _invalid_input(args, f"construct {family}", str(exc), type(exc).__name__, code)
     return _certificate_exit(cert, args)
 
@@ -288,10 +290,6 @@ def cmd_solve_form(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 
-def _verify_row_task(row: elliptic.TableRow):
-    return elliptic.verify_row(row).to_json()
-
-
 def _search_row_task(task):
     d, height, bound = task
     found = elliptic.conjecture2_search(d, 0, elliptic.rationals_by_height(height), bound)
@@ -333,11 +331,11 @@ def _rows_to_csv(rows) -> str:
 
 
 def cmd_table(args) -> int:
-    if (invalid := _below_one(args, "table", "dmax", "bound", "tmax")) is not None:
+    if (invalid := _below_one(args, "table", "dmax", "bound", "tmax", "jobs")) is not None:
         return invalid
     if args.mode == "verify":
         rows = elliptic.load_table()[: args.dmax]
-        results = _run_parallel(_verify_row_task, rows, args.jobs)
+        results = _run_parallel(elliptic.verify_row, rows, args.jobs)
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
@@ -371,7 +369,7 @@ def cmd_question3(args) -> int:
     f = QuinticCoeffs(a_n, 0, args.c)
     points = []
     for sol in sols:
-        point = Point4(*surfaces.r4_point(*sol.coords()))
+        point = Point4(*surfaces.r4_point(*map(Fraction, sol)))
         res = residual(f, point)
         if res or not point.is_integral():
             raise CertificateError(f"question-3 point {point.to_json()} fails its certificate")

@@ -425,37 +425,20 @@ def load_table() -> list[TableRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class RowReport:
-    d: int
-    t: Fraction
-    on_curve: bool
-    nontorsion: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.on_curve and self.nontorsion
-
-    def to_json(self) -> dict:
-        return {
-            "D": self.d,
-            "t": format_rational(self.t),
-            "on_curve": self.on_curve,
-            "nontorsion": self.nontorsion,
-            "status": "ok" if self.ok else "FAIL",
-        }
-
-
-def verify_row(row: TableRow) -> RowReport:
+def verify_row(row: TableRow) -> dict:
+    """The row's JSON report: whether its point lies on E_t and, if so,
+    whether it has infinite order; status "ok" when both hold."""
     curve = row.curve()
     point = row.point()
     member = on_curve(curve, point)
     nontor = member and is_nontorsion(curve, point)
-    return RowReport(d=row.d, t=row.t, on_curve=member, nontorsion=nontor)
-
-
-def table_verify(rows) -> list[RowReport]:
-    return [verify_row(row) for row in rows]
+    return {
+        "D": row.d,
+        "t": format_rational(row.t),
+        "on_curve": member,
+        "nontorsion": nontor,
+        "status": "ok" if nontor else "FAIL",
+    }
 
 
 # ---------------------------------------------------------------------------

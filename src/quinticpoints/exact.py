@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -311,14 +310,6 @@ class FactorizationExhausted(ArithmeticError):
         self.cofactor = cofactor
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    """n = squarefree_part * square_root_cofactor^2."""
-
-    squarefree_part: int
-    square_root_cofactor: int
-
-
 def factor_trial(n: int) -> tuple[dict[int, int], int]:
     """The primes below 10^4 dividing |n|, with exponents, and what is left:
     1, a prime, or a number whose prime factors all exceed 10^4."""
@@ -405,13 +396,13 @@ def factor(n: int) -> dict[int, int]:
     return factors
 
 
-def squarefree_decompose(n: int) -> SquarefreeDecomposition:
-    """Split n = s * k^2 with s squarefree and sign(s) = sign(n), read off
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """(s, k) with n = s * k^2, s squarefree and sign(s) = sign(n), read off
     ``factor(n)``."""
     factors = factor(n)
     s = math.prod(p for p, e in factors.items() if e % 2)
     k = math.prod(p ** (e // 2) for p, e in factors.items())
-    return SquarefreeDecomposition(s if n > 0 else -s, k)
+    return (s if n > 0 else -s), k
 
 
 def rational_square_root(q) -> Fraction | None:

@@ -10,8 +10,11 @@ oracle by exhaustive residue search with Hensel lifting, lives in the tests
 (``tests/oracle.py``), since no command needs it.  :func:`find_zero` looks
 for an explicit witness in a box by meeting in the middle over Python ints.
 
-On top of these sit the ternary specialization x^2+2y^2+3z^2 = -5a, its conic
-parametrization, and the family of forms with many prescribed solutions.
+On top of these sit the ternary specialization x^2+2y^2+3z^2 = -5a, with a
+base point from the witness search, and the family of forms with many
+prescribed solutions.  Base points and solutions are plain (x, y, z)
+triples; the lines through a base point that sweep out the conic are
+``surfaces._conic_sweep``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import CertificateError, factor, hilbert2, legendre
-from .poly import MultiPoly, RationalFunction
 
 
 class ZeroCoefficient(ValueError):
@@ -31,10 +33,6 @@ class ZeroCoefficient(ValueError):
 
 class NotNormalized(ValueError):
     """The decision procedure requires a normalized form."""
-
-
-class BaseNotOnConic(ValueError):
-    """The proposed base solution does not satisfy the conic equation."""
 
 
 @dataclass(frozen=True)
@@ -212,38 +210,21 @@ def find_zero(form: DiagonalForm, search_bound: int):
     for x3 in box:
         for x4 in box:
             right.setdefault(a3 * x3 * x3 + a4 * x4 * x4, []).append((x3, x4))
-    hits = [
-        (x1, x2, x3, x4)
-        for x1 in box
-        for x2 in box
-        for x3, x4 in right.get(-(a1 * x1 * x1 + a2 * x2 * x2), ())
-        if math.gcd(x1, x2, x3, x4) == 1
-    ]
-    if not hits:
-        return None
-    return min(hits, key=lambda t: (max(t),) + t)
+    return min(
+        (
+            (x1, x2, x3, x4)
+            for x1 in box
+            for x2 in box
+            for x3, x4 in right.get(-(a1 * x1 * x1 + a2 * x2 * x2), ())
+            if math.gcd(x1, x2, x3, x4) == 1
+        ),
+        key=lambda t: (max(t),) + t,
+        default=None,
+    )
 
 
 # ---------------------------------------------------------------------------
 # the ternary specialization x^2 + 2y^2 + 3z^2 = -5a
-
-@dataclass(frozen=True)
-class TernarySolution:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "z", Fraction(self.z))
-
-    def coords(self):
-        return (self.x, self.y, self.z)
-
-    def ternary_value(self) -> Fraction:
-        return self.x**2 + 2 * self.y**2 + 3 * self.z**2
-
 
 def ternary_solvable(a: int) -> bool:
     """Is x^2 + 2y^2 + 3z^2 = -5a solvable in rationals (nontrivially)?
@@ -261,9 +242,11 @@ def ternary_solvable(a: int) -> bool:
     return n % 16 != 2
 
 
-def ternary_base_solution(a: int, search_bound: int = 60) -> TernarySolution | None:
-    """A rational base point on x^2+2y^2+3z^2 = -5a via the quaternary
-    witness search, un-scaled back from the normalized form."""
+def ternary_base_solution(a: int, search_bound: int = 60):
+    """A rational base point (x, y, z) on x^2+2y^2+3z^2 = -5a via the
+    quaternary witness search, un-scaled back from the normalized form; None
+    when the box holds no witness.  A base off the conic raises
+    CertificateError."""
     norm = normalize(1, 2, 3, 5 * a)
     witness = find_zero(norm.form, search_bound)
     if witness is None:
@@ -271,35 +254,9 @@ def ternary_base_solution(a: int, search_bound: int = 60) -> TernarySolution | N
     x1, x2, x3, x4 = norm.pull_back_witness(witness)
     if x4 == 0:
         return None  # cannot happen: the ternary part is definite
-    return TernarySolution(Fraction(x1, x4), Fraction(x2, x4), Fraction(x3, x4))
-
-
-@dataclass(frozen=True)
-class ConicParametrization:
-    a: int
-    base: TernarySolution
-    x: RationalFunction
-    y: RationalFunction
-    z: RationalFunction
-
-
-def parametrize_conic(a: int, base: TernarySolution) -> ConicParametrization:
-    """Sweep lines of direction (u, v, 1) through the base point: the second
-    intersection with x^2+2y^2+3z^2 = -5a is rational in (u, v)."""
-    if base.ternary_value() != -5 * a:
-        raise BaseNotOnConic(f"{base} does not satisfy x^2+2y^2+3z^2 = {-5 * a}")
-    u, v = MultiPoly.variables("u v")
-    x0, y0, z0 = base.coords()
-    denom = u**2 + 2 * v**2 + 3
-    t_num = -2 * (u * x0 + 2 * v * y0 + 3 * z0)
-    t = RationalFunction(t_num, denom)
-    x = u * t + x0
-    y = v * t + y0
-    z = t + z0
-    residual = x * x + 2 * y * y + 3 * z * z + 5 * a
-    if not residual.is_identically_zero:
-        raise CertificateError("conic parametrization failed its own certificate")
-    return ConicParametrization(a=a, base=base, x=x, y=y, z=z)
+    if x1 * x1 + 2 * x2 * x2 + 3 * x3 * x3 != -5 * a * x4 * x4:
+        raise CertificateError(f"base {(x1, x2, x3)}/{x4} is off x^2+2y^2+3z^2 = {-5 * a}")
+    return Fraction(x1, x4), Fraction(x2, x4), Fraction(x3, x4)
 
 
 def question3_family(n: int):
@@ -318,12 +275,8 @@ def question3_family(n: int):
     sols = []
     for k in range(1, n + 1):
         m, rem = divmod(5 * g, k * k + 2)
-        sol = TernarySolution(m * (2 * k + 3), m * (k * k + 3 * k - 2), m * (k * k - 2 * k - 1))
-        if (
-            rem
-            or sol.ternary_value() != -5 * a_n
-            or any(c.denominator != 1 or c.numerator % 5 for c in sol.coords())
-        ):
+        x, y, z = m * (2 * k + 3), m * (k * k + 3 * k - 2), m * (k * k - 2 * k - 1)
+        if rem or x * x + 2 * y * y + 3 * z * z != -5 * a_n or x % 5 or y % 5 or z % 5:
             raise CertificateError(f"question-3 triple k = {k} fails its certificate")
-        sols.append(sol)
+        sols.append((x, y, z))
     return a_n, sols

@@ -6,7 +6,10 @@ whose residual is nonzero raises :class:`CertificateError`.
 Each displayed formula is written once, as a private function generic over
 the ring (as ``quintic.f_value`` is): the constructor evaluates it on
 Fraction or Q(i) scalars, and :func:`identity_suite` proves the same
-function over ``MultiPoly`` symbols.
+function over ``MultiPoly`` symbols.  Theorem 2, for instance, is
+``r4_point(*_conic_sweep(base, u, v))``: ``thm2-conic`` proves that the
+sweep stays on its conic for a symbolic base point, and
+``r4-factorization`` that (R4) carries the conic onto V_f.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ class DegenerateConic(ValueError):
 
 class SeedNotOnConic(ValueError):
     pass
-
-
-class DegenerateMixedPair(ValueError):
-    """F(x) - F(0) = G(x) - G(0): the mixed hypersurface degenerates."""
 
 
 # ---------------------------------------------------------------------------
@@ -339,59 +338,47 @@ def r4_point(x, y, z):
     )
 
 
-@dataclass(frozen=True)
-class ParametrizedFamily:
-    """Four rational functions (p,q,r,s)(u,v) plus their provenance."""
+def _conic_sweep(base, u, v):
+    """The second meet of the line through ``base`` = (x0, y0, z0) with
+    direction (u, v, 1) and the conic x^2 + 2y^2 + 3z^2 through the base."""
+    x0, y0, z0 = base
+    t = -2 * (u * x0 + 2 * v * y0 + 3 * z0) / (u * u + 2 * v * v + 3)
+    return x0 + u * t, y0 + v * t, z0 + t
 
-    a: int
-    base: object
-    p: RationalFunction
-    q: RationalFunction
-    r: RationalFunction
-    s: RationalFunction
 
-    def eval_point(self, u, v) -> Point4:
-        at = {"u": Fraction(u), "v": Fraction(v)}
-        return Point4(
-            self.p.eval(at), self.q.eval(at), self.r.eval(at), self.s.eval(at),
-            FIELD_TAG_Q,
-        )
+def _thm2_coords(base, u, v):
+    """The Theorem 2 family (p, q, r, s)(u, v) through a base point of
+    x^2 + 2y^2 + 3z^2 = -5a."""
+    return r4_point(*_conic_sweep(base, u, v))
 
 
 @lru_cache(maxsize=128)
-def thm2_parametrize(a: int, search_bound: int = 60) -> ParametrizedFamily:
-    """Two-parameter solution of f(p)+f(q)=f(r)+f(s) for f = X^5+aX^3+cX.
-
-    Composes the (R4) substitution with the conic parametrization of
-    x^2+2y^2+3z^2 = -5a; the residual vanishes identically with c symbolic,
-    which is checked before returning (CertificateError otherwise).
-    """
+def thm2_parametrize(a: int, search_bound: int = 60):
+    """Two-parameter solution of f(p)+f(q)=f(r)+f(s) for f = X^5+aX^3+cX:
+    the map (u, v) -> (p, q, r, s), over any ring, composing the (R4)
+    substitution with the lines through a base point of x^2+2y^2+3z^2 = -5a.
+    ``thm2-conic`` and ``r4-factorization`` prove it for every base point."""
     from . import quadform
 
     if not quadform.ternary_solvable(a):
         raise NotSolvable(f"x^2+2y^2+3z^2 = {-5 * a} has no rational solution")
     base = quadform.ternary_base_solution(a, search_bound)
     if base is None:
-        raise NoBasePointFound(f"no witness within bound {search_bound}")
-    conic = quadform.parametrize_conic(a, base)
-    p, q, r, s = r4_point(conic.x, conic.y, conic.z)
-    # exact certificate: residual is the zero rational function, c symbolic
-    res = residual_symbolic().substitute(
-        {"p": p, "q": q, "r": r, "s": s, "a": MultiPoly.constant(a), "b": MultiPoly.zero()}
-    )
-    if not res.is_identically_zero:
-        raise CertificateError(f"Theorem 2 parametrization for a = {a} is off V_f")
-    return ParametrizedFamily(a=a, base=base, p=p, q=q, r=r, s=s)
+        raise NoBasePointFound(
+            f"no base point on x^2+2y^2+3z^2 = {-5 * a} within bound {search_bound}"
+        )
+    return partial(_thm2_coords, base)
 
 
 def thm2_point(a: int, c: int, u, v, search_bound: int = 60) -> Certificate:
     """Concrete rational point from the Theorem 2 family at (u, v)."""
-    family = thm2_parametrize(a, search_bound)
+    u = Fraction(u)
+    v = Fraction(v)
     return _quintic_certificate(
         "thm2",
-        {"a": a, "c": c, "u": str(Fraction(u)), "v": str(Fraction(v))},
+        {"a": a, "c": c, "u": str(u), "v": str(v)},
         a, 0, c,
-        family.eval_point(u, v),
+        Point4(*thm2_parametrize(a, search_bound)(u, v), FIELD_TAG_Q),
     )
 
 
@@ -484,22 +471,6 @@ def norm_lift_symbolic(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # mixed pairs F(p) + G(q) = F(r) + G(s)
 
-@dataclass(frozen=True)
-class MixedPair:
-    """F(x) = x^5+ax^3+bx^2+cx and G(x) = x^5+dx^3+ex^2+fx with F-F(0) != G-G(0)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-
-    def __post_init__(self):
-        if (self.a, self.b, self.c) == (self.d, self.e, self.f):
-            raise DegenerateMixedPair("F(x) - F(0) = G(x) - G(0)")
-
-
 def _uv_coords(t, U, V):
     """The substitution (t - U/V, U/V, t - 1/V, 1/V) shared by the mixed and
     the symmetric quintics."""
@@ -523,22 +494,18 @@ def _mixed_h_coeffs(a, b, c, d, e, f, t):
     }
 
 
-def mixed_H(pair: MixedPair | None = None):
-    """H(U, V, t) plus its certificate: with p = t - U/V, q = U/V, r = 1/V,
-    s = t - 1/V,
+def mixed_H(coeffs=None):
+    """H(U, V, t) plus its certificate: for F(x) = x^5+ax^3+bx^2+cx and
+    G(x) = x^5+dx^3+ex^2+fx, with p = t - U/V, q = U/V, r = 1/V, s = t - 1/V,
 
         V^4 (F(p) + G(q) - F(r) - G(s)) + (tV - U - 1) H(U, V, t) = 0
 
-    holds identically (all six quintic coefficients symbolic when no pair is
-    given)."""
+    holds identically (``coeffs`` is (a, b, c, d, e, f); all six symbolic
+    when it is None)."""
     U, V, t = (MultiPoly.variable(n) for n in ("U", "V", "t"))
-    if pair is None:
-        a, b, c, d, e, f = (MultiPoly.variable(n) for n in "abcdef")
-    else:
-        a, b, c, d, e, f = pair.a, pair.b, pair.c, pair.d, pair.e, pair.f
-    coeffs = _mixed_h_coeffs(a, b, c, d, e, f, t)
+    a, b, c, d, e, f = coeffs or [MultiPoly.variable(n) for n in "abcdef"]
     H = MultiPoly.zero()
-    for (i, j), coeff in coeffs.items():
+    for (i, j), coeff in _mixed_h_coeffs(a, b, c, d, e, f, t).items():
         H = H + coeff * U**i * V**j
     p, q, r, s = (MultiPoly.variable(n) for n in "pqrs")
     residual_poly = (
@@ -553,15 +520,6 @@ def mixed_H(pair: MixedPair | None = None):
     return H, identity_holds
 
 
-@dataclass(frozen=True)
-class BirationalMapPair:
-    """Forward and inverse coordinate maps between a cubic and a Weierstrass
-    model, as rational-function tuples."""
-
-    forward: tuple
-    inverse: tuple
-
-
 def special_curve_rhs(D, t):
     """Right side X^3 - 25 t^4 X^2 - 2500 D^2 t^4 of the special model."""
     X = MultiPoly.variable("X")
@@ -569,9 +527,10 @@ def special_curve_rhs(D, t):
 
 
 @lru_cache(maxsize=256)
-def mixed_special_maps(c: int, f: int) -> BirationalMapPair:
+def mixed_special_maps(c: int, f: int):
     """The explicit birational maps between S_{F,G} (F = x^5+cx, G = x^5+fx)
-    and E_{F,G}: Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4.
+    and E_{F,G}: Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4, as the pair
+    ((U, V)(X, Y, t), (X, Y)(U, V, t)) of forward and inverse maps.
 
     The denominator's cubic term is read as -X^3 (the printed lowercase -x^3
     is a typo), and the V component carries +10tX(...) (the printed leading
@@ -590,7 +549,7 @@ def mixed_special_maps(c: int, f: int) -> BirationalMapPair:
         -10 * D * t * (D * V**3 - 5 * t * t * (U - 1) * V * (t * V - U) - 5 * t * (U - 1) ** 2 * U),
         (U - 1) ** 2,
     )
-    return BirationalMapPair(forward=(fwd_U, fwd_V), inverse=(inv_X, inv_Y))
+    return (fwd_U, fwd_V), (inv_X, inv_Y)
 
 
 def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
@@ -599,14 +558,13 @@ def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
     forward image lies on S_{F,G}, and the inverse undoes the forward map.
     Only -X^3 in the denominator passes, and the printed leading minus on
     the V component fails both."""
-    maps = mixed_special_maps(c, f)
-    fwd_U, fwd_V = maps.forward
+    (fwd_U, fwd_V), inverse = mixed_special_maps(c, f)
     forward = {"U": fwd_U, "V": fwd_V}
     rhs = special_curve_rhs(c - f, MultiPoly.variable("t"))
     checks = []
 
     # (ii) forward image satisfies S_{F,G} = 0 modulo Y^2 = rhs
-    h_spec, _ = mixed_H(MixedPair(0, 0, c, 0, 0, f))
+    h_spec, _ = mixed_H((0, 0, c, 0, 0, f))
     reduced = _reduce_square(h_spec.substitute(forward).num, "Y", rhs)
     checks.append(
         IdentityCheck("forward image lies on S_{F,G} (mod curve relation)", reduced.is_zero)
@@ -614,7 +572,7 @@ def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
 
     # (i) inverse(forward) = identity modulo the curve relation
     ok = True
-    for comp, var in zip(maps.inverse, ("X", "Y")):
+    for comp, var in zip(inverse, ("X", "Y")):
         diff = comp.substitute(forward) - as_rational_function(MultiPoly.variable(var))
         ok &= _reduce_square(diff.num, "Y", rhs).is_zero
     checks.append(IdentityCheck("inverse(forward) = id (mod curve relation)", ok))
@@ -642,11 +600,11 @@ def mixed_point(
     pk = elliptic.mul(curve, k, point)  # raises PointNotOnCurve for a foreign point
     if pk.is_identity:
         raise MapPole(f"{k}*P is the identity")
-    maps = mixed_special_maps(c, f)
+    (fwd_U, fwd_V), _ = mixed_special_maps(c, f)
     den_at = {"X": pk.x, "Y": pk.y, "t": t}
     try:
-        U = maps.forward[0].eval(den_at)
-        V = maps.forward[1].eval(den_at)
+        U = fwd_U.eval(den_at)
+        V = fwd_V.eval(den_at)
     except PoleAtPoint as exc:
         raise MapPole(f"forward map pole at k={k}: {exc}") from exc
     if V == 0:
@@ -775,9 +733,7 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
     field = FIELD_TAG_QI if isinstance(p, GaussianRational) else FIELD_TAG_Q
     point = Point4(p, q, r, s, field)
     # trivial iff the unordered pairs coincide (f is symmetric)
-    same_pairs = {p, q} == {r, s} and sorted(
-        [p, q], key=lambda z: str(z)
-    ) == sorted([r, s], key=lambda z: str(z))
+    same_pairs = {p, q} == {r, s}
     report = TrivialityReport(
         on_hypersurface=not res,
         coordinate_overlap=same_pairs,
@@ -944,9 +900,17 @@ def _check_fifth_power_identity() -> bool:
     return (p**5 + q**5 - r**5 - s**5).is_zero
 
 
+def _check_thm2_conic() -> bool:
+    """The sweep through a symbolic base point stays on its conic."""
+    x0, y0, z0, u, v = MultiPoly.variables("x0 y0 z0 u v")
+    x, y, z = _conic_sweep((x0, y0, z0), u, v)
+    on_base = x0 * x0 + 2 * y0 * y0 + 3 * z0 * z0
+    return (x * x + 2 * y * y + 3 * z * z - on_base).is_identically_zero
+
+
 def _check_example1_display() -> bool:
-    family = thm2_parametrize(-1)
     u, v = MultiPoly.variables("u v")
+    got = dict(zip("pqrs", thm2_parametrize(-1)(u, v)))
     den = 5 * (u * u + 2 * v * v + 3)
     expected = {
         "p": RationalFunction(
@@ -960,9 +924,7 @@ def _check_example1_display() -> bool:
             2 * (u * u - (2 * v + 3) * u + 4 * v * v - 3 * (v + 2)), den
         ),
     }
-    return all(
-        getattr(family, name) == expected[name] for name in ("p", "q", "r", "s")
-    )
+    return all(got[name] == expected[name] for name in "pqrs")
 
 
 def _check_cs_display() -> bool:
@@ -1050,6 +1012,7 @@ def identity_suite(only=None, seed: int = 0) -> list[IdentityCheck]:
         ("r1-factorization", _check_r1_factorization),
         ("thm1-surface", lambda: all(c.ok for c in thm1_surface_identities())),
         ("r4-factorization", _check_r4_factorization),
+        ("thm2-conic", _check_thm2_conic),
         ("question3-identity", _check_question3_identity),
         ("gaussian-parametrization", _check_gaussian_parametrization),
         ("gaussian-residual", _check_gaussian_residual),

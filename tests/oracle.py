@@ -147,7 +147,7 @@ def normalized_forms_up_to(max_abs: int):
     values = [
         n
         for n in range(-max_abs, max_abs + 1)
-        if n and squarefree_decompose(n).square_root_cofactor == 1
+        if n and squarefree_decompose(n)[1] == 1
     ]
     values.sort()
     out = []

@@ -145,7 +145,7 @@ class TestConstructErrors:
 
 
 class TestTable:
-    @pytest.mark.parametrize("option", ["--dmax", "--bound", "--tmax"])
+    @pytest.mark.parametrize("option", ["--dmax", "--bound", "--tmax", "--jobs"])
     def test_bounds_below_one_are_invalid_input(self, capsys, option):
         argv = ["table", "--mode=search", "--dmax=1", "--tmax=1", f"{option}=0"]
         assert cli.main(argv) == cli.EXIT_INVALID
@@ -345,6 +345,24 @@ def test_unsplittable_coefficient_is_exhaustion(tmp_path, argv, command):
     assert payload["error"] == "FactorizationExhausted" and str(PQ) in payload["message"]
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == command and record["outputs"] == payload
+
+
+def test_soluble_a_without_a_base_point_in_the_box_is_exhaustion(tmp_path, capsys):
+    # -a = 1000007 is 7 mod 16, so x^2+2y^2+3z^2 = -5a is soluble, but the
+    # witness box at the default bound holds no base point
+    assert quadform.ternary_solvable(-1000007)
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ["construct", "thm2", "--a=-1000007", "--c=1", "--u=1", "--v=2"]
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_EXHAUSTED
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload == {
+        "error": "NoBasePointFound",
+        "message": "no base point on x^2+2y^2+3z^2 = 5000035 within bound 60",
+    }
+    assert captured.err.startswith("exhausted: ")
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == "construct thm2" and record["outputs"] == payload
 
 
 def test_cli_import_leaves_numpy_out():

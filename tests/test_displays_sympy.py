@@ -44,6 +44,14 @@ def test_r4_point_factors_the_residual_as_displayed():
     assert sympy.expand(625 * res - displayed) == 0
 
 
+def test_conic_sweep_stays_on_the_conic_of_its_base():
+    x0, y0, z0, u, v = sympy.symbols("x0 y0 z0 u v")
+    x, y, z = surfaces._conic_sweep((x0, y0, z0), u, v)
+    assert vanishes(x**2 + 2 * y**2 + 3 * z**2 - (x0**2 + 2 * y0**2 + 3 * z0**2))
+    # the line through the base with direction (u, v, 1)
+    assert vanishes(x - x0 - u * (z - z0)) and vanishes(y - y0 - v * (z - z0))
+
+
 def test_lines_through_i_meet_the_conic():
     b20, b02, t, u = sympy.symbols("b20 b02 t u")
     U, V = surfaces._lines_through_i(b20, b02, t, u, sympy.I)

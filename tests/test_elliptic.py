@@ -24,7 +24,6 @@ from quinticpoints.elliptic import (
     rationals_by_height,
     search_points,
     specialization_curve,
-    table_verify,
     verify_row,
 )
 from quinticpoints.exact import factor
@@ -348,16 +347,14 @@ class TestTable:
         assert [r.d for r in rows] == list(range(1, 101))
 
     def test_all_rows_verify(self):
-        reports = table_verify(load_table())
-        assert all(r.ok for r in reports)
+        reports = [verify_row(row) for row in load_table()]
+        assert all(r["status"] == "ok" and r["on_curve"] and r["nontorsion"] for r in reports)
 
     def test_corrupted_row_fails(self):
         row = load_table()[0]
         bad = type(row)(d=row.d, t=row.t, x=row.x, y=Fraction(404, 405))
-        assert not verify_row(bad).on_curve
-
-    def test_empty_report(self):
-        assert table_verify([]) == []
+        report = verify_row(bad)
+        assert not report["on_curve"] and report["status"] == "FAIL"
 
 
 class TestConjectureSearch:

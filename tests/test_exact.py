@@ -76,8 +76,8 @@ def hilbert2_oracle(alpha, beta):
     = z^2 must have a solution mod 64, not all coordinates even, with some
     slot where coeff * coord is nonzero mod 4 (the square-lifting criterion).
     Square factors are stripped first; the symbol ignores them."""
-    alpha = squarefree_decompose(alpha).squarefree_part
-    beta = squarefree_decompose(beta).squarefree_part
+    alpha, _ = squarefree_decompose(alpha)
+    beta, _ = squarefree_decompose(beta)
     rng = np.arange(64, dtype=np.int64)
     x = rng[:, None, None]
     y = rng[None, :, None]
@@ -132,9 +132,8 @@ class TestSquarefree:
         "n,s,k", [(12, 3, 2), (-50, -2, 5), (7, 7, 1), (1, 1, 1), (-1, -1, 1), (360, 10, 6)]
     )
     def test_examples(self, n, s, k):
-        dec = squarefree_decompose(n)
-        assert (dec.squarefree_part, dec.square_root_cofactor) == (s, k)
-        assert dec.squarefree_part * dec.square_root_cofactor**2 == n
+        assert squarefree_decompose(n) == (s, k)
+        assert s * k**2 == n
 
     def test_zero(self):
         with pytest.raises(ZeroArgument):
@@ -145,15 +144,14 @@ class TestSquarefree:
     def test_reconstruction_and_squarefreeness(self, n):
         if n == 0:
             return
-        dec = squarefree_decompose(n)
-        assert dec.squarefree_part * dec.square_root_cofactor**2 == n
+        s, k = squarefree_decompose(n)
+        assert s * k**2 == n
         for p in range(2, 70):
-            assert dec.squarefree_part % (p * p) != 0
+            assert s % (p * p) != 0
 
     def test_square_of_a_prime_above_trial_division(self):
         # 1000003 is above the old trial-division limit of 10^6
-        dec = squarefree_decompose(1000003**2 * 1000033)
-        assert (dec.squarefree_part, dec.square_root_cofactor) == (1000033, 1000003)
+        assert squarefree_decompose(1000003**2 * 1000033) == (1000033, 1000003)
 
 
 # primes after 10^19 (P, Q) and 10^20 (BIG): P * Q is out of reach of rho

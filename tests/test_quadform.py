@@ -5,23 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quinticpoints.exact import factor
+from quinticpoints import quadform
+from quinticpoints.exact import CertificateError, factor
+from quinticpoints.poly import MultiPoly, RationalFunction
 from quinticpoints.quadform import (
-    BaseNotOnConic,
     DiagonalForm,
     NotNormalized,
-    TernarySolution,
     ZeroCoefficient,
     find_zero,
     normalize,
-    parametrize_conic,
     question3_family,
     represents_zero,
     ternary_base_solution,
     ternary_solvable,
 )
+from quinticpoints.surfaces import _conic_sweep
 
 from oracle import agreement_sweep, congruence_sweep, local_oracle
+
+
+def _ternary(x, y, z):
+    return x * x + 2 * y * y + 3 * z * z
+
+
+EXAMPLE1_BASE = (Fraction(0), Fraction(1), Fraction(1))  # on x^2+2y^2+3z^2 = 5
 
 
 class TestNormalize:
@@ -234,30 +241,33 @@ class TestTernary:
 
     def test_base_solution(self):
         base = ternary_base_solution(-1)
-        assert base == TernarySolution(0, 1, 1)
-        assert base.ternary_value() == 5
+        assert base == EXAMPLE1_BASE
+        assert all(type(c) is Fraction for c in base)
+        assert _ternary(*base) == 5
 
 
 class TestParametrizeConic:
-    def test_example1_displayed_functions(self):
-        cp = parametrize_conic(-1, TernarySolution(0, 1, 1))
-        from quinticpoints.poly import MultiPoly, RationalFunction
+    """The lines through a base point, surfaces._conic_sweep, on the conic
+    of Example 1 (a = -1)."""
 
+    def test_example1_displayed_functions(self):
         u, v = MultiPoly.variables("u v")
+        x, y, z = _conic_sweep(EXAMPLE1_BASE, u, v)
         den = u * u + 2 * v * v + 3
-        assert cp.x == RationalFunction(-2 * u * (2 * v + 3), den)
-        assert cp.y == RationalFunction(u * u - 2 * v * v - 6 * v + 3, den)
-        assert cp.z == RationalFunction(u * u + 2 * v * v - 4 * v - 3, den)
+        assert x == RationalFunction(-2 * u * (2 * v + 3), den)
+        assert y == RationalFunction(u * u - 2 * v * v - 6 * v + 3, den)
+        assert z == RationalFunction(u * u + 2 * v * v - 4 * v - 3, den)
 
     def test_origin_evaluation(self):
-        cp = parametrize_conic(-1, TernarySolution(0, 1, 1))
-        sol = _conic_point(cp, 0, 0)
-        assert sol == TernarySolution(0, 1, -1)
-        assert sol.ternary_value() == 5
+        sol = _conic_sweep(EXAMPLE1_BASE, Fraction(0), Fraction(0))
+        assert sol == (0, 1, -1)
+        assert _ternary(*sol) == 5
 
-    def test_base_not_on_conic(self):
-        with pytest.raises(BaseNotOnConic):
-            parametrize_conic(-1, TernarySolution(1, 1, 1))
+    def test_base_not_on_conic(self, monkeypatch):
+        # (1, 1, 1, 1) is no zero of (1, 2, 3, -5): its pull-back is off the conic
+        monkeypatch.setattr(quadform, "find_zero", lambda form, bound: (1, 1, 1, 1))
+        with pytest.raises(CertificateError):
+            ternary_base_solution(-1)
 
     @given(
         st.fractions(min_value=-15, max_value=15, max_denominator=5),
@@ -265,30 +275,25 @@ class TestParametrizeConic:
     )
     @settings(max_examples=80)
     def test_parametrization_stays_on_conic(self, u, v):
-        cp = parametrize_conic(-1, TernarySolution(0, 1, 1))
-        assert _conic_point(cp, u, v).ternary_value() == 5
-
-
-def _conic_point(cp, u, v) -> TernarySolution:
-    """The parametrization's point at (u, v)."""
-    at = {"u": u, "v": v}
-    return TernarySolution(cp.x.eval(at), cp.y.eval(at), cp.z.eval(at))
+        sol = _conic_sweep(EXAMPLE1_BASE, u, v)
+        assert all(type(c) is Fraction for c in sol)
+        assert _ternary(*sol) == 5
 
 
 class TestQuestion3:
     def test_n1(self):
         a1, sols = question3_family(1)
         assert a1 == -225
-        assert [int(c) for c in sols[0].coords()] == [25, 10, -10]
+        assert sols[0] == (25, 10, -10)
         # 625 + 200 + 300 = 1125 = -5 a_1
         assert 625 + 2 * 100 + 3 * 100 == 1125 == -5 * a1
 
     def test_n3_distinct_divisible(self):
         a3, sols = question3_family(3)
-        assert len({s.coords() for s in sols}) == 3
+        assert len(set(sols)) == 3
         for s in sols:
-            assert all(int(c) % 5 == 0 for c in s.coords())
-            assert s.ternary_value() == -5 * a3
+            assert all(c % 5 == 0 for c in s)
+            assert _ternary(*s) == -5 * a3
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_invariant_125_g_squared(self, n):
@@ -296,7 +301,7 @@ class TestQuestion3:
         a_n, sols = question3_family(n)
         assert a_n == -25 * g * g
         for s in sols:
-            assert s.ternary_value() == 125 * g * g
+            assert _ternary(*s) == 125 * g * g
 
 
 class TestSweeps:

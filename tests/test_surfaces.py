@@ -97,15 +97,6 @@ class TestBrokenPipelinesFail:
         assert not check.ok
         assert check.detail.startswith("CertificateError")
 
-    def test_thm2_parametrization_checks_its_residual(self, monkeypatch):
-        monkeypatch.setattr(surfaces, "r4_point", lambda x, y, z: (x, y, z, x))
-        surfaces.thm2_parametrize.cache_clear()
-        try:
-            with pytest.raises(CertificateError):
-                surfaces.thm2_parametrize(-1, 30)
-        finally:
-            surfaces.thm2_parametrize.cache_clear()
-
 
 def _perturb_first(display):
     def perturbed(*args):
@@ -160,6 +151,11 @@ C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
             ["r4-factorization", "example1-display"],
             [lambda: surfaces.thm2_point(-1, 3, 1, 3, search_bound=30)],
         ),
+        (
+            "_conic_sweep",
+            ["thm2-conic", "example1-display"],
+            [lambda: surfaces.thm2_point(-1, 3, 1, 3, search_bound=30)],
+        ),
     ],
 )
 def test_a_wrong_display_fails_its_check_and_its_constructor(
@@ -187,8 +183,8 @@ def test_printed_sign_of_the_v_map_fails_its_check_and_mixed_point(monkeypatch):
     maps = surfaces.mixed_special_maps
 
     def printed(c, f):
-        fwd_U, fwd_V = maps(c, f).forward
-        return surfaces.BirationalMapPair(forward=(fwd_U, -fwd_V), inverse=maps(c, f).inverse)
+        (fwd_U, fwd_V), inverse = maps(c, f)
+        return (fwd_U, -fwd_V), inverse
 
     monkeypatch.setattr(surfaces, "mixed_special_maps", printed)
     assert not any(c.ok for c in surfaces.mixed_maps_checks(1, 0))
