@@ -184,7 +184,7 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
 
 def cmd_construct(args) -> int:
     family = args.family
-    if (invalid := _bad_witness_bound(args, f"construct {family}")) is not None:
+    if family == "thm2" and (invalid := _bad_witness_bound(args, "construct thm2")) is not None:
         return invalid
     if family == "mixed" and abs(args.k) > MAX_MIXED_K:
         return _invalid_input(args, "construct mixed", f"|--k| must be <= {MAX_MIXED_K}")
@@ -373,12 +373,11 @@ def cmd_question3(args) -> int:
         res = residual(f, point)
         if res or not point.is_integral():
             raise CertificateError(f"question-3 point {point.to_json()} fails its certificate")
-        report = classify(f, point)
         points.append(
             {
                 "point": point.to_json(),
                 "residual": str(res),
-                "nontrivial": report.nontrivial,
+                "nontrivial": classify(f, point),
             }
         )
     payload = {"N": args.N, "a_N": a_n, "c": args.c, "points": points}

@@ -106,39 +106,21 @@ class Point4:
         )
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
-    on_hypersurface: bool
-    coordinate_overlap: bool
-    value_overlap: bool
-
-    @property
-    def nontrivial(self) -> bool:
-        return (
-            self.on_hypersurface
-            and not self.coordinate_overlap
-            and not self.value_overlap
-        )
-
-
 def residual(f, point: Point4):
     """f(p) + f(q) - f(r) - f(s); zero exactly when the point is on V_f.
     ``f`` is any one-argument callable, e.g. a QuinticCoeffs."""
     return f(point.p) + f(point.q) - f(point.r) - f(point.s)
 
 
-def classify(f, point: Point4) -> TrivialityReport:
+def classify(f, point: Point4) -> bool:
     """Triviality per the set-intersection definition: a point is nontrivial
-    when {p,q} and {r,s} are disjoint and so are their f-value sets."""
-    on = not bool(residual(f, point))
-    left = {point.p, point.q}
-    right = {point.r, point.s}
-    values_left = {f(v) for v in left}
-    values_right = {f(v) for v in right}
-    return TrivialityReport(
-        on_hypersurface=on,
-        coordinate_overlap=bool(left & right),
-        value_overlap=bool(values_left & values_right),
+    when it is on V_f, {p,q} and {r,s} are disjoint, and so are their
+    f-value sets.  Evaluates f once per coordinate."""
+    fp, fq, fr, fs = (f(v) for v in point.coords())
+    return (
+        not (fp + fq - fr - fs)
+        and not {point.p, point.q} & {point.r, point.s}
+        and not {fp, fq} & {fr, fs}
     )
 
 

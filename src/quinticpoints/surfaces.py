@@ -4,12 +4,14 @@ Every operation here returns (or embeds) a certificate: the exact residual of
 the emitted point plus a triviality verdict.  Building a :class:`Certificate`
 whose residual is nonzero raises :class:`CertificateError`.
 Each displayed formula is written once, as a private function generic over
-the ring (as ``quintic.f_value`` is): the constructor evaluates it on
-Fraction or Q(i) scalars, and :func:`identity_suite` proves the same
-function over ``MultiPoly`` symbols.  Theorem 2, for instance, is
-``r4_point(*_conic_sweep(base, u, v))``: ``thm2-conic`` proves that the
-sweep stays on its conic for a symbolic base point, and
-``r4-factorization`` that (R4) carries the conic onto V_f.
+the ring (as ``quintic.f_value`` is): every constructor evaluates it on
+Fraction or Q(i) scalars and builds no polynomial, and :func:`identity_suite`
+proves the same function over ``MultiPoly`` symbols.  Theorem 2, for
+instance, is ``r4_point(*_conic_sweep(base, u, v))``: ``thm2-conic`` proves
+that the sweep stays on its conic for a symbolic base point, and
+``r4-factorization`` that (R4) carries the conic onto V_f.  Both symmetric
+variants run ``_conic_lines`` from a seed on their conic, (i, 0) or the
+user's, and the mixed maps are ``_mixed_forward`` and ``_mixed_inverse``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .quintic import (
     FIELD_TAG_QI,
     Point4,
     QuinticCoeffs,
-    TrivialityReport,
     classify,
     f_value,
     residual,
@@ -87,18 +88,14 @@ class Certificate:
     inputs: dict
     point: Point4
     residual: object
-    report: TrivialityReport
+    nontrivial: bool
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.residual or not self.report.on_hypersurface:
+        if self.residual:
             raise CertificateError(
                 f"{self.construction}: residual {self.residual} at {self.point.to_json()}"
             )
-
-    @property
-    def nontrivial(self) -> bool:
-        return self.report.nontrivial
 
     def to_json(self) -> dict:
         return {
@@ -120,7 +117,7 @@ def _quintic_certificate(construction, inputs, a, b, c, point, notes=()) -> Cert
         inputs=inputs,
         point=point,
         residual=residual(f, point),
-        report=classify(f, point),
+        nontrivial=classify(f, point),
         notes=tuple(notes),
     )
 
@@ -526,30 +523,42 @@ def special_curve_rhs(D, t):
     return X**3 - 25 * t**4 * X * X - 2500 * D * D * t**4
 
 
-@lru_cache(maxsize=256)
-def mixed_special_maps(c: int, f: int):
-    """The explicit birational maps between S_{F,G} (F = x^5+cx, G = x^5+fx)
-    and E_{F,G}: Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4, as the pair
-    ((U, V)(X, Y, t), (X, Y)(U, V, t)) of forward and inverse maps.
+def _mixed_forward(D, X, Y, t):
+    """The forward map (U, V)(X, Y, t) from E_{F,G}: Y^2 = X^3 - 25 t^4 X^2
+    - 2500 D^2 t^4 to S_{F,G}, for F = x^5+cx, G = x^5+fx and D = c - f.
 
     The denominator's cubic term is read as -X^3 (the printed lowercase -x^3
     is a typo), and the V component carries +10tX(...) (the printed leading
     minus is inconsistent with the printed inverse); ``mixed_maps_checks``
-    certifies both readings.
-    """
+    certifies both readings."""
+    den = 50 * t**4 * (100 * D * D - 10 * D * X + X * X) - X**3
+    return (
+        (50 * t**4 * X * X + 100 * t * t * Y * D - X**3) / den,
+        10 * t * X * (Y - 5 * t * t * (10 * D - X)) / den,
+    )
+
+
+def _mixed_inverse(D, U, V, t):
+    """The inverse map (X, Y)(U, V, t) from S_{F,G} back to E_{F,G}."""
+    return (
+        10 * D * t * V / (U - 1),
+        -10 * D * t
+        * (D * V**3 - 5 * t * t * (U - 1) * V * (t * V - U) - 5 * t * (U - 1) ** 2 * U)
+        / (U - 1) ** 2,
+    )
+
+
+# Binding D costs next to nothing; the cache stays because the benchmark's
+# traced runs read its cache_info().
+@lru_cache(maxsize=256)
+def mixed_special_maps(c: int, f: int):
+    """The explicit birational maps between S_{F,G} (F = x^5+cx, G = x^5+fx)
+    and E_{F,G}, over any ring: the pair (forward, inverse) of
+    ``_mixed_forward`` and ``_mixed_inverse`` bound to D = c - f."""
     D = c - f
     if D == 0:
         raise DegenerateSpecialization("c = f")
-    X, Y, t, U, V = (MultiPoly.variable(n) for n in ("X", "Y", "t", "U", "V"))
-    den = 50 * t**4 * (100 * D * D - 10 * D * X + X * X) - X**3
-    fwd_U = RationalFunction(50 * t**4 * X * X + 100 * t * t * Y * D - X**3, den)
-    fwd_V = RationalFunction(10 * t * X * (Y - 5 * t * t * (10 * D - X)), den)
-    inv_X = RationalFunction(10 * D * t * V, U - 1)
-    inv_Y = RationalFunction(
-        -10 * D * t * (D * V**3 - 5 * t * t * (U - 1) * V * (t * V - U) - 5 * t * (U - 1) ** 2 * U),
-        (U - 1) ** 2,
-    )
-    return (fwd_U, fwd_V), (inv_X, inv_Y)
+    return partial(_mixed_forward, D), partial(_mixed_inverse, D)
 
 
 def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
@@ -558,9 +567,10 @@ def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
     forward image lies on S_{F,G}, and the inverse undoes the forward map.
     Only -X^3 in the denominator passes, and the printed leading minus on
     the V component fails both."""
-    (fwd_U, fwd_V), inverse = mixed_special_maps(c, f)
-    forward = {"U": fwd_U, "V": fwd_V}
-    rhs = special_curve_rhs(c - f, MultiPoly.variable("t"))
+    forward_map, inverse_map = mixed_special_maps(c, f)
+    X, Y, t, U, V = MultiPoly.variables("X Y t U V")
+    forward = dict(zip("UV", forward_map(X, Y, t)))
+    rhs = special_curve_rhs(c - f, t)
     checks = []
 
     # (ii) forward image satisfies S_{F,G} = 0 modulo Y^2 = rhs
@@ -572,7 +582,7 @@ def mixed_maps_checks(c: int, f: int) -> list[IdentityCheck]:
 
     # (i) inverse(forward) = identity modulo the curve relation
     ok = True
-    for comp, var in zip(inverse, ("X", "Y")):
+    for comp, var in zip(inverse_map(U, V, t), ("X", "Y")):
         diff = comp.substitute(forward) - as_rational_function(MultiPoly.variable(var))
         ok &= _reduce_square(diff.num, "Y", rhs).is_zero
     checks.append(IdentityCheck("inverse(forward) = id (mod curve relation)", ok))
@@ -600,13 +610,13 @@ def mixed_point(
     pk = elliptic.mul(curve, k, point)  # raises PointNotOnCurve for a foreign point
     if pk.is_identity:
         raise MapPole(f"{k}*P is the identity")
-    (fwd_U, fwd_V), _ = mixed_special_maps(c, f)
-    den_at = {"X": pk.x, "Y": pk.y, "t": t}
+    forward, _ = mixed_special_maps(c, f)
     try:
-        U = fwd_U.eval(den_at)
-        V = fwd_V.eval(den_at)
-    except PoleAtPoint as exc:
-        raise MapPole(f"forward map pole at k={k}: {exc}") from exc
+        U, V = forward(pk.x, pk.y, t)
+    except ZeroDivisionError:
+        raise MapPole(
+            f"forward map pole at k={k}: denominator vanishes at X = {pk.x}, t = {t}"
+        ) from None
     if V == 0:
         raise MapPole(f"V = 0 at k={k}")
     if U == 1:
@@ -614,21 +624,14 @@ def mixed_point(
     if t * V - U - 1 == 0:
         raise MapPole(f"tV - U - 1 = 0 at k={k} (degenerate factor)")
     p, q, s, r = _uv_coords(t, U, V)
-    pt = Point4(p, q, r, s, FIELD_TAG_Q)
     Fp, Fr = f_value(0, 0, c, p), f_value(0, 0, c, r)
-    res = Fp + f_value(0, 0, f, q) - Fr - f_value(0, 0, f, s)
-    # triviality for the mixed equation: sides are (F(p), G(q)) vs (F(r), G(s))
-    report = TrivialityReport(
-        on_hypersurface=not res,
-        coordinate_overlap=p == r or q == s,
-        value_overlap=Fp == Fr,
-    )
     return Certificate(
         construction="mixed",
         inputs={"c": c, "f": f, "t": str(t), "k": k},
-        point=pt,
-        residual=res,
-        report=report,
+        point=Point4(p, q, r, s, FIELD_TAG_Q),
+        residual=Fp + f_value(0, 0, f, q) - Fr - f_value(0, 0, f, s),
+        # the sides are (F(p), G(q)) and (F(r), G(s))
+        nontrivial=p != r and q != s and Fp != Fr,
         notes=(f"(U,V) preimage: ({U}, {V})",),
     )
 
@@ -693,31 +696,22 @@ class SymmetricQuinticCoeffs:
 CONSANI_SCHOLTEN = SymmetricQuinticCoeffs(a1=-5, a2=5, a5=1, b1=5, b2=-5)
 
 
-def symmetric_G(coeffs: SymmetricQuinticCoeffs | None = None):
-    """G(U, V, t) of the symmetric family plus its identity certificate:
+def symmetric_G():
+    """G(U, V, t) of the symmetric family, all ten coefficients symbolic,
+    plus its identity certificate:
 
         V^4 (f(p,q) - f(r,s)) + (U - 1)(tV - U - 1) G(U, V, t) = 0
 
-    under the same substitution as the mixed case.  Returns (G, holds,
-    degenerate) where degenerate flags b_{2,0} identically zero."""
+    under the same substitution as the mixed case.  Returns (G, holds)."""
     U, V, t = (MultiPoly.variable(n) for n in ("U", "V", "t"))
-    if coeffs is None:
-        a1, a2, a3, a4, a5, b1, b2, b3, c0, c1 = (
-            MultiPoly.variable(n)
-            for n in ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3", "c0", "c1")
-        )
-        sym = SymmetricQuinticCoeffs(a1, a2, a3, a4, a5, b1, b2, b3, c0, c1)  # type: ignore[arg-type]
-        degenerate = False
-    else:
-        sym = coeffs
-        k0, k1 = sym.b20_brackets()
-        degenerate = k0 == 0 and k1 == 0
+    names = "a1 a2 a3 a4 a5 b1 b2 b3 c0 c1"
+    sym = SymmetricQuinticCoeffs(*MultiPoly.variables(names))  # type: ignore[arg-type]
     G = sym.conic_at(t, U, V)
     p, q, r, s = (MultiPoly.variable(n) for n in "pqrs")
     residual_poly = sym.f_eval(p, q) - sym.f_eval(r, s)
     residual_rf = residual_poly.substitute(dict(zip("pqsr", _uv_coords(t, U, V))))
     lhs = residual_rf * V**4 + (U - 1) * (t * V - U - 1) * G
-    return G, lhs.is_identically_zero, degenerate
+    return G, lhs.is_identically_zero
 
 
 def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
@@ -729,47 +723,34 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
     if not V:
         raise PoleAtPoint("V = 0")
     p, q, r, s = _uv_coords(t, U, V)
-    res = coeffs.f_eval(p, q) - coeffs.f_eval(r, s)
     field = FIELD_TAG_QI if isinstance(p, GaussianRational) else FIELD_TAG_Q
-    point = Point4(p, q, r, s, field)
-    # trivial iff the unordered pairs coincide (f is symmetric)
-    same_pairs = {p, q} == {r, s}
-    report = TrivialityReport(
-        on_hypersurface=not res,
-        coordinate_overlap=same_pairs,
-        value_overlap=same_pairs,
-    )
     return Certificate(
         construction=construction,
         inputs=inputs,
-        point=point,
-        residual=res,
-        report=report,
+        point=Point4(p, q, r, s, field),
+        residual=coeffs.f_eval(p, q) - coeffs.f_eval(r, s),
+        # trivial iff the unordered pairs coincide (f is symmetric)
+        nontrivial={p, q} != {r, s},
         notes=notes,
     )
 
 
-def _lines_through_i(b20, b02, t, u, i):
-    """(U, V)(t, u): the second meet of the line U = i + uV with the conic
-    G(U, V, t) = 0 through (i, 0); ``i`` is the ring's square root of -1."""
-    A = b20 * u * u - t * b20 * u + b02
-    B = 2 * i * b20 * u - (1 + i) * t * b20
-    V = -B / A
-    return i + u * V, V
+def _conic_lines(b20, b02, t, seed, w):
+    """(U, V)(w): the second meet of the conic G(U, V, t) = 0 with the line of
+    slope w, U - U0 = w (V - V0), through its point ``seed`` = (U0, V0).
 
-
-def symmetric_conic_parametrization_qi(coeffs: SymmetricQuinticCoeffs):
-    """(U, V)(t, u) sweeping lines U = i + uV through the Q(i)-point (i, 0)
-    of the conic G(U, V, t) = 0; everything symbolic over Q(i)."""
-    k0, k1 = coeffs.b20_brackets()
-    if k0 == 0 and k1 == 0:
-        raise DegenerateConic("b_{2,0} = 0 identically: G = 0 reduces to b_{0,2} V^2")
-    t, u = MultiPoly.variables("t u", FIELD_QI)
-    return _lines_through_i(coeffs.b20_at(t), coeffs.b02_at(t), t, u, _I_QI)
+    On the line, G(U0 + ws, V0 + s) = G(U0, V0) + B s + A s^2, where B is the
+    gradient of G at the seed dotted with (w, 1); the other root is s = -B/A."""
+    U0, V0 = seed
+    A = b20 * w * w - t * b20 * w + b02
+    B = (2 * b20 * U0 - t * b20 * V0) * w - t * b20 * (U0 + 1) + 2 * b02 * V0
+    s = -B / A
+    return U0 + w * s, V0 + s
 
 
 def symmetric_gaussian_point(coeffs: SymmetricQuinticCoeffs, t, u) -> Certificate:
-    """Q(i)-rational point on f(p,q) = f(r,s) through the conic point (i, 0)."""
+    """Q(i)-rational point on f(p,q) = f(r,s) on the line of slope u through
+    the conic point (i, 0)."""
     t = Fraction(t)
     uq = GaussianRational.of(u)
     k0, k1 = coeffs.b20_brackets()
@@ -779,7 +760,7 @@ def symmetric_gaussian_point(coeffs: SymmetricQuinticCoeffs, t, u) -> Certificat
     if b20 == 0:
         raise DegenerateConic(f"b_{{2,0}}(t) = 0 at t = {t}")
     try:
-        U, V = _lines_through_i(b20, coeffs.b02_at(t), t, uq, GAUSSIAN_I)
+        U, V = _conic_lines(b20, coeffs.b02_at(t), t, (GAUSSIAN_I, 0), uq)
     except ZeroDivisionError:
         raise PoleAtPoint("parametrization denominator vanishes at this u") from None
     return _symmetric_point_from_uv(
@@ -792,41 +773,23 @@ def symmetric_gaussian_point(coeffs: SymmetricQuinticCoeffs, t, u) -> Certificat
     )
 
 
-def symmetric_rational_parametrization(
-    coeffs: SymmetricQuinticCoeffs, t0, seed: tuple
-):
-    """(U, V)(w) sweeping lines U = U0 + w (V - V0) through a rational seed
-    on the conic at t = t0."""
+def symmetric_rational_point(
+    coeffs: SymmetricQuinticCoeffs, t0, seed: tuple, w
+) -> Certificate:
+    """Rational point on f(p,q) = f(r,s) on the line of slope w through a
+    rational seed on the conic C_{t0}."""
     t0 = Fraction(t0)
-    U0 = Fraction(seed[0])
-    V0 = Fraction(seed[1])
+    w = Fraction(w)
+    U0, V0 = Fraction(seed[0]), Fraction(seed[1])
     b20 = coeffs.b20_at(t0)
-    b02 = coeffs.b02_at(t0)
     if b20 == 0:
         raise DegenerateConic(f"b_{{2,0}} vanishes at t = {t0}")
     if coeffs.conic_at(t0, U0, V0) != 0:
         raise SeedNotOnConic(f"seed {seed} is not on the conic at t = {t0}")
-    w = MultiPoly.variable("w")
-    A = b20 * w * w - t0 * b20 * w + b02
-    # gradient of the conic at the seed
-    gu = 2 * b20 * U0 - t0 * b20 * V0
-    gv = -t0 * b20 * (U0 + 1) + 2 * b02 * V0
-    B = gu * w + gv
-    V = V0 + RationalFunction(-B, A)
-    U = U0 + w * (V - V0)
-    return U, V
-
-
-def symmetric_rational_point(
-    coeffs: SymmetricQuinticCoeffs, t0, seed: tuple, w
-) -> Certificate:
-    """Rational point on f(p,q) = f(r,s) from a rational seed on C_{t0}."""
-    t0 = Fraction(t0)
-    w = Fraction(w)
-    Uf, Vf = symmetric_rational_parametrization(coeffs, t0, seed)
-    at = {"w": w}
-    U = Uf.eval(at)
-    V = Vf.eval(at)
+    try:
+        U, V = _conic_lines(b20, coeffs.b02_at(t0), t0, (U0, V0), w)
+    except ZeroDivisionError:
+        raise PoleAtPoint("parametrization denominator vanishes at this w") from None
     return _symmetric_point_from_uv(
         coeffs,
         t0,
@@ -930,9 +893,10 @@ def _check_example1_display() -> bool:
 def _check_cs_display() -> bool:
     """The printed Consani-Scholten parametrization, with the U-numerator's
     +tu correction (the printed -tu fails the conic equation)."""
-    U, V = symmetric_conic_parametrization_qi(CONSANI_SCHOLTEN)
     t, u = MultiPoly.variables("t u", FIELD_QI)
     i = _I_QI
+    cs = CONSANI_SCHOLTEN
+    U, V = _conic_lines(cs.b20_at(t), cs.b02_at(t), t, (i, 0), u)
     den = u * u - t * u + t * t - t + 1
     expected_U = RationalFunction(
         -i * u * u + t * u + i * (t * t - t + 1), den
@@ -960,8 +924,8 @@ def _check_c29_display() -> bool:
     coeffs = SymmetricQuinticCoeffs(
         a1=1, a2=1, a3=1, a4=1, a5=1, b1=1, b2=1, b3=1, c0=1, c1=29
     )
-    U, V = symmetric_rational_parametrization(coeffs, 1, (3, 8))
     w = MultiPoly.variable("w")
+    U, V = _conic_lines(coeffs.b20_at(1), coeffs.b02_at(1), 1, (3, 8), w)
     den = 32 * w * w - 32 * w + 11
     expected_U = RationalFunction(160 * w * w - 144 * w + 33, den)
     expected_V = RationalFunction(8 * (32 * w * w - 24 * w + 5), den)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quinticpoints import cli, quadform, surfaces
+from quinticpoints import cli, poly, quadform, surfaces
 from quinticpoints.exact import CertificateError, factor
 
 
@@ -212,6 +212,9 @@ MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
         ["solve-form", f"--bound={cli.MAX_WITNESS_BOUND}", "1", "2", "3", "-5"],
         ["construct", "thm2", "--a=-1", "--c=1", "--u=1", "--v=1",
          f"--bound={cli.MAX_WITNESS_BOUND}"],
+        # only thm2 reads --bound, so no other family checks it
+        ["construct", "thm1", "--a", "1", "--b", "1", "--c", "1", "--u", "1", "--v", "1",
+         "--bound", "0"],
     ],
 )
 def test_caps_still_print(capsys, argv):
@@ -323,8 +326,10 @@ def _run_cli(*argv, timeout=5):
     ],
 )
 def test_large_prime_coefficients_finish(argv):
-    # factoring by trial division up to the square root ran for hours
-    assert _run_cli(*argv).returncode in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_EXHAUSTED)
+    # factoring by trial division up to the square root ran for hours; the
+    # form is decided, and the thm2 witness box holds no base point
+    expected = {"solve-form": cli.EXIT_OK, "construct": cli.EXIT_EXHAUSTED}[argv[0]]
+    assert _run_cli(*argv).returncode == expected
 
 
 PQ = 10000000000000000051 * 10000000000000000087  # the primes after 10^19
@@ -363,6 +368,34 @@ def test_soluble_a_without_a_base_point_in_the_box_is_exhaustion(tmp_path, capsy
     assert captured.err.startswith("exhausted: ")
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == "construct thm2" and record["outputs"] == payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "thm1", "--a=2", "--b=1", "--c=-1", "--u=1/2", "--v=1"],
+        ["construct", "thm2", "--a=-1", "--c=3", "--u=1", "--v=3", "--bound=30"],
+        ["construct", "gaussian", "--a=1", "--b=-2", "--y=2", "--u=1,1"],
+        ["construct", "fifth-power", "--u=2", "--v=1,1"],
+        ["construct", "mixed", "--c=1", "--f=0", "--t=2/45", "--k=2"],
+        ["construct", "symmetric", "--preset=consani-scholten", "--t=2", "--u=1"],
+        ["construct", "symmetric", "--variant=rational", "--preset=c29", "--t=1",
+         "--seed-point=3,8", "--w=2"],
+        ["question3", "--N=2", "--c=1"],
+        ["scale-integers", "--a=-1", "--points",
+         '[{"p": "-2/5", "q": "1/5", "r": "3/5", "s": "-4/5"}]'],
+    ],
+)
+def test_point_commands_build_no_polynomial(monkeypatch, argv):
+    """Every constructor evaluates its display on scalars; only the
+    identity suite works over polynomials."""
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError(f"{type(self).__name__} built for {argv}")
+
+    monkeypatch.setattr(poly.MultiPoly, "__init__", refuse)
+    monkeypatch.setattr(poly.RationalFunction, "__init__", refuse)
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 def test_cli_import_leaves_numpy_out():

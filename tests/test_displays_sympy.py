@@ -52,11 +52,16 @@ def test_conic_sweep_stays_on_the_conic_of_its_base():
     assert vanishes(x - x0 - u * (z - z0)) and vanishes(y - y0 - v * (z - z0))
 
 
-def test_lines_through_i_meet_the_conic():
-    b20, b02, t, u = sympy.symbols("b20 b02 t u")
-    U, V = surfaces._lines_through_i(b20, b02, t, u, sympy.I)
-    assert vanishes(b20 * (U**2 + 1) - t * b20 * (U * V + V) + b02 * V**2)
-    assert vanishes(U - sympy.I - u * V)
+def test_conic_lines_through_a_symbolic_seed_stay_on_its_conic():
+    b20, b02, t, U0, V0, w = sympy.symbols("b20 b02 t U0 V0 w")
+    U, V = surfaces._conic_lines(b20, b02, t, (U0, V0), w)
+
+    def G(U, V):
+        return b20 * (U**2 + 1) - t * b20 * (U * V + V) + b02 * V**2
+
+    assert vanishes(G(U, V) - G(U0, V0))
+    # the line of slope w through the seed
+    assert vanishes(U - U0 - w * (V - V0))
 
 
 def test_mixed_h_coeffs_cancel_the_mixed_residual():

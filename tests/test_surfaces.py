@@ -12,12 +12,9 @@ from quinticpoints.quintic import (
     FIELD_TAG_QI,
     Point4,
     QuinticCoeffs,
-    TrivialityReport,
     f_value,
     residual,
 )
-
-ON = TrivialityReport(on_hypersurface=True, coordinate_overlap=False, value_overlap=False)
 
 
 class TestCertificate:
@@ -26,12 +23,7 @@ class TestCertificate:
         point = Point4(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         assert residual(QuinticCoeffs(1, 1, 1), point) == 4
         with pytest.raises(CertificateError):
-            surfaces.Certificate("thm1", {}, point, Fraction(4), ON)
-
-    def test_off_hypersurface_report_raises(self):
-        off = TrivialityReport(False, coordinate_overlap=False, value_overlap=False)
-        with pytest.raises(CertificateError):
-            surfaces.Certificate("thm1", {}, Point4(0, 0, 0, 0), Fraction(0), off)
+            surfaces.Certificate("thm1", {}, point, Fraction(4), True)
 
     def test_certificate_error_is_not_invalid_input(self):
         # the CLI and the thm1 spot checks read ValueError as a bad input
@@ -60,7 +52,7 @@ class TestFamiliesCertify:
     def test_thm1(self):
         cert = surfaces.thm1_point(QuinticCoeffs(2, 1, -1), Fraction(1, 2), Fraction(1))
         assert isinstance(cert, surfaces.Certificate)
-        assert cert.residual == 0 and cert.report.on_hypersurface
+        assert cert.residual == 0 and cert.nontrivial
 
     def test_thm2(self):
         cert = surfaces.thm2_point(-1, 3, 1, 3, search_bound=30)
@@ -77,7 +69,7 @@ class TestFamiliesCertify:
     def test_mixed_and_symmetric(self):
         row = surfaces.elliptic.load_table()[0]
         mixed = surfaces.mixed_point(row.d, 0, row.t, 2)
-        assert mixed.residual == 0 and mixed.report.on_hypersurface
+        assert mixed.residual == 0 and mixed.nontrivial
         sym = surfaces.symmetric_rational_point(
             surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29), 1, (3, 8), 2
         )
@@ -133,9 +125,12 @@ C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
             [lambda: surfaces.thm1_point(QuinticCoeffs(2, 1, -1), Fraction(1, 2), 1)],
         ),
         (
-            "_lines_through_i",
-            ["consani-scholten-display"],
-            [lambda: surfaces.symmetric_gaussian_point(surfaces.CONSANI_SCHOLTEN, 2, 1)],
+            "_conic_lines",
+            ["consani-scholten-display", "c29-display"],
+            [
+                lambda: surfaces.symmetric_gaussian_point(surfaces.CONSANI_SCHOLTEN, 2, 1),
+                lambda: surfaces.symmetric_rational_point(C29, 1, (3, 8), 2),
+            ],
         ),
         (
             "_uv_coords",
@@ -155,6 +150,11 @@ C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
             "_conic_sweep",
             ["thm2-conic", "example1-display"],
             [lambda: surfaces.thm2_point(-1, 3, 1, 3, search_bound=30)],
+        ),
+        (
+            "_mixed_forward",
+            ["mixed-maps"],
+            [lambda: surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 2)],
         ),
     ],
 )
@@ -183,8 +183,13 @@ def test_printed_sign_of_the_v_map_fails_its_check_and_mixed_point(monkeypatch):
     maps = surfaces.mixed_special_maps
 
     def printed(c, f):
-        (fwd_U, fwd_V), inverse = maps(c, f)
-        return (fwd_U, -fwd_V), inverse
+        forward, inverse = maps(c, f)
+
+        def negated_v(*args):
+            U, V = forward(*args)
+            return U, -V
+
+        return negated_v, inverse
 
     monkeypatch.setattr(surfaces, "mixed_special_maps", printed)
     assert not any(c.ok for c in surfaces.mixed_maps_checks(1, 0))
