@@ -241,7 +241,7 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-form
 
-def _certify_witness(form, norm, report, witness, pulled) -> None:
+def _certify_witness(form, norm, solvable, witness, pulled) -> None:
     """Check in Python ints, before anything is emitted, that the witness is
     a primitive zero of the normalized form, that its pull-back is a nonzero
     zero of the input form, and that a witness comes with a solvable form."""
@@ -249,7 +249,7 @@ def _certify_witness(form, norm, report, witness, pulled) -> None:
         raise CertificateError(f"{list(witness)} is not a primitive zero of {norm.form}")
     if not any(pulled) or form.value(pulled) != 0:
         raise CertificateError(f"pulled-back witness {list(pulled)} is not a zero of {form}")
-    if not report.solvable:
+    if not solvable:
         raise CertificateError(f"witness {list(witness)} for a form decided unsolvable")
 
 
@@ -258,12 +258,12 @@ def cmd_solve_form(args) -> int:
         return invalid
     try:
         norm = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
-        report = quadform.represents_zero(norm.form)
+        solvable, conditions = quadform.represents_zero(norm.form)
         witness = quadform.find_zero(norm.form, args.bound)
         pulled = norm.pull_back_witness(witness) if witness else None
         if witness:
             form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
-            _certify_witness(form, norm, report, witness, pulled)
+            _certify_witness(form, norm, solvable, witness, pulled)
     except (quadform.ZeroCoefficient, FactorizationExhausted) as exc:
         code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
         return _invalid_input(args, "solve-form", str(exc), type(exc).__name__, code)
@@ -273,15 +273,15 @@ def cmd_solve_form(args) -> int:
     payload = {
         "form": [args.a1, args.a2, args.a3, args.a4],
         "normalized": list(norm.form.coeffs()),
-        "conditions": report.conditions_json(),
-        "solvable": report.solvable,
+        "conditions": conditions,
+        "solvable": solvable,
         "witness": list(witness) if witness else None,
         "witness_original_form": list(pulled) if pulled else None,
     }
     _emit(payload)
     _note(
         f"form {payload['form']} -> normalized {payload['normalized']}: "
-        f"{'solvable' if report.solvable else 'unsolvable'}"
+        f"{'solvable' if solvable else 'unsolvable'}"
     )
     _store_record(args, "solve-form", {"form": payload["form"]}, payload)
     return EXIT_OK

@@ -386,29 +386,16 @@ def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
     )
 
 
-@dataclass(frozen=True)
-class TableRow:
-    d: int
-    t: Fraction
-    x: Fraction
-    y: Fraction
-
-    def point(self) -> CurvePoint:
-        return CurvePoint(self.x, self.y)
-
-    def curve(self) -> WeierstrassCurve:
-        return specialization_curve(self.d, 0, self.t)
-
-
 def _table_cell(text: str) -> Fraction:
     """A canonical table cell, "n/d" or "n", as a Fraction."""
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den or 1))
 
 
-def load_table() -> list[TableRow]:
+def load_table() -> list[tuple[int, Fraction, CurvePoint]]:
     """The 100 rows (D = 1..100) of specialization data shipped with the
-    package: for each D a rational t and a nontorsion point on E_t.
+    package: for each D a rational t and a nontorsion point on E_t, as
+    (D, t, point) triples.
 
     ``verify_row`` certifies a row in ints on the cached integral model of
     E_t: the point satisfies the cross-multiplied equation, and it or one
@@ -421,20 +408,21 @@ def load_table() -> list[TableRow]:
     rows = []
     for line in lines:
         d, t, x, y = line.split(",")
-        rows.append(TableRow(d=int(d), t=_table_cell(t), x=_table_cell(x), y=_table_cell(y)))
+        rows.append((int(d), _table_cell(t), CurvePoint(_table_cell(x), _table_cell(y))))
     return rows
 
 
-def verify_row(row: TableRow) -> dict:
-    """The row's JSON report: whether its point lies on E_t and, if so,
-    whether it has infinite order; status "ok" when both hold."""
-    curve = row.curve()
-    point = row.point()
+def verify_row(row: tuple[int, Fraction, CurvePoint]) -> dict:
+    """The JSON report of a ``load_table`` row (D, t, point): whether the
+    point lies on E_t and, if so, whether it has infinite order; status
+    "ok" when both hold."""
+    d, t, point = row
+    curve = specialization_curve(d, 0, t)
     member = on_curve(curve, point)
     nontor = member and is_nontorsion(curve, point)
     return {
-        "D": row.d,
-        "t": format_rational(row.t),
+        "D": d,
+        "t": format_rational(t),
         "on_curve": member,
         "nontorsion": nontor,
         "status": "ok" if nontor else "FAIL",

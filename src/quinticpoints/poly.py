@@ -548,13 +548,6 @@ def as_rational_function(value, field=FIELD_Q) -> RationalFunction:
     return RationalFunction(MultiPoly.constant(value, field))
 
 
-def is_identically_zero(f) -> bool:
-    """Verdict of every identity check: no surviving numerator terms."""
-    if isinstance(f, MultiPoly):
-        return f.is_zero
-    return as_rational_function(f).is_identically_zero
-
-
 def discriminant_quadratic(p: MultiPoly, var: str) -> MultiPoly:
     """b^2 - 4ac for p = a*var^2 + b*var + c (degree in var exactly 2)."""
     if p.degree(var) != 2:

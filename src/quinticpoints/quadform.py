@@ -5,7 +5,8 @@ three of them, moving one prime at a time over the factorizations that each
 :class:`DiagonalForm` computes once (``exact.factor``).
 :func:`represents_zero` decides by the classical three-condition criterion
 (sign mixing, an odd-prime Legendre condition, a 2-adic Hilbert-symbol
-condition) on a normalized form.  Its independent cross-check, a local
+condition) on a normalized form, and returns its verdict with the
+conditions exactly as ``solve-form`` prints them.  Its independent cross-check, a local
 oracle by exhaustive residue search with Hensel lifting, lives in the tests
 (``tests/oracle.py``), since no command needs it.  :func:`find_zero` looks
 for an explicit witness in a box by meeting in the middle over Python ints.
@@ -118,46 +119,16 @@ def normalize(a1: int, a2: int, a3: int, a4: int) -> NormalizationResult:
 # ---------------------------------------------------------------------------
 # the three-condition decision procedure
 
-@dataclass(frozen=True)
-class OddPrimeCondition:
-    p: int
-    applies: bool  # (d/p^2 | p) = 1, so the Legendre test is binding
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SolvabilityReport:
-    form: DiagonalForm
-    signs_ok: bool
-    odd_primes: tuple[OddPrimeCondition, ...]
-    two_adic_applies: bool
-    two_adic_ok: bool
-
-    @property
-    def solvable(self) -> bool:
-        return (
-            self.signs_ok
-            and all(c.ok for c in self.odd_primes)
-            and self.two_adic_ok
-        )
-
-    def conditions_json(self) -> dict:
-        return {
-            "signs": self.signs_ok,
-            "odd_primes": [
-                {"p": c.p, "applies": c.applies, "ok": c.ok} for c in self.odd_primes
-            ],
-            "two_adic": {"applies": self.two_adic_applies, "ok": self.two_adic_ok},
-        }
-
-
-def represents_zero(form: DiagonalForm) -> SolvabilityReport:
-    """Decide nontrivial solvability of the normalized form.
+def represents_zero(form: DiagonalForm) -> tuple[bool, dict]:
+    """Decide nontrivial solvability of the normalized form: the verdict
+    and the conditions, in the JSON shape that ``solve-form`` prints.
 
     The form represents zero iff (1) the signs are mixed, (2) for each odd
     prime p dividing two coefficients with (d/p^2 | p) = 1 the complementary
     pair satisfies (-a_i*a_j | p) = 1, and (3) when d = 1 (mod 8) or
-    d/4 = 1 (mod 8), the 2-adic symbol (-a1*a2, -a2*a3)_2 equals 1.
+    d/4 = 1 (mod 8), the 2-adic symbol (-a1*a2, -a2*a3)_2 equals 1.  An odd
+    prime's condition "applies" when (d/p^2 | p) = 1, so that its Legendre
+    test binds.
     """
     if not form.is_normalized():
         raise NotNormalized(f"{form} is not normalized")
@@ -176,18 +147,17 @@ def represents_zero(form: DiagonalForm) -> SolvabilityReport:
         unit_pair = [a for a in cs if a % p != 0]
         applies = legendre(d // (p * p), p) == 1
         ok = (not applies) or legendre(-unit_pair[0] * unit_pair[1], p) == 1
-        odd_conditions.append(OddPrimeCondition(p=p, applies=applies, ok=ok))
+        odd_conditions.append({"p": p, "applies": applies, "ok": ok})
 
     two_applies = d % 8 == 1 or (d % 4 == 0 and (d // 4) % 8 == 1)
     two_ok = (not two_applies) or hilbert2(-cs[0] * cs[1], -cs[1] * cs[2]) == 1
 
-    return SolvabilityReport(
-        form=form,
-        signs_ok=signs_ok,
-        odd_primes=tuple(odd_conditions),
-        two_adic_applies=two_applies,
-        two_adic_ok=two_ok,
-    )
+    solvable = signs_ok and all(c["ok"] for c in odd_conditions) and two_ok
+    return solvable, {
+        "signs": signs_ok,
+        "odd_primes": odd_conditions,
+        "two_adic": {"applies": two_applies, "ok": two_ok},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +222,8 @@ def ternary_base_solution(a: int, search_bound: int = 60):
     if witness is None:
         return None
     x1, x2, x3, x4 = norm.pull_back_witness(witness)
-    if x4 == 0:
-        return None  # cannot happen: the ternary part is definite
-    if x1 * x1 + 2 * x2 * x2 + 3 * x3 * x3 != -5 * a * x4 * x4:
+    # x4 = 0 cannot happen, as the ternary part is definite
+    if x4 == 0 or x1 * x1 + 2 * x2 * x2 + 3 * x3 * x3 != -5 * a * x4 * x4:
         raise CertificateError(f"base {(x1, x2, x3)}/{x4} is off x^2+2y^2+3z^2 = {-5 * a}")
     return Fraction(x1, x4), Fraction(x2, x4), Fraction(x3, x4)
 

@@ -15,9 +15,6 @@ from .exact import (
 )
 from .poly import FIELD_Q, MultiPoly
 
-FIELD_TAG_Q = "Q"
-FIELD_TAG_QI = "Qi"
-
 
 class DegenerateQuintic(ValueError):
     """a = b = c = 0 collapses f to X^5 and the hypersurface degenerates."""
@@ -76,13 +73,13 @@ class Point4:
     q: object
     r: object
     s: object
-    field: str = FIELD_TAG_Q
+    field: str = FIELD_Q
 
     def coords(self):
         return (self.p, self.q, self.r, self.s)
 
     def is_integral(self) -> bool:
-        if self.field != FIELD_TAG_Q:
+        if self.field != FIELD_Q:
             return False
         return all(Fraction(v).denominator == 1 for v in self.coords())
 
@@ -102,7 +99,7 @@ class Point4:
             _scalar_from_json(obj["q"]),
             _scalar_from_json(obj["r"]),
             _scalar_from_json(obj["s"]),
-            obj.get("field", FIELD_TAG_Q),
+            obj.get("field", FIELD_Q),
         )
 
 
@@ -129,7 +126,7 @@ def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Poi
     F = (a d^2, b d^3, c d^4) satisfies F(d x) = d^5 f(x), so d-scaled points
     are integral points on V_F."""
     points = list(points)
-    if any(pt.field != FIELD_TAG_Q for pt in points):
+    if any(pt.field != FIELD_Q for pt in points):
         raise ValueError("integer scaling applies to rational points only")
     for pt in points:
         if residual(f, pt):
@@ -137,18 +134,15 @@ def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Poi
     d = lcm_of_denominators([c for pt in points for c in pt.coords()])
     big = QuinticCoeffs(f.a * d * d, f.b * d**3, f.c * d**4)
     scaled = [
-        Point4(pt.p * d, pt.q * d, pt.r * d, pt.s * d, FIELD_TAG_Q) for pt in points
+        Point4(pt.p * d, pt.q * d, pt.r * d, pt.s * d, FIELD_Q) for pt in points
     ]
     return big, scaled
 
 
-def residual_symbolic(f: QuinticCoeffs | None = None, field=FIELD_Q) -> MultiPoly:
-    """f(p)+f(q)-f(r)-f(s) as a polynomial in p, q, r, s; coefficients a, b, c
-    stay symbolic when no concrete f is given."""
+def residual_symbolic(field=FIELD_Q) -> MultiPoly:
+    """f(p)+f(q)-f(r)-f(s) as a polynomial in p, q, r, s and the symbolic
+    coefficients a, b, c of f."""
     p, q, r, s = (MultiPoly.variable(n, field) for n in "pqrs")
-    if f is None:
-        a, b, c = (MultiPoly.variable(n, field) for n in "abc")
-    else:
-        a, b, c = f.a, f.b, f.c
+    a, b, c = (MultiPoly.variable(n, field) for n in "abc")
     fp, fq, fr, fs = (f_value(a, b, c, x) for x in (p, q, r, s))
     return fp + fq - fr - fs

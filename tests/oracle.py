@@ -178,7 +178,7 @@ def agreement_sweep(max_abs: int) -> dict:
     disagreements = []
     solvable = 0
     for form in forms:
-        jones = represents_zero(form).solvable
+        jones, _ = represents_zero(form)
         if jones:
             solvable += 1
         if jones != local_oracle(form):

@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -286,7 +285,8 @@ class TestSolveForm:
         decide = quadform.represents_zero
 
         def unsolvable(form):
-            return dataclasses.replace(decide(form), signs_ok=False)
+            _, conditions = decide(form)
+            return False, {**conditions, "signs": False}
 
         monkeypatch.setattr(quadform, "represents_zero", unsolvable)
         assert cli.main(["solve-form", "1", "2", "3", "-5"]) == cli.EXIT_FAIL

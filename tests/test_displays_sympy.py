@@ -67,12 +67,9 @@ def test_conic_lines_through_a_symbolic_seed_stay_on_its_conic():
 def test_mixed_h_coeffs_cancel_the_mixed_residual():
     """V^4 (F(p) + G(q) - F(r) - G(s)) + (tV - U - 1) H(U, V, t) = 0 with
     all six coefficients of F = x^5+ax^3+bx^2+cx, G = x^5+dx^3+ex^2+fx free,
-    under (p, q, s, r) = _uv_coords(t, U, V) as in mixed_point."""
+    H = _mixed_h and (p, q, s, r) = _uv_coords(t, U, V) as in mixed_point."""
     a, b, c, d, e, f, t, U, V = sympy.symbols("a b c d e f t U V")
-    H = sum(
-        coeff * U**i * V**j
-        for (i, j), coeff in surfaces._mixed_h_coeffs(a, b, c, d, e, f, t).items()
-    )
+    H = surfaces._mixed_h(a, b, c, d, e, f, U, V, t)
     p, q, s, r = surfaces._uv_coords(t, U, V)
 
     def F(x):

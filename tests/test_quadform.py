@@ -87,20 +87,20 @@ class TestNormalize:
 
 class TestRepresentsZero:
     def test_example1_form(self):
-        report = represents_zero(DiagonalForm(1, 2, 3, -5))
-        assert report.solvable
+        solvable, _ = represents_zero(DiagonalForm(1, 2, 3, -5))
+        assert solvable
         # witness (0,1,1,1) from the worked example
         assert DiagonalForm(1, 2, 3, -5).value((0, 1, 1, 1)) == 0
 
     def test_all_positive(self):
-        report = represents_zero(DiagonalForm(1, 2, 3, 10))
-        assert not report.signs_ok and not report.solvable
+        solvable, conditions = represents_zero(DiagonalForm(1, 2, 3, 10))
+        assert not conditions["signs"] and not solvable
 
     def test_two_adic_failure(self):
-        report = represents_zero(DiagonalForm(1, 2, 3, -10))
-        assert report.signs_ok
-        assert report.two_adic_applies and not report.two_adic_ok
-        assert not report.solvable
+        solvable, conditions = represents_zero(DiagonalForm(1, 2, 3, -10))
+        assert conditions["signs"]
+        assert conditions["two_adic"] == {"applies": True, "ok": False}
+        assert not solvable
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
@@ -111,9 +111,8 @@ class TestRepresentsZero:
     def test_odd_prime_condition_applies(self):
         # p = 7 divides two coefficients of (1, 3, 7, -7): d = -147,
         # d/49 = -3, (-3|7) = 1 so the condition binds; (-1*3|7) = (-3|7)=1
-        report = represents_zero(DiagonalForm(1, 3, 7, -7))
-        conditions = {c.p: c for c in report.odd_primes}
-        assert 7 in conditions
+        _, conditions = represents_zero(DiagonalForm(1, 3, 7, -7))
+        assert conditions["odd_primes"] == [{"p": 7, "applies": True, "ok": True}]
 
     @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 80))
     @settings(max_examples=60, deadline=None)
@@ -128,9 +127,7 @@ class TestRepresentsZero:
         scaled = list(base)
         scaled[seed % 4] *= k * k
         n2 = normalize(*scaled)
-        assert (
-            represents_zero(n1.form).solvable == represents_zero(n2.form).solvable
-        )
+        assert represents_zero(n1.form)[0] == represents_zero(n2.form)[0]
 
 
 def _mod8_sum_of_three_squares_oracle(target):
@@ -172,7 +169,7 @@ class TestFindZero:
             if w is not None:
                 assert form.value(w) == 0
                 assert math.gcd(*w) == 1
-                assert represents_zero(form).solvable
+                assert represents_zero(form)[0]
 
     def test_deterministic(self):
         form = DiagonalForm(1, 1, -1, -1)
@@ -231,7 +228,7 @@ class TestTernary:
         # Dickson's criterion at n = -5a) agrees with the decision procedure
         assert not ternary_solvable(0)
         for a in range(-5000, 0):
-            decided = represents_zero(normalize(1, 2, 3, 5 * a).form).solvable
+            decided, _ = represents_zero(normalize(1, 2, 3, 5 * a).form)
             assert ternary_solvable(a) == decided, a
 
     def test_abstract_congruence_alone_admits_minus_eight(self):
@@ -264,10 +261,12 @@ class TestParametrizeConic:
         assert _ternary(*sol) == 5
 
     def test_base_not_on_conic(self, monkeypatch):
-        # (1, 1, 1, 1) is no zero of (1, 2, 3, -5): its pull-back is off the conic
-        monkeypatch.setattr(quadform, "find_zero", lambda form, bound: (1, 1, 1, 1))
-        with pytest.raises(CertificateError):
-            ternary_base_solution(-1)
+        # neither is a zero of (1, 2, 3, -5): the pull-back of (1, 1, 1, 1) is
+        # off the conic, and that of (1, 0, 0, 0) has x4 = 0
+        for witness in ((1, 1, 1, 1), (1, 0, 0, 0)):
+            monkeypatch.setattr(quadform, "find_zero", lambda form, bound: witness)
+            with pytest.raises(CertificateError):
+                ternary_base_solution(-1)
 
     @given(
         st.fractions(min_value=-15, max_value=15, max_denominator=5),

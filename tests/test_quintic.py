@@ -195,8 +195,8 @@ class TestResidualSymbolic:
         assert (lhs - rhs).is_identically_zero
 
     def test_zero_point(self):
-        res = residual_symbolic(QuinticCoeffs(1, 2, 3))
-        assert res.eval({"p": 0, "q": 0, "r": 0, "s": 0}) == 0
+        res = residual_symbolic()
+        assert res.eval({"p": 0, "q": 0, "r": 0, "s": 0, "a": 1, "b": 2, "c": 3}) == 0
 
 
 def test_point_json_round_trip():

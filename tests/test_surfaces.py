@@ -7,9 +7,8 @@ import pytest
 import quinticpoints
 from quinticpoints import surfaces
 from quinticpoints.exact import CertificateError, GaussianRational
-from quinticpoints.poly import MultiPoly
+from quinticpoints.poly import FIELD_QI, MultiPoly
 from quinticpoints.quintic import (
-    FIELD_TAG_QI,
     Point4,
     QuinticCoeffs,
     f_value,
@@ -60,15 +59,15 @@ class TestFamiliesCertify:
 
     def test_gaussian_and_fifth_power(self):
         cert = surfaces.gaussian_point((1, -2, 0), 2, GaussianRational(1, 1))
-        assert not cert.residual and cert.point.field == FIELD_TAG_QI
+        assert not cert.residual and cert.point.field == FIELD_QI
         five = surfaces.fifth_power_solution(GaussianRational(2, 0), GaussianRational(1, 1))
         p, q, r, s = five.point.coords()
         assert not five.residual
         assert five.nontrivial == (not ({p, q} & {r, s}) and not ({p**5, q**5} & {r**5, s**5}))
 
     def test_mixed_and_symmetric(self):
-        row = surfaces.elliptic.load_table()[0]
-        mixed = surfaces.mixed_point(row.d, 0, row.t, 2)
+        d, t, _ = surfaces.elliptic.load_table()[0]
+        mixed = surfaces.mixed_point(d, 0, t, 2)
         assert mixed.residual == 0 and mixed.nontrivial
         sym = surfaces.symmetric_rational_point(
             surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29), 1, (3, 8), 2
@@ -90,6 +89,28 @@ class TestBrokenPipelinesFail:
         assert check.detail.startswith("CertificateError")
 
 
+def test_the_suite_runs_every_check_in_registry_order():
+    assert [c.name for c in surfaces.identity_suite()] == [
+        "r1-factorization",
+        "thm1-surface",
+        "r4-factorization",
+        "thm2-conic",
+        "question3-identity",
+        "gaussian-parametrization",
+        "gaussian-residual",
+        "fifth-power",
+        "norm-lift",
+        "mixed-h",
+        "mixed-maps",
+        "symmetric-g",
+        "example1-display",
+        "consani-scholten-display",
+        "c29-display",
+        "corollary1-scaling",
+        "thm1-spotchecks",
+    ]
+
+
 def _perturb_first(display):
     def perturbed(*args):
         first, *rest = display(*args)
@@ -98,7 +119,14 @@ def _perturb_first(display):
     return perturbed
 
 
+def _plus_one(display):
+    return lambda *args: display(*args) + 1
+
+
+# a display that returns one value, not a tuple, is perturbed by adding 1
+PERTURBATIONS = {"_mixed_h": _plus_one}
 C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
+_, D1_T, _ = surfaces.elliptic.load_table()[0]  # t of the shipped D = 1 row
 
 
 @pytest.mark.parametrize(
@@ -136,7 +164,7 @@ C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
             "_uv_coords",
             ["mixed-h", "symmetric-g", "consani-scholten-display", "c29-display"],
             [
-                lambda: surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 2),
+                lambda: surfaces.mixed_point(1, 0, D1_T, 2),
                 lambda: surfaces.symmetric_gaussian_point(surfaces.CONSANI_SCHOLTEN, 2, 1),
                 lambda: surfaces.symmetric_rational_point(C29, 1, (3, 8), 2),
             ],
@@ -154,8 +182,10 @@ C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
         (
             "_mixed_forward",
             ["mixed-maps"],
-            [lambda: surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 2)],
+            [lambda: surfaces.mixed_point(1, 0, D1_T, 2)],
         ),
+        # mixed_point evaluates the maps, not H, so no constructor runs _mixed_h
+        ("_mixed_h", ["mixed-h", "mixed-maps"], []),
     ],
 )
 def test_a_wrong_display_fails_its_check_and_its_constructor(
@@ -165,7 +195,8 @@ def test_a_wrong_display_fails_its_check_and_its_constructor(
     identity suite proves: perturb it, and both must fail."""
     for cached in (surfaces.thm2_parametrize, surfaces.mixed_special_maps):
         cached.cache_clear()
-    monkeypatch.setattr(surfaces, display, _perturb_first(getattr(surfaces, display)))
+    perturb = PERTURBATIONS.get(display, _perturb_first)
+    monkeypatch.setattr(surfaces, display, perturb(getattr(surfaces, display)))
     try:
         failed = {c.name for c in surfaces.identity_suite() if not c.ok}
         assert failed == set(checks)
@@ -192,10 +223,10 @@ def test_printed_sign_of_the_v_map_fails_its_check_and_mixed_point(monkeypatch):
         return negated_v, inverse
 
     monkeypatch.setattr(surfaces, "mixed_special_maps", printed)
-    assert not any(c.ok for c in surfaces.mixed_maps_checks(1, 0))
+    assert surfaces._check_mixed_maps() is False
     assert {c.name for c in surfaces.identity_suite(only="mixed") if not c.ok} == {"mixed-maps"}
     with pytest.raises(CertificateError):
-        surfaces.mixed_point(1, 0, surfaces.elliptic.load_table()[0].t, 1)
+        surfaces.mixed_point(1, 0, D1_T, 1)
 
 
 def test_no_assert_statements_in_src():
