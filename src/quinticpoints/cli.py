@@ -3,7 +3,8 @@
 JSON goes to stdout (stable key order, no timestamps), human summaries to
 stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure
 (a trivial point, or a failed exact certificate: CertificateError), 2 invalid
-input or degenerate construction, 3 search exhausted (a table search, a
+input, degenerate construction or a number too long to print (OutputTooLarge:
+Python's limit on int to str), 3 search exhausted (a table search, a
 thm2 base-point box with no witness: NoBasePointFound, or a coefficient
 that ``exact.factor`` could not split: FactorizationExhausted).
 ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
@@ -19,7 +20,6 @@ and ``datetime`` are imported only by ``table --jobs`` and ``--store``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -130,9 +130,7 @@ def cmd_verify_identities(args) -> int:
         message = f"--only {args.only!r} matches no check name"
         return _invalid_input(args, "verify-identities", message)
     payload = {
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
-        ],
+        "checks": [c._asdict() for c in checks],
         "all_pass": all(c.ok for c in checks),
         "count": len(checks),
     }
@@ -172,9 +170,8 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
         raw = json.loads(args.coeffs)
         if not isinstance(raw, dict):
             raise ValueError("--coeffs must be a JSON object")
-        known = {f.name for f in dataclasses.fields(surfaces.SymmetricQuinticCoeffs)}
         for key, value in raw.items():
-            if key not in known:
+            if key not in surfaces.SymmetricQuinticCoeffs._fields:
                 raise ValueError(f"--coeffs: unknown coefficient {key!r}")
             if type(value) is not int:
                 raise ValueError(f"--coeffs: {key} must be an integer, got {value!r}")
@@ -241,12 +238,12 @@ def cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # solve-form
 
-def _certify_witness(form, norm, solvable, witness, pulled) -> None:
+def _certify_witness(form, normal, solvable, witness, pulled) -> None:
     """Check in Python ints, before anything is emitted, that the witness is
     a primitive zero of the normalized form, that its pull-back is a nonzero
     zero of the input form, and that a witness comes with a solvable form."""
-    if norm.form.value(witness) != 0 or math.gcd(*witness) != 1:
-        raise CertificateError(f"{list(witness)} is not a primitive zero of {norm.form}")
+    if normal.value(witness) != 0 or math.gcd(*witness) != 1:
+        raise CertificateError(f"{list(witness)} is not a primitive zero of {normal}")
     if not any(pulled) or form.value(pulled) != 0:
         raise CertificateError(f"pulled-back witness {list(pulled)} is not a zero of {form}")
     if not solvable:
@@ -257,13 +254,13 @@ def cmd_solve_form(args) -> int:
     if (invalid := _bad_witness_bound(args, "solve-form")) is not None:
         return invalid
     try:
-        norm = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
-        solvable, conditions = quadform.represents_zero(norm.form)
-        witness = quadform.find_zero(norm.form, args.bound)
-        pulled = norm.pull_back_witness(witness) if witness else None
+        normal, back = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
+        solvable, conditions = quadform.represents_zero(normal)
+        witness = quadform.find_zero(normal, args.bound)
+        pulled = quadform.pull_back_witness(back, witness) if witness else None
         if witness:
             form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
-            _certify_witness(form, norm, solvable, witness, pulled)
+            _certify_witness(form, normal, solvable, witness, pulled)
     except (quadform.ZeroCoefficient, FactorizationExhausted) as exc:
         code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
         return _invalid_input(args, "solve-form", str(exc), type(exc).__name__, code)
@@ -272,7 +269,7 @@ def cmd_solve_form(args) -> int:
         return EXIT_FAIL
     payload = {
         "form": [args.a1, args.a2, args.a3, args.a4],
-        "normalized": list(norm.form.coeffs()),
+        "normalized": list(normal),
         "conditions": conditions,
         "solvable": solvable,
         "witness": list(witness) if witness else None,
@@ -334,8 +331,11 @@ def cmd_table(args) -> int:
     if (invalid := _below_one(args, "table", "dmax", "bound", "tmax", "jobs")) is not None:
         return invalid
     if args.mode == "verify":
-        rows = elliptic.load_table()[: args.dmax]
-        results = _run_parallel(elliptic.verify_row, rows, args.jobs)
+        rows = elliptic.load_table()
+        if args.dmax > len(rows):
+            message = f"--dmax must be <= {len(rows)}, the rows of the shipped table"
+            return _invalid_input(args, "table", message)
+        results = _run_parallel(elliptic.verify_row, rows[: args.dmax], args.jobs)
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
@@ -523,6 +523,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover
         return EXIT_FAIL
+    except ValueError as exc:  # only Python's limit on int to str, hit before any output
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        return _invalid_input(args, args.command, str(exc), "OutputTooLarge")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ nothing can wrap."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -62,29 +62,18 @@ def _b_invariants(a1, a2, a3, a4, a6):
     )
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q."""
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.  No
+    ``__slots__``: ``integral`` and ``discriminant`` are cached in the
+    instance ``__dict__``."""
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-    a6: Fraction
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+    def __new__(cls, a1, a2, a3, a4, a6):
+        return super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a6)))
 
     @cached_property
     def integral(self) -> tuple[int, int, int, int, int, int]:
-        """``integral_model(self)``, computed once per curve; the cache lives
-        in the instance __dict__, which the frozen dataclass allows."""
+        """``integral_model(self)``, computed once per curve and cached in
+        the instance ``__dict__``."""
         return integral_model(self)
 
     @cached_property
@@ -107,21 +96,21 @@ class WeierstrassCurve:
         )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(namedtuple("CurvePoint", "x y")):
     """Affine point or the identity (point at infinity)."""
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __new__(cls, x=None, y=None):
+        if (x is None) != (y is None):
             raise ValueError("affine points need both coordinates")
-        if self.x is not None:
-            if not isinstance(self.x, Fraction):
-                object.__setattr__(self, "x", Fraction(self.x))
-            if not isinstance(self.y, Fraction):
-                object.__setattr__(self, "y", Fraction(self.y))
+        if x is not None:
+            # the group law passes Fractions, and Fraction(x) of one is slow
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            if not isinstance(y, Fraction):
+                y = Fraction(y)
+        return super().__new__(cls, x, y)
 
     @property
     def is_identity(self) -> bool:
@@ -271,8 +260,7 @@ def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int, int, in
     the lcm of the denominators is factored.  When ``factor`` cannot split
     that lcm, u is the lcm itself: integral but not minimal, which is all
     Nagell-Lutz needs."""
-    coeffs = curve.coeffs()
-    dens = [(a.denominator, w) for a, w in zip(coeffs, _WEIGHTS) if a.denominator > 1]
+    dens = [(a.denominator, w) for a, w in zip(curve, _WEIGHTS) if a.denominator > 1]
     lcm = math.lcm(*(d for d, _ in dens))
     u = 1
     try:
@@ -287,7 +275,7 @@ def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int, int, in
                 d, v = d // p, v + 1
             k = max(k, -(-v // w))
         u *= p**k
-    return (u, *(a.numerator * u**w // a.denominator for a, w in zip(coeffs, _WEIGHTS)))
+    return (u, *(a.numerator * u**w // a.denominator for a, w in zip(curve, _WEIGHTS)))
 
 
 # odd primes below 200, smallest first: most curves of the specialization
@@ -392,6 +380,21 @@ def _table_cell(text: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
+def _table_lines() -> list[str]:
+    """The data lines of the shipped table, its header checked."""
+    text = (resources.files("quinticpoints") / "data" / "table_d100.csv").read_text()
+    header, *lines = text.splitlines()
+    if header != "D,t,X,Y":
+        raise ValueError(f"table header {header!r} is not 'D,t,X,Y'")
+    return lines
+
+
+def _table_row(line: str) -> tuple[int, Fraction, CurvePoint]:
+    """One data line "D,t,X,Y" of the table as a (D, t, point) triple."""
+    d, t, x, y = line.split(",")
+    return int(d), _table_cell(t), CurvePoint(_table_cell(x), _table_cell(y))
+
+
 def load_table() -> list[tuple[int, Fraction, CurvePoint]]:
     """The 100 rows (D = 1..100) of specialization data shipped with the
     package: for each D a rational t and a nontorsion point on E_t, as
@@ -401,15 +404,15 @@ def load_table() -> list[tuple[int, Fraction, CurvePoint]]:
     E_t: the point satisfies the cross-multiplied equation, and it or one
     of its first multiples has a non-integral image (``is_nontorsion``).
     The shipped rows need at most three multiples."""
-    text = (resources.files("quinticpoints") / "data" / "table_d100.csv").read_text()
-    header, *lines = text.splitlines()
-    if header != "D,t,X,Y":
-        raise ValueError(f"table header {header!r} is not 'D,t,X,Y'")
-    rows = []
-    for line in lines:
-        d, t, x, y = line.split(",")
-        rows.append((int(d), _table_cell(t), CurvePoint(_table_cell(x), _table_cell(y))))
-    return rows
+    return [_table_row(line) for line in _table_lines()]
+
+
+def table_row(d: int) -> tuple[int, Fraction, CurvePoint] | None:
+    """The shipped (D, t, point) row of D alone, parsed without the other
+    rows; None when D has no row."""
+    prefix = f"{d},"
+    line = next((line for line in _table_lines() if line.startswith(prefix)), None)
+    return None if line is None else _table_row(line)
 
 
 def verify_row(row: tuple[int, Fraction, CurvePoint]) -> dict:

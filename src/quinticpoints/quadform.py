@@ -21,7 +21,7 @@ triples; the lines through a base point that sweep out the conic are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,33 +36,26 @@ class NotNormalized(ValueError):
     """The decision procedure requires a normalized form."""
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
-    """a1*X1^2 + ... + a4*X4^2, coefficients nonzero integers."""
+class DiagonalForm(namedtuple("DiagonalForm", "a1 a2 a3 a4")):
+    """a1*X1^2 + ... + a4*X4^2, coefficients nonzero integers.  No
+    ``__slots__``: ``factors`` is cached in the instance ``__dict__``."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-
-    def __post_init__(self):
-        if 0 in self.coeffs():
+    def __new__(cls, a1, a2, a3, a4):
+        if 0 in (a1, a2, a3, a4):
             raise ZeroCoefficient("all four coefficients must be nonzero")
-
-    def coeffs(self) -> tuple[int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4)
+        return super().__new__(cls, a1, a2, a3, a4)
 
     @cached_property
     def factors(self) -> tuple[dict[int, int], ...]:
         """``exact.factor`` of each coefficient, computed once per form."""
-        return tuple(factor(a) for a in self.coeffs())
+        return tuple(factor(a) for a in self)
 
     @property
     def discriminant(self) -> int:
         return self.a1 * self.a2 * self.a3 * self.a4
 
     def value(self, xs) -> int:
-        return sum(a * x * x for a, x in zip(self.coeffs(), xs))
+        return sum(a * x * x for a, x in zip(self, xs))
 
     def is_normalized(self) -> bool:
         """Every coefficient squarefree, and no prime divides three of them."""
@@ -71,29 +64,24 @@ class DiagonalForm:
         return all(sum(p in f for f in self.factors) < 3 for p in set().union(*self.factors))
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
-    """Normalized form plus, per slot, the rational multiplier carrying a
-    solution of the normalized form back to a solution of the input form."""
-
-    form: DiagonalForm
-    back_scalings: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def pull_back_witness(self, witness) -> tuple[int, int, int, int]:
-        """Map a normalized-form zero to a primitive zero of the input form."""
-        scaled = [m * w for m, w in zip(self.back_scalings, witness)]
-        lcm = math.lcm(*(s.denominator for s in scaled)) if any(scaled) else 1
-        ints = [int(s * lcm) for s in scaled]
-        g = math.gcd(*ints)
-        if g:
-            ints = [v // g for v in ints]
-        return tuple(ints)
+def pull_back_witness(back, witness) -> tuple[int, int, int, int]:
+    """Map a zero of the normalized form to a primitive zero of the input
+    form, by the per-slot multipliers ``back`` that ``normalize`` returns."""
+    scaled = [m * w for m, w in zip(back, witness)]
+    lcm = math.lcm(*(s.denominator for s in scaled)) if any(scaled) else 1
+    ints = [int(s * lcm) for s in scaled]
+    g = math.gcd(*ints)
+    if g:
+        ints = [v // g for v in ints]
+    return tuple(ints)
 
 
-def normalize(a1: int, a2: int, a3: int, a4: int) -> NormalizationResult:
+def normalize(a1: int, a2: int, a3: int, a4: int) -> tuple[DiagonalForm, tuple[Fraction, ...]]:
     """Make every coefficient squarefree and leave no prime in three of them,
     one prime p at a time; both moves preserve solvability and are recorded
-    as per-variable scalings.
+    as per-variable scalings.  Returns (form, back): the normalized form and,
+    per slot, the rational multiplier carrying a zero of it back to a zero
+    of the input form (``pull_back_witness``).
 
     With p^e_i in a_i, slot i first drops p^(2*(e_i//2)) (a*X^2 = s*(kX)^2,
     so back_i /= p^(e_i//2)).  If p is then left in three or four slots,
@@ -111,9 +99,9 @@ def normalize(a1: int, a2: int, a3: int, a4: int) -> NormalizationResult:
             back[i] /= p ** (e // 2 + (e % 2 if flip else 0))
             if e % 2 != flip:
                 kept[i][p] = 1
-    result = DiagonalForm(*((1 if a > 0 else -1) * math.prod(k) for a, k in zip(form.coeffs(), kept)))
+    result = DiagonalForm(*((1 if a > 0 else -1) * math.prod(k) for a, k in zip(form, kept)))
     result.__dict__["factors"] = tuple(kept)  # known already: never factor twice
-    return NormalizationResult(result, tuple(back))
+    return result, tuple(back)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +120,9 @@ def represents_zero(form: DiagonalForm) -> tuple[bool, dict]:
     """
     if not form.is_normalized():
         raise NotNormalized(f"{form} is not normalized")
-    cs = form.coeffs()
     d = form.discriminant
 
-    signs_ok = any(a > 0 for a in cs) and any(a < 0 for a in cs)
+    signs_ok = any(a > 0 for a in form) and any(a < 0 for a in form)
 
     odd_conditions = []
     odd_primes = sorted(
@@ -144,13 +131,13 @@ def represents_zero(form: DiagonalForm) -> tuple[bool, dict]:
         if p != 2 and sum(p in f for f in form.factors) == 2
     )
     for p in odd_primes:
-        unit_pair = [a for a in cs if a % p != 0]
+        unit_pair = [a for a in form if a % p != 0]
         applies = legendre(d // (p * p), p) == 1
         ok = (not applies) or legendre(-unit_pair[0] * unit_pair[1], p) == 1
         odd_conditions.append({"p": p, "applies": applies, "ok": ok})
 
     two_applies = d % 8 == 1 or (d % 4 == 0 and (d // 4) % 8 == 1)
-    two_ok = (not two_applies) or hilbert2(-cs[0] * cs[1], -cs[1] * cs[2]) == 1
+    two_ok = (not two_applies) or hilbert2(-form.a1 * form.a2, -form.a2 * form.a3) == 1
 
     solvable = signs_ok and all(c["ok"] for c in odd_conditions) and two_ok
     return solvable, {
@@ -174,7 +161,7 @@ def find_zero(form: DiagonalForm, search_bound: int):
     the sign of a nonzero coordinate keeps a zero a zero and only ranks it
     later, so the first zero is among the nonnegative ones searched here.
     """
-    a1, a2, a3, a4 = form.coeffs()
+    a1, a2, a3, a4 = form
     box = range(search_bound + 1)
     right: dict[int, list[tuple[int, int]]] = {}
     for x3 in box:
@@ -217,11 +204,11 @@ def ternary_base_solution(a: int, search_bound: int = 60):
     quaternary witness search, un-scaled back from the normalized form; None
     when the box holds no witness.  A base off the conic raises
     CertificateError."""
-    norm = normalize(1, 2, 3, 5 * a)
-    witness = find_zero(norm.form, search_bound)
+    form, back = normalize(1, 2, 3, 5 * a)
+    witness = find_zero(form, search_bound)
     if witness is None:
         return None
-    x1, x2, x3, x4 = norm.pull_back_witness(witness)
+    x1, x2, x3, x4 = pull_back_witness(back, witness)
     # x4 = 0 cannot happen, as the ternary part is definite
     if x4 == 0 or x1 * x1 + 2 * x2 * x2 + 3 * x3 * x3 != -5 * a * x4 * x4:
         raise CertificateError(f"base {(x1, x2, x3)}/{x4} is off x^2+2y^2+3z^2 = {-5 * a}")

@@ -4,7 +4,7 @@ points."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (
@@ -33,17 +33,15 @@ def f_value(a, b, c, x):
     return ((x2 + a) * x2 + b * x + c) * x
 
 
-@dataclass(frozen=True)
-class QuinticCoeffs:
+class QuinticCoeffs(namedtuple("QuinticCoeffs", "a b c")):
     """f(X) = X^5 + a X^3 + b X^2 + c X with integer a, b, c, not all zero."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0 and self.c == 0:
+    def __new__(cls, a, b, c):
+        if a == 0 and b == 0 and c == 0:
             raise DegenerateQuintic("need at least one of a, b, c nonzero")
+        return super().__new__(cls, a, b, c)
 
     def __call__(self, x):
         """Exact f(x) for a rational or Gaussian-rational x."""
@@ -65,18 +63,13 @@ def _scalar_from_json(v):
     return parse_rational(v)
 
 
-@dataclass(frozen=True)
-class Point4:
+class Point4(namedtuple("Point4", "p q r s field", defaults=(FIELD_Q,))):
     """A candidate point (p, q, r, s), over Q or over Q(i)."""
 
-    p: object
-    q: object
-    r: object
-    s: object
-    field: str = FIELD_Q
+    __slots__ = ()
 
     def coords(self):
-        return (self.p, self.q, self.r, self.s)
+        return self[:4]
 
     def is_integral(self) -> bool:
         if self.field != FIELD_Q:

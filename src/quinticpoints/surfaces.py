@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -82,23 +82,18 @@ class SeedNotOnConic(ValueError):
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(
+    namedtuple("Certificate", "construction inputs point residual nontrivial notes")
+):
     """Exact evidence attached to every emitted point; a point off its
     hypersurface cannot get one."""
 
-    construction: str
-    inputs: dict
-    point: Point4
-    residual: object
-    nontrivial: bool
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.residual:
-            raise CertificateError(
-                f"{self.construction}: residual {self.residual} at {self.point.to_json()}"
-            )
+    def __new__(cls, construction, inputs, point, residual, nontrivial, notes=()):
+        if residual:
+            raise CertificateError(f"{construction}: residual {residual} at {point.to_json()}")
+        return super().__new__(cls, construction, inputs, point, residual, nontrivial, notes)
 
     def to_json(self) -> dict:
         return {
@@ -430,11 +425,12 @@ def mixed_point(
     t = Fraction(t)
     curve = elliptic.specialization_curve(c, f, t)
     if point is None:
-        point = next((pt for d, row_t, pt in elliptic.load_table() if (d, row_t) == (D, t)), None)
-        if point is None:
+        row = elliptic.table_row(D)
+        if row is None or row[1] != t:
             raise ValueError(
                 f"no shipped table row for D = {D} at t = {t}; pass a point explicitly"
             )
+        point = row[2]
     pk = elliptic.mul(curve, k, point)  # raises PointNotOnCurve for a foreign point
     if pk.is_identity:
         raise MapPole(f"{k}*P is the identity")
@@ -467,21 +463,13 @@ def mixed_point(
 # ---------------------------------------------------------------------------
 # symmetric quintics f(p, q) = f(r, s)
 
-@dataclass(frozen=True)
-class SymmetricQuinticCoeffs:
+class SymmetricQuinticCoeffs(
+    namedtuple("SymmetricQuinticCoeffs", "a1 a2 a3 a4 a5 b1 b2 b3 c0 c1", defaults=(0,) * 10)
+):
     """f(x,y) = sum a_i (x^i + y^i) + xy sum b_i (x^i + y^i)
-    + x^2 y^2 (c0 (x+y) + c1)."""
+    + x^2 y^2 (c0 (x+y) + c1), integer coefficients, each 0 by default."""
 
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
-    a4: int = 0
-    a5: int = 0
-    b1: int = 0
-    b2: int = 0
-    b3: int = 0
-    c0: int = 0
-    c1: int = 0
+    __slots__ = ()
 
     def f_eval(self, x, y):
         total = 0
@@ -579,7 +567,7 @@ def symmetric_gaussian_point(coeffs: SymmetricQuinticCoeffs, t, u) -> Certificat
         U,
         V,
         "symmetric-gaussian",
-        {"coeffs": coeffs.__dict__, "t": str(t), "u": uq.to_json()},
+        {"coeffs": coeffs._asdict(), "t": str(t), "u": uq.to_json()},
     )
 
 
@@ -606,7 +594,7 @@ def symmetric_rational_point(
         U,
         V,
         "symmetric-rational",
-        {"coeffs": coeffs.__dict__, "t0": str(t0), "seed": [str(Fraction(s)) for s in seed], "w": str(w)},
+        {"coeffs": coeffs._asdict(), "t0": str(t0), "seed": [str(Fraction(s)) for s in seed], "w": str(w)},
     )
 
 
@@ -915,11 +903,7 @@ def _check_thm1_spotchecks(seed: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    detail: str = ""
+IdentityCheck = namedtuple("IdentityCheck", "name ok detail")
 
 
 def identity_suite(only=None, seed: int = 0) -> list[IdentityCheck]:

@@ -130,14 +130,13 @@ def local_oracle(form: DiagonalForm) -> bool:
     discriminant."""
     if not form.is_normalized():
         raise NotNormalized(f"{form} is not normalized")
-    cs = form.coeffs()
-    if all(a > 0 for a in cs) or all(a < 0 for a in cs):
+    if all(a > 0 for a in form) or all(a < 0 for a in form):
         return False
     odd_primes = [p for p in factor(form.discriminant) if p != 2]
     for p in odd_primes:
-        if not _zp_isotropic_odd(cs, p):
+        if not _zp_isotropic_odd(form, p):
             return False
-    return _z2_isotropic(cs)
+    return _z2_isotropic(form)
 
 
 def normalized_forms_up_to(max_abs: int):
@@ -182,7 +181,7 @@ def agreement_sweep(max_abs: int) -> dict:
         if jones:
             solvable += 1
         if jones != local_oracle(form):
-            disagreements.append(form.coeffs())
+            disagreements.append(tuple(form))
     return {
         "max_abs": max_abs,
         "forms": len(forms),
@@ -206,7 +205,7 @@ def congruence_sweep(a_min: int = -200, a_max: int = -1) -> dict:
     disagreements = []
     for a in range(a_min, a_max + 1):
         jones = ternary_solvable(a)
-        oracle_verdict = local_oracle(normalize(1, 2, 3, 5 * a).form)
+        oracle_verdict = local_oracle(normalize(1, 2, 3, 5 * a)[0])
         if jones != oracle_verdict:
             disagreements.append(a)
         if not jones:

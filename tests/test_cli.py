@@ -236,6 +236,8 @@ def test_caps_still_print(capsys, argv):
           f"--bound={cli.MAX_WITNESS_BOUND + 1}"], "construct thm2", "--bound must be <= 500"),
         (["solve-form", "1", "2", "3", "-5", f"--bound={cli.MAX_WITNESS_BOUND + 1}"],
          "solve-form", "--bound must be <= 500"),
+        (["table", "--mode=verify", "--dmax=101"], "table",
+         "--dmax must be <= 100, the rows of the shipped table"),
     ],
 )
 def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):
@@ -263,6 +265,40 @@ def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
     assert payload["error"] == error and captured.err.startswith("invalid input: ")
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == command and record["outputs"] == payload
+
+
+_HUGE_DENOMINATOR = "1" + "0" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["construct", "thm1", "--a", "1" * 600, "--b=1", "--c=1", "--u=3", "--v=2"],
+         "construct"),
+        (["construct", "gaussian", "--a=1", "--b=1", "--c=1", "--u=3", "--y", "7" * 900],
+         "construct"),
+        (["scale-integers", "--a=1", "--b=1", "--c=1", "--points",
+          json.dumps([dict.fromkeys("pqrs", f"1/{_HUGE_DENOMINATOR}")])], "scale-integers"),
+    ],
+)
+def test_output_past_the_int_to_str_limit_is_invalid_input(tmp_path, capsys, argv, command):
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_INVALID
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "OutputTooLarge"
+    assert payload["message"].startswith("Exceeds the limit (4300 digits)")
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
+
+
+def test_other_value_errors_still_propagate(monkeypatch):
+    def fail(args):
+        raise ValueError("not a conversion error")
+
+    monkeypatch.setitem(cli.COMMANDS, "question3", ("", fail, cli._question3_arguments))
+    with pytest.raises(ValueError, match="not a conversion error"):
+        cli.main(["question3"])
 
 
 class TestSolveForm:
@@ -401,10 +437,13 @@ def test_point_commands_build_no_polynomial(monkeypatch, argv):
 def test_cli_import_leaves_numpy_out():
     src = Path(__file__).resolve().parents[1] / "src"
     # nor a parallel table's concurrent.futures, a stored call's datetime or
-    # csv; surfaces stays a top-level import, which ops forked after it skip
+    # csv, nor dataclasses and the inspect it loads (the value types are
+    # named tuples); surfaces stays a top-level import, which ops forked
+    # after it skip
     code = (
         "import quinticpoints.cli, sys; "
-        "assert not {'numpy', 'concurrent.futures', 'datetime', 'csv'} & set(sys.modules); "
+        "assert not {'numpy', 'concurrent.futures', 'datetime', 'csv', 'dataclasses', 'inspect'}"
+        " & set(sys.modules); "
         "assert 'quinticpoints.surfaces' in sys.modules"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -226,15 +226,15 @@ class TestIntegerArithmetic:
     def test_integral_model_is_ints(self, curve):
         u, *ints = curve.integral
         assert all(type(v) is int for v in (u, *ints))
-        assert ints == [u**w * a for a, w in zip(curve.coeffs(), (1, 2, 3, 4, 6))]
+        assert ints == [u**w * a for a, w in zip(curve, (1, 2, 3, 4, 6))]
         # minimal: dividing u by any of its primes leaves some u^w a_w non-integral
         for p in factor(u):
-            assert any((u // p) ** w * a % 1 for a, w in zip(curve.coeffs(), (1, 2, 3, 4, 6)))
+            assert any((u // p) ** w * a % 1 for a, w in zip(curve, (1, 2, 3, 4, 6)))
 
     @given(curves)
     @settings(max_examples=100, deadline=None)
     def test_discriminant_matches_fraction_formula(self, curve):
-        b2, b4, b6, b8 = _b_invariants(*curve.coeffs())
+        b2, b4, b6, b8 = _b_invariants(*curve)
         assert curve.discriminant == -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     @given(curves, small_rationals, small_rationals)

@@ -14,6 +14,7 @@ from quinticpoints.quadform import (
     ZeroCoefficient,
     find_zero,
     normalize,
+    pull_back_witness,
     question3_family,
     represents_zero,
     ternary_base_solution,
@@ -33,28 +34,28 @@ EXAMPLE1_BASE = (Fraction(0), Fraction(1), Fraction(1))  # on x^2+2y^2+3z^2 = 5
 
 class TestNormalize:
     def test_already_normalized(self):
-        n = normalize(1, 2, 3, -5)
-        assert n.form.coeffs() == (1, 2, 3, -5)
-        assert n.back_scalings == (1, 1, 1, 1)
+        form, back = normalize(1, 2, 3, -5)
+        assert form == (1, 2, 3, -5)
+        assert back == (1, 1, 1, 1)
 
     def test_square_extraction(self):
-        n = normalize(4, 2, 3, -5)
-        assert n.form.coeffs() == (1, 2, 3, -5)
-        assert n.back_scalings[0] == Fraction(1, 2)
+        form, back = normalize(4, 2, 3, -5)
+        assert form == (1, 2, 3, -5)
+        assert back[0] == Fraction(1, 2)
 
     def test_question3_shape(self):
         g1 = 3
-        n = normalize(1, 2, 3, -5 * (5 * g1) ** 2)
-        assert n.form.coeffs() == (1, 2, 3, -5)
-        assert n.back_scalings[3] == Fraction(1, 5 * g1)
+        form, back = normalize(1, 2, 3, -5 * (5 * g1) ** 2)
+        assert form == (1, 2, 3, -5)
+        assert back[3] == Fraction(1, 5 * g1)
 
     def test_three_common_factor(self):
-        n = normalize(3, 6, 15, 7)
-        assert n.form.is_normalized()
+        form, back = normalize(3, 6, 15, 7)
+        assert form.is_normalized()
         # solvability-preserving: witnesses pull back to the original form
-        w = find_zero(n.form, 30)
+        w = find_zero(form, 30)
         if w:
-            pulled = n.pull_back_witness(w)
+            pulled = pull_back_witness(back, w)
             assert sum(a * x * x for a, x in zip((3, 6, 15, 7), pulled)) == 0
 
     def test_zero_rejected(self):
@@ -77,11 +78,11 @@ class TestNormalize:
     )
     @settings(max_examples=150, deadline=None)
     def test_invariants_hold_after(self, coeffs):
-        n = normalize(*coeffs)
-        assert n.form.is_normalized()
-        assert n.form.factors == tuple(factor(a) for a in n.form.coeffs())
+        form, back = normalize(*coeffs)
+        assert form.is_normalized()
+        assert form.factors == tuple(factor(a) for a in form)
         # a_i X_i^2 with X_i = back_i Y_i is c * n_i Y_i^2, one c for all slots
-        ratios = {a * b * b / m for a, b, m in zip(coeffs, n.back_scalings, n.form.coeffs())}
+        ratios = {a * b * b / m for a, b, m in zip(coeffs, back, form)}
         assert len(ratios) == 1
 
 
@@ -123,11 +124,11 @@ class TestRepresentsZero:
         base = [rng.choice([-1, 1]) * rng.randint(1, 20) for _ in range(4)]
         if all(b > 0 for b in base) or all(b < 0 for b in base):
             base[0] = -base[0]
-        n1 = normalize(*base)
+        form1, _ = normalize(*base)
         scaled = list(base)
         scaled[seed % 4] *= k * k
-        n2 = normalize(*scaled)
-        assert represents_zero(n1.form)[0] == represents_zero(n2.form)[0]
+        form2, _ = normalize(*scaled)
+        assert represents_zero(form1)[0] == represents_zero(form2)[0]
 
 
 def _mod8_sum_of_three_squares_oracle(target):
@@ -197,7 +198,7 @@ class TestFindZero:
 def _find_zero_reference(form, bound):
     """O(bound^3): every (x1, x2, x3) of the box, x4 solved with math.isqrt,
     the first primitive zero by max-norm, then 0, 1, -1, 2, -2, ... per slot."""
-    a1, a2, a3, a4 = form.coeffs()
+    a1, a2, a3, a4 = form
     box = range(-bound, bound + 1)
     hits = []
     for x1 in box:
@@ -228,7 +229,7 @@ class TestTernary:
         # Dickson's criterion at n = -5a) agrees with the decision procedure
         assert not ternary_solvable(0)
         for a in range(-5000, 0):
-            decided, _ = represents_zero(normalize(1, 2, 3, 5 * a).form)
+            decided, _ = represents_zero(normalize(1, 2, 3, 5 * a)[0])
             assert ternary_solvable(a) == decided, a
 
     def test_abstract_congruence_alone_admits_minus_eight(self):

@@ -1,4 +1,5 @@
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,19 @@ class TestFamiliesCertify:
             surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29), 1, (3, 8), 2
         )
         assert sym.residual == 0 and sym.nontrivial
+
+    def test_mixed_reads_only_its_own_table_row(self, monkeypatch):
+        rows = surfaces.elliptic.load_table()
+        assert [surfaces.elliptic.table_row(d) for d in range(1, 101)] == rows
+        monkeypatch.setattr(surfaces.elliptic, "load_table", None)
+        d, t, _ = rows[87]
+        assert surfaces.mixed_point(d, 0, t, 2).nontrivial
+
+    @pytest.mark.parametrize("c, f, t", [(101, 0, 1), (0, 1, 1), (-3, 0, 2), (1, 0, 2)])
+    def test_mixed_without_a_table_row(self, c, f, t):
+        message = f"no shipped table row for D = {c - f} at t = {t}; pass a point explicitly"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            surfaces.mixed_point(c, f, t, 1)
 
     def test_mixed_rejects_a_point_off_its_curve(self):
         # the check is elliptic.mul's own, made at entry, for every k
