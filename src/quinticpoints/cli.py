@@ -331,11 +331,11 @@ def cmd_table(args) -> int:
     if (invalid := _below_one(args, "table", "dmax", "bound", "tmax", "jobs")) is not None:
         return invalid
     if args.mode == "verify":
-        rows = elliptic.load_table()
-        if args.dmax > len(rows):
+        rows = elliptic.load_table(args.dmax)
+        if args.dmax > len(rows):  # then rows holds the whole table
             message = f"--dmax must be <= {len(rows)}, the rows of the shipped table"
             return _invalid_input(args, "table", message)
-        results = _run_parallel(elliptic.verify_row, rows[: args.dmax], args.jobs)
+        results = _run_parallel(elliptic.verify_row, rows, args.jobs)
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
@@ -526,7 +526,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # only Python's limit on int to str, hit before any output
         if not str(exc).startswith("Exceeds the limit"):
             raise
-        return _invalid_input(args, args.command, str(exc), "OutputTooLarge")
+        command = f"construct {args.family}" if args.command == "construct" else args.command
+        # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
+        message = str(exc).split(";")[0]
+        return _invalid_input(args, command, message, "OutputTooLarge")
 
 
 if __name__ == "__main__":

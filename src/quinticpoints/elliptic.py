@@ -32,7 +32,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .exact import FactorizationExhausted, factor, format_rational, rational_square_root
+from .exact import (
+    FactorizationExhausted,
+    checked_make,
+    factor,
+    format_rational,
+    rational_square_root,
+)
 
 
 class SingularCurve(ArithmeticError):
@@ -69,6 +75,8 @@ class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
 
     def __new__(cls, a1, a2, a3, a4, a6):
         return super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a6)))
+
+    _make = classmethod(checked_make)
 
     @cached_property
     def integral(self) -> tuple[int, int, int, int, int, int]:
@@ -111,6 +119,8 @@ class CurvePoint(namedtuple("CurvePoint", "x y")):
             if not isinstance(y, Fraction):
                 y = Fraction(y)
         return super().__new__(cls, x, y)
+
+    _make = classmethod(checked_make)
 
     @property
     def is_identity(self) -> bool:
@@ -395,16 +405,16 @@ def _table_row(line: str) -> tuple[int, Fraction, CurvePoint]:
     return int(d), _table_cell(t), CurvePoint(_table_cell(x), _table_cell(y))
 
 
-def load_table() -> list[tuple[int, Fraction, CurvePoint]]:
+def load_table(n: int | None = None) -> list[tuple[int, Fraction, CurvePoint]]:
     """The 100 rows (D = 1..100) of specialization data shipped with the
     package: for each D a rational t and a nontorsion point on E_t, as
-    (D, t, point) triples.
+    (D, t, point) triples.  With ``n``, only the first n rows are parsed.
 
     ``verify_row`` certifies a row in ints on the cached integral model of
     E_t: the point satisfies the cross-multiplied equation, and it or one
     of its first multiples has a non-integral image (``is_nontorsion``).
     The shipped rows need at most three multiples."""
-    return [_table_row(line) for line in _table_lines()]
+    return [_table_row(line) for line in _table_lines()[:n]]
 
 
 def table_row(d: int) -> tuple[int, Fraction, CurvePoint] | None:

@@ -48,6 +48,12 @@ class CertificateError(RuntimeError):
     not of its input, so deliberately not a ValueError."""
 
 
+def checked_make(cls, iterable):
+    """A ``_make`` for a named tuple whose ``__new__`` checks its fields:
+    namedtuple's own ``_make``, and ``_replace`` through it, would skip it."""
+    return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # parsing / formatting ("n/d" is the wire format used everywhere downstream)
 

@@ -207,7 +207,11 @@ class MultiPoly:
         if isinstance(other, RationalFunction):
             return NotImplemented
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.field)
+            k = _coerce(self.field, other)
+            if not k:
+                return MultiPoly.zero(self.field)
+            terms = {e: c * k for e, c in self.terms.items()}
+            return MultiPoly(self.field, self.vars, terms, _skip_clean=True)
         a, b, vars = self._unified(other)
         if not a or not b:
             return MultiPoly.zero(self.field)

@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import CertificateError, factor, hilbert2, legendre
+from .exact import CertificateError, checked_make, factor, hilbert2, legendre
 
 
 class ZeroCoefficient(ValueError):
@@ -44,6 +44,8 @@ class DiagonalForm(namedtuple("DiagonalForm", "a1 a2 a3 a4")):
         if 0 in (a1, a2, a3, a4):
             raise ZeroCoefficient("all four coefficients must be nonzero")
         return super().__new__(cls, a1, a2, a3, a4)
+
+    _make = classmethod(checked_make)
 
     @cached_property
     def factors(self) -> tuple[dict[int, int], ...]:

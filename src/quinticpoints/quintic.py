@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from .exact import (
     GaussianRational,
+    checked_make,
     format_rational,
     lcm_of_denominators,
     parse_rational,
@@ -42,6 +43,8 @@ class QuinticCoeffs(namedtuple("QuinticCoeffs", "a b c")):
         if a == 0 and b == 0 and c == 0:
             raise DegenerateQuintic("need at least one of a, b, c nonzero")
         return super().__new__(cls, a, b, c)
+
+    _make = classmethod(checked_make)
 
     def __call__(self, x):
         """Exact f(x) for a rational or Gaussian-rational x."""
@@ -132,10 +135,9 @@ def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Poi
     return big, scaled
 
 
-def residual_symbolic(field=FIELD_Q) -> MultiPoly:
-    """f(p)+f(q)-f(r)-f(s) as a polynomial in p, q, r, s and the symbolic
-    coefficients a, b, c of f."""
-    p, q, r, s = (MultiPoly.variable(n, field) for n in "pqrs")
-    a, b, c = (MultiPoly.variable(n, field) for n in "abc")
+def residual_symbolic() -> MultiPoly:
+    """f(p)+f(q)-f(r)-f(s) over Q, as a polynomial in p, q, r, s and the
+    symbolic coefficients a, b, c of f."""
+    p, q, r, s, a, b, c = MultiPoly.variables("p q r s a b c")
     fp, fq, fr, fs = (f_value(a, b, c, x) for x in (p, q, r, s))
     return fp + fq - fr - fs

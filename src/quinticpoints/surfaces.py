@@ -9,7 +9,10 @@ Fraction or Q(i) scalars and builds no polynomial, and :func:`identity_suite`
 proves the same function over ``MultiPoly`` symbols.  Theorem 2, for
 instance, is ``r4_point(*_conic_sweep(base, u, v))``: ``thm2-conic`` proves
 that the sweep stays on its conic for a symbolic base point, and
-``r4-factorization`` that (R4) carries the conic onto V_f.  Both symmetric
+``r4-factorization`` that (R4) carries the conic onto V_f.  Likewise
+``gaussian-residual`` proves only p + q = r + s = y and G(p, y, r) = 0 for
+the Q(i) coordinates, and ``r1-factorization`` that the residual on that
+cross-section is (x - z)(x - y + z) G(x, y, z).  Both symmetric
 variants run ``_conic_lines`` from a seed on their conic, (i, 0) or the
 user's, and the mixed maps are ``_mixed_forward`` and ``_mixed_inverse``.
 Every check of the suite is a ``_check_*`` function that returns one bool,
@@ -28,7 +31,7 @@ from functools import lru_cache, partial
 
 from . import elliptic
 from .elliptic import CurvePoint, DegenerateSpecialization
-from .exact import GAUSSIAN_I, CertificateError, GaussianRational
+from .exact import GAUSSIAN_I, CertificateError, GaussianRational, checked_make
 from .poly import (
     FIELD_Q,
     FIELD_QI,
@@ -94,6 +97,8 @@ class Certificate(
         if residual:
             raise CertificateError(f"{construction}: residual {residual} at {point.to_json()}")
         return super().__new__(cls, construction, inputs, point, residual, nontrivial, notes)
+
+    _make = classmethod(checked_make)
 
     def to_json(self) -> dict:
         return {
@@ -716,9 +721,13 @@ def _check_gaussian_parametrization() -> bool:
 
 
 def _check_gaussian_residual() -> bool:
-    coords = _gaussian_coords(*MultiPoly.variables("a b y u", FIELD_QI), _I_QI)
-    res = residual_symbolic(field=FIELD_QI).substitute(dict(zip("pqrs", coords)))
-    return res.is_identically_zero
+    """p + q = r + s = y and G(p, y, r) = 0, so the parametrization lies on
+    every V_f; this proves the family only together with
+    ``r1-factorization``, which factors the residual on that cross-section."""
+    a, b, y, u = MultiPoly.variables("a b y u", FIELD_QI)
+    p, q, r, s = _gaussian_coords(a, b, y, u, _I_QI)
+    g = _surface_g(FIELD_QI).substitute({"x": p, "y": y, "z": r})
+    return all(e.is_identically_zero for e in (p + q - y, r + s - y, g))
 
 
 def _check_fifth_power_identity() -> bool:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -274,9 +275,9 @@ _HUGE_DENOMINATOR = "1" + "0" * 1500
     "argv, command",
     [
         (["construct", "thm1", "--a", "1" * 600, "--b=1", "--c=1", "--u=3", "--v=2"],
-         "construct"),
+         "construct thm1"),
         (["construct", "gaussian", "--a=1", "--b=1", "--c=1", "--u=3", "--y", "7" * 900],
-         "construct"),
+         "construct gaussian"),
         (["scale-integers", "--a=1", "--b=1", "--c=1", "--points",
           json.dumps([dict.fromkeys("pqrs", f"1/{_HUGE_DENOMINATOR}")])], "scale-integers"),
     ],
@@ -288,8 +289,18 @@ def test_output_past_the_int_to_str_limit_is_invalid_input(tmp_path, capsys, arg
     payload = json.loads(line)
     assert payload["error"] == "OutputTooLarge"
     assert payload["message"].startswith("Exceeds the limit (4300 digits)")
+    assert "set_int_max_str_digits" not in payload["message"]
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == command and record["outputs"] == payload
+
+
+def test_unfiltered_verify_identities_stdout_is_unchanged(monkeypatch, capsys):
+    """The golden set runs only --only= argvs, so the whole suite's stdout
+    is pinned here."""
+    monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+    assert cli.main(["verify-identities"]) == cli.EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d897dd48186fa8a4c24eb5d8a1f246d7e2a608aef5a71973d70d2cd7ab4f0d03"
 
 
 def test_other_value_errors_still_propagate(monkeypatch):

@@ -109,3 +109,22 @@ def test_ansatz_values_put_the_r2_point_on_e():
     a0, a1 = sympy.Poly(sympy.expand(sympy.numer(sympy.together(E))), T).all_coeffs()[::-1]
     assert a1 != 0
     assert vanishes(a0 + a1 * root)
+
+
+def test_mixed_maps_invert_each_other_and_land_on_h():
+    """Modulo Y^2 = X^3 - 25 t^4 X^2 - 2500 D^2 t^4, with D, X and t free:
+    the forward image of (X, Y) makes H = _mixed_h for F = x^5 + Dx and
+    G = x^5 vanish, and the inverse map undoes the forward one."""
+    D, X, Y, t, U, V = sympy.symbols("D X Y t U V")
+    curve = Y**2 - (X**3 - 25 * t**4 * X**2 - 2500 * D**2 * t**4)
+
+    def vanishes_on_e(expr) -> bool:
+        num = sympy.expand(sympy.numer(sympy.together(expr)))
+        return sympy.rem(num, curve, Y) == 0
+
+    image = dict(zip((U, V), surfaces._mixed_forward(D, X, Y, t)))
+    H = surfaces._mixed_h(0, 0, D, 0, 0, 0, U, V, t)
+    assert vanishes_on_e(H.subs(image))
+    X_back, Y_back = surfaces._mixed_inverse(D, U, V, t)
+    assert vanishes_on_e(X_back.subs(image) - X)
+    assert vanishes_on_e(Y_back.subs(image) - Y)

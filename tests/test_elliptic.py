@@ -346,6 +346,10 @@ class TestTable:
         assert len(rows) == 100
         assert [d for d, _, _ in rows] == list(range(1, 101))
 
+    @pytest.mark.parametrize("n", [1, 37, 100])
+    def test_first_n_rows_parse_alone(self, n):
+        assert load_table(n) == load_table()[:n]
+
     def test_all_rows_verify(self):
         reports = [verify_row(row) for row in load_table()]
         assert all(r["status"] == "ok" and r["on_curve"] and r["nontorsion"] for r in reports)

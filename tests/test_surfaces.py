@@ -14,6 +14,7 @@ from quinticpoints.quintic import (
     QuinticCoeffs,
     f_value,
     residual,
+    residual_symbolic,
 )
 
 
@@ -138,7 +139,7 @@ def _plus_one(display):
 
 
 # a display that returns one value, not a tuple, is perturbed by adding 1
-PERTURBATIONS = {"_mixed_h": _plus_one}
+PERTURBATIONS = {"_mixed_h": _plus_one, "_surface_g": _plus_one}
 C29 = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
 _, D1_T, _ = surfaces.elliptic.load_table()[0]  # t of the shipped D = 1 row
 
@@ -200,6 +201,8 @@ _, D1_T, _ = surfaces.elliptic.load_table()[0]  # t of the shipped D = 1 row
         ),
         # mixed_point evaluates the maps, not H, so no constructor runs _mixed_h
         ("_mixed_h", ["mixed-h", "mixed-maps"], []),
+        # gaussian-residual proves G(p, y, r) = 0; no constructor builds G
+        ("_surface_g", ["r1-factorization", "thm1-surface", "gaussian-residual"], []),
     ],
 )
 def test_a_wrong_display_fails_its_check_and_its_constructor(
@@ -220,6 +223,32 @@ def test_a_wrong_display_fails_its_check_and_its_constructor(
     finally:
         for cached in (surfaces.thm2_parametrize, surfaces.mixed_special_maps):
             cached.cache_clear()
+
+
+def test_gaussian_coords_lie_on_every_v_f():
+    """The full residual substitution that gaussian-residual reduces to
+    p + q = r + s = y and G(p, y, r) = 0, run over MultiPoly with a, b, c
+    free."""
+    a, b, y, u = MultiPoly.variables("a b y u", FIELD_QI)
+    coords = surfaces._gaussian_coords(a, b, y, u, surfaces._I_QI)
+    res = residual_symbolic().to_field(FIELD_QI).substitute(dict(zip("pqrs", coords)))
+    assert res.is_identically_zero
+
+
+def test_a_shift_that_keeps_both_sums_fails_the_gaussian_checks(monkeypatch):
+    """p + 1 and q - 1 keep p + q = r + s = y, so only G(p, y, r) = 0 can
+    catch the shift in gaussian-residual."""
+    coords = surfaces._gaussian_coords
+
+    def shifted(*args):
+        p, q, r, s = coords(*args)
+        return p + 1, q - 1, r, s
+
+    monkeypatch.setattr(surfaces, "_gaussian_coords", shifted)
+    failed = {c.name for c in surfaces.identity_suite() if not c.ok}
+    assert failed == {"gaussian-residual", "gaussian-parametrization"}
+    with pytest.raises(CertificateError):
+        surfaces.gaussian_point((1, -2, 0), 2, GaussianRational(1, 1))
 
 
 def test_printed_sign_of_the_v_map_fails_its_check_and_mixed_point(monkeypatch):

@@ -63,3 +63,25 @@ def test_value_type(kind):
     if bad is not None:
         with pytest.raises(error):
             bad()
+
+
+# kind -> (make a value, fields its constructor refuses, what that raises)
+REPLACED = {
+    "QuinticCoeffs": (lambda: QuinticCoeffs(1, 0, 0), {"a": 0}, DegenerateQuintic),
+    "CurvePoint": (lambda: elliptic.CurvePoint(1, 2), {"y": None}, ValueError),
+    "WeierstrassCurve": (_cached_curve, {"a6": "not a rational"}, ValueError),
+    "DiagonalForm": (lambda: quadform.normalize(4, 2, 3, -5)[0], {"a2": 0},
+                     quadform.ZeroCoefficient),
+    "Certificate": (_certificate, {"residual": 1}, CertificateError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPLACED))
+def test_make_and_replace_keep_the_checks(kind):
+    make, bad, error = REPLACED[kind]
+    value = make()
+    assert value._replace() == value
+    with pytest.raises(error):
+        value._replace(**bad)
+    with pytest.raises(error):
+        type(value)._make({**value._asdict(), **bad}.values())
