@@ -10,20 +10,23 @@ that ``exact.factor`` could not split: FactorizationExhausted).
 ``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
 ledger; only the timestamp differs between identical reruns.
 
-Each subcommand's arguments are written once, in ``COMMANDS``.  A call
-builds only the parser of the subcommand it names, since the tree of all six
-costs more than the cheapest call's work; ``--help``, no command or an
-unknown one get the full tree (``build_parser()``).  ``concurrent.futures``
-and ``datetime`` are imported only by ``table --jobs`` and ``--store``.
+Each subcommand's arguments are written once, in ``COMMANDS``, and one small
+parser reads every call against that table as argparse read it, building
+nothing first: building argparse's parser cost more than the cheapest
+call's work.  ``--help`` and usage errors are written from the same table.
+``concurrent.futures`` and ``datetime`` are imported only by ``table
+--jobs`` and ``--store``.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
+import types
 from fractions import Fraction
 
 from . import __version__, elliptic, quadform, surfaces
@@ -50,6 +53,10 @@ MAX_QUESTION3_N = 200
 # The witness box of find_zero costs O(B^2) time and memory: at B = 500 a
 # form with many zeros, (1, -1, 1, -1), takes about 2 s and 125 MB.
 MAX_WITNESS_BOUND = 500
+# A table search sieves a bitset of 2 * bound + 1 integers for every t it
+# tries: at bound 10^6 a row of height 5 takes about 0.3 s, at 10^9 it ran
+# past 30 s.
+MAX_TABLE_BOUND = 10**6
 
 
 def _emit(payload: dict) -> None:
@@ -223,7 +230,7 @@ def cmd_construct(args) -> int:
                 cert = surfaces.symmetric_rational_point(
                     coeffs, parse_rational(args.t), seed, parse_rational(args.w)
                 )
-        else:  # pragma: no cover - argparse restricts choices
+        else:  # pragma: no cover - the parser admits only the families of COMMANDS
             raise ValueError(family)
     except CertificateError as exc:  # a fault of the program, not of the input
         _emit({"error": type(exc).__name__, "message": str(exc)})
@@ -330,6 +337,8 @@ def _rows_to_csv(rows) -> str:
 def cmd_table(args) -> int:
     if (invalid := _below_one(args, "table", "dmax", "bound", "tmax", "jobs")) is not None:
         return invalid
+    if args.bound > MAX_TABLE_BOUND:
+        return _invalid_input(args, "table", f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
         rows = elliptic.load_table(args.dmax)
         if args.dmax > len(rows):  # then rows holds the whole table
@@ -394,7 +403,9 @@ def cmd_scale_integers(args) -> int:
     try:
         f = QuinticCoeffs(args.a, args.b, args.c)
         raw = json.loads(args.points) if args.points else json.load(sys.stdin)
-        points = [Point4.from_json(obj) for obj in raw]
+        if not isinstance(raw, list):
+            raise ValueError("the points must be a JSON list")
+        points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
         big, scaled = scale_to_integers(f, points)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
         return _invalid_input(args, "scale-integers", str(exc), type(exc).__name__)
@@ -413,112 +424,280 @@ def cmd_scale_integers(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _verify_identities_arguments(p) -> None:
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    p.add_argument("--only", help="substring filter on check names")
+# An argument maps its name to (type, default, choices, help).  An option,
+# "--name", takes one value, stored under ``_dest(name)``; a positional is
+# required.  Every subcommand takes --store.
+_STORE_OPTION = {"--store": (str, None, None, "append-only JSONL result store")}
 
-
-def _construct_arguments(p) -> None:
-    p.add_argument("--bound", type=int, default=60, help="thm2 base-point search bound")
-    p.add_argument(
-        "family",
-        choices=["thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"],
-    )
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
-    p.add_argument("--f", type=int, default=0)
-    p.add_argument("--u", default="0")
-    p.add_argument("--v", default="0")
-    p.add_argument("--y", default="1")
-    p.add_argument("--t", default="1")
-    p.add_argument("--w", default="0")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--branch", type=int, default=1, choices=[1, -1])
-    p.add_argument("--variant", choices=["gaussian", "rational"], default="gaussian")
-    p.add_argument("--preset", choices=sorted(_SYMMETRIC_PRESETS))
-    p.add_argument("--coeffs", help="symmetric coefficients as JSON")
-    p.add_argument("--seed-point", default="3,8", help="conic seed U,V")
-
-
-def _solve_form_arguments(p) -> None:
-    p.add_argument("--bound", type=int, default=60, help="witness search bound")
-    p.add_argument("a1", type=int)
-    p.add_argument("a2", type=int)
-    p.add_argument("a3", type=int)
-    p.add_argument("a4", type=int)
-
-
-def _table_arguments(p) -> None:
-    p.add_argument("--bound", type=int, default=3000, help="search-mode numerator bound")
-    p.add_argument("--dmax", type=int, default=100)
-    p.add_argument("--mode", choices=["verify", "search"], default="verify")
-    p.add_argument("--tmax", type=int, default=50, help="height cap for search mode")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--out", help="output file (table CSV)")
-
-
-def _question3_arguments(p) -> None:
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--c", type=int, default=1)
-
-
-def _scale_integers_arguments(p) -> None:
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
-    p.add_argument("--points", help="JSON list of points (stdin when omitted)")
-
-
-# subcommand -> (help, handler, adds its arguments), in --help order
+# subcommand -> (help, handler, positionals, options), in --help order
 COMMANDS = {
     "verify-identities": (
         "prove the displayed identities on the formulas the constructors run",
         cmd_verify_identities,
-        _verify_identities_arguments,
+        {},
+        {
+            "--seed": (int, 0, None, "seed for randomized spot checks"),
+            "--only": (str, None, None, "substring filter on check names"),
+        },
     ),
-    "construct": ("construct one certified point", cmd_construct, _construct_arguments),
-    "solve-form": ("decide a1 X1^2 + ... + a4 X4^2 = 0", cmd_solve_form, _solve_form_arguments),
-    "table": ("verify or extend the specialization table", cmd_table, _table_arguments),
-    "question3": ("N integer points with c fixed", cmd_question3, _question3_arguments),
+    "construct": (
+        "construct one certified point",
+        cmd_construct,
+        {
+            "family": (
+                str, None, ("thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"), None
+            ),
+        },
+        {
+            "--bound": (int, 60, None, "thm2 base-point search bound"),
+            "--a": (int, 0, None, None),
+            "--b": (int, 0, None, None),
+            "--c": (int, 0, None, None),
+            "--f": (int, 0, None, None),
+            "--u": (str, "0", None, None),
+            "--v": (str, "0", None, None),
+            "--y": (str, "1", None, None),
+            "--t": (str, "1", None, None),
+            "--w": (str, "0", None, None),
+            "--k": (int, 1, None, None),
+            "--branch": (int, 1, (1, -1), None),
+            "--variant": (str, "gaussian", ("gaussian", "rational"), None),
+            "--preset": (str, None, tuple(_SYMMETRIC_PRESETS), None),
+            "--coeffs": (str, None, None, "symmetric coefficients as JSON"),
+            "--seed-point": (str, "3,8", None, "conic seed U,V"),
+        },
+    ),
+    "solve-form": (
+        "decide a1 X1^2 + ... + a4 X4^2 = 0",
+        cmd_solve_form,
+        {
+            "a1": (int, None, None, None),
+            "a2": (int, None, None, None),
+            "a3": (int, None, None, None),
+            "a4": (int, None, None, None),
+        },
+        {"--bound": (int, 60, None, "witness search bound")},
+    ),
+    "table": (
+        "verify or extend the specialization table",
+        cmd_table,
+        {},
+        {
+            "--bound": (int, 3000, None, "search-mode numerator bound"),
+            "--dmax": (int, 100, None, None),
+            "--mode": (str, "verify", ("verify", "search"), None),
+            "--tmax": (int, 50, None, "height cap for search mode"),
+            "--jobs": (int, 1, None, "worker processes"),
+            "--out": (str, None, None, "output file (table CSV)"),
+        },
+    ),
+    "question3": (
+        "N integer points with c fixed",
+        cmd_question3,
+        {},
+        {"--N": (int, 1, None, None), "--c": (int, 1, None, None)},
+    ),
     "scale-integers": (
         "clear denominators via Corollary-style scaling",
         cmd_scale_integers,
-        _scale_integers_arguments,
+        {},
+        {
+            "--a": (int, 0, None, None),
+            "--b": (int, 0, None, None),
+            "--c": (int, 0, None, None),
+            "--points": (str, None, None, "JSON list of points (stdin when omitted)"),
+        },
     ),
 }
 
-
-def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
-    _, func, add_arguments = COMMANDS[name]
-    parser.add_argument("--store", help="append-only JSONL result store")
-    add_arguments(parser)
-    parser.set_defaults(command=name, func=func)
+# the top level's one positional: the subcommand's name
+_COMMAND_ARGUMENT = (str, None, COMMANDS, None)
+# a word that starts with "-" but is a value: argparse's negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, standalone, for the words after its
-    name; with no ``command``, the full tree of all six for a whole argv."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"quintic-points {command}", allow_abbrev=False)
-        _add_command(parser, command)
-        return parser
-    parser = argparse.ArgumentParser(
-        prog="quintic-points",
-        description="Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
-    return parser
+def _dest(option: str) -> str:
+    """The namespace attribute of ``option``: "--seed-point" -> "seed_point"."""
+    return option[2:].replace("-", "_")
+
+
+def _metavar(name: str, spec) -> str:
+    choices = spec[2]
+    if choices is not None:
+        return "{" + ",".join(map(str, choices)) + "}"
+    return _dest(name).upper() if name.startswith("--") else name
+
+
+def _usage(command: str | None) -> str:
+    """The usage lines of ``command``, or with None of the whole CLI."""
+    if command is None:
+        prog = "quintic-points"
+        parts = ["[-h]", _metavar("command", _COMMAND_ARGUMENT), "..."]
+    else:
+        _, _, positionals, options = COMMANDS[command]
+        prog = f"quintic-points {command}"
+        parts = ["[-h]"]
+        parts += [
+            f"[{name} {_metavar(name, spec)}]"
+            for name, spec in {**_STORE_OPTION, **options}.items()
+        ]
+        parts += [_metavar(name, spec) for name, spec in positionals.items()]
+    lines = [f"usage: {prog}"]
+    indent = len(lines[0])
+    for part in parts:
+        if len(lines[-1]) > indent and len(lines[-1]) + 1 + len(part) > 79:
+            lines.append(" " * indent)
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _help(command: str | None) -> str:
+    """The --help text of ``command``, or with None of the whole CLI."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        description = "Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)"
+        positionals = [(_metavar("command", _COMMAND_ARGUMENT), None)]
+        positionals += [(f"  {name}", entry[0]) for name, entry in COMMANDS.items()]
+    else:
+        description, _, arguments, named = COMMANDS[command]
+        positionals = [(_metavar(name, spec), spec[3]) for name, spec in arguments.items()]
+        options += [
+            (f"{name} {_metavar(name, spec)}", spec[3])
+            for name, spec in {**_STORE_OPTION, **named}.items()
+        ]
+    # each help starts in one column, or on a line of its own after a long name
+    column = min(max(len(name) for name, _ in positionals + options) + 4, 24)
+    text = f"{_usage(command)}\n{description}\n"
+    for title, rows in (("positional arguments", positionals), ("options", options)):
+        if rows:
+            text += f"\n{title}:\n"
+        for name, about in rows:
+            line = f"  {name}"
+            if about:
+                pad = column - len(line)
+                line += " " * pad + about if pad >= 2 else "\n" + " " * column + about
+            text += line + "\n"
+    return text
+
+
+def _usage_error(command: str | None, message: str):
+    """Print the usage of ``command`` and ``message`` to stderr, as argparse
+    does, and exit 2."""
+    prog = "quintic-points" if command is None else f"quintic-points {command}"
+    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_INVALID)
+
+
+def _is_option(word: str, options) -> bool:
+    """Whether argparse reads ``word`` as an option word: one that starts
+    with "-", unless it is "-", a negative number or holds a space and names
+    no option before an "="."""
+    if word[:1] != "-" or word == "-":
+        return False
+    head = word.partition("=")[0]
+    if head in options or head == "--help" or word.startswith("-h"):
+        return True
+    return not _NEGATIVE_NUMBER.match(word) and " " not in word
+
+
+def _read_help(command: str | None, word: str) -> None:
+    """For the option word ``word``, which names no option of ``command``:
+    print the help and exit 0 on -h (or -hh...) and --help, exit 2 on either
+    with a value attached, and return on any other."""
+    if word == "--help" or (word.startswith("-h") and set(word[2:]) <= {"h"}):
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    if word.startswith("-h") or word.partition("=")[0] == "--help":
+        _usage_error(command, f"argument -h/--help: ignored explicit argument in {word!r}")
+
+
+def _value(command: str | None, name: str, spec, word: str):
+    """``word`` read as the value of the argument ``name``."""
+    kind, _, choices, _ = spec
+    try:
+        value = kind(word)
+    except ValueError:
+        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {word!r}")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _parse_command(command: str, words) -> types.SimpleNamespace:
+    """The arguments of one call of ``command``, from the words after its
+    name.  Options and positionals mix in any order, an option's value
+    follows it or an "=", the last of a repeated option wins, and every word
+    after "--" is positional.  Help and a malformed value end the call where
+    they are read; an unknown, surplus or missing argument once all are."""
+    _, func, positionals, options = COMMANDS[command]
+    options = {**_STORE_OPTION, **options}
+    values = {_dest(name): spec[1] for name, spec in options.items()}
+    unfilled = list(positionals)
+    unrecognized = []
+    only_positionals = False
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if word == "--" and not only_positionals:
+            only_positionals = True
+        elif only_positionals or not _is_option(word, options):
+            if unfilled:
+                name = unfilled.pop(0)
+                values[name] = _value(command, name, positionals[name], word)
+            else:
+                unrecognized.append(word)
+        else:
+            name, eq, value = word.partition("=")
+            if name not in options:
+                _read_help(command, word)
+                unrecognized.append(word)
+                continue
+            if not eq:
+                if i == len(words) or words[i] == "--" or _is_option(words[i], options):
+                    _usage_error(command, f"argument {name}: expected one argument")
+                value = words[i]
+                i += 1
+            values[_dest(name)] = _value(command, name, options[name], value)
+    if unfilled:
+        _usage_error(command, f"the following arguments are required: {', '.join(unfilled)}")
+    if unrecognized:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return types.SimpleNamespace(command=command, func=func, **values)
+
+
+def _parse_argv(argv) -> types.SimpleNamespace:
+    """The arguments of a whole call: a subcommand's name, then its words.
+    Before the name only help is an option, and any other option word an
+    error once the subcommand's words have been read for their help."""
+    if argv and argv[0] in COMMANDS:
+        return _parse_command(argv[0], argv[1:])
+    unrecognized = []
+    for i, word in enumerate(argv):
+        if word == "--" or not _is_option(word, ()):
+            break
+        _read_help(None, word)
+        unrecognized.append(word)
+    else:
+        _usage_error(None, "the following arguments are required: command")
+    command = _value(None, "command", _COMMAND_ARGUMENT, argv[i])
+    _parse_command(command, argv[i + 1:])
+    _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+
+
+def build_parser(command: str | None = None) -> types.SimpleNamespace:
+    """An object whose ``parse_args(words)`` reads the words after
+    ``command``'s name, or with no ``command`` a whole argv.  Nothing is
+    built: every rule it applies is read from ``COMMANDS``."""
+    if command is None:
+        return types.SimpleNamespace(parse_args=_parse_argv)
+    return types.SimpleNamespace(parse_args=functools.partial(_parse_command, command))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:  # build only the parser this call needs
-        args = build_parser(argv[0]).parse_args(argv[1:])
-    else:  # --help, no command or an unknown one: the full tree reports it
-        args = build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover

@@ -89,7 +89,14 @@ class Point4(namedtuple("Point4", "p q r s field", defaults=(FIELD_Q,))):
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Point4":
+    def from_json(obj: dict, index: int = 0) -> "Point4":
+        """The point of a JSON object with keys p, q, r and s; a ValueError
+        names ``index``, the point's place in its list, when it is no such
+        object."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"point {index} must be a JSON object")
+        if missing := [k for k in "pqrs" if k not in obj]:
+            raise ValueError(f"point {index} lacks coordinate(s) {', '.join(missing)}")
         return Point4(
             _scalar_from_json(obj["p"]),
             _scalar_from_json(obj["q"]),

@@ -203,3 +203,18 @@ def test_point_json_round_trip():
     p = Point4(Fraction(-2, 5), Fraction(1, 5), Fraction(3, 5), Fraction(-4, 5))
     assert Point4.from_json(p.to_json()) == p
     assert p.to_json()["field"] == "Q"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"p": "1"}, "point 3 lacks coordinate(s) q, r, s"),
+        ({"p": "1", "q": "1", "s": "1"}, "point 3 lacks coordinate(s) r"),
+        (1, "point 3 must be a JSON object"),
+        (["1", "1", "1", "1"], "point 3 must be a JSON object"),
+    ],
+)
+def test_malformed_point_json_names_the_point(obj, message):
+    with pytest.raises(ValueError) as exc:
+        Point4.from_json(obj, 3)
+    assert str(exc.value) == message
