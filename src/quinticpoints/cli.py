@@ -57,6 +57,9 @@ MAX_WITNESS_BOUND = 500
 # tries: at bound 10^6 a row of height 5 takes about 0.3 s, at 10^9 it ran
 # past 30 s.
 MAX_TABLE_BOUND = 10**6
+# A table search runs one row per D: at --dmax 10^4, --tmax 1 and the default
+# --bound the call takes about 0.7 s, at 10^5 about 4 s.
+MAX_SEARCH_DMAX = 10**4
 
 
 def _emit(payload: dict) -> None:
@@ -348,6 +351,9 @@ def cmd_table(args) -> int:
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
+        if args.dmax > MAX_SEARCH_DMAX:
+            message = f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode"
+            return _invalid_input(args, "table", message)
         tasks = [(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
         results = _run_parallel(_search_row_task, tasks, args.jobs)
         exhausted = [r for r in results if r["status"] == "exhausted"]

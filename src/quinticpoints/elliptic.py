@@ -17,12 +17,16 @@ point has integer coordinates, so when P and its first multiples are
 integral, a chord or tangent step from them whose slope is not an integer
 proves that P has infinite order.
 
-The point search is a bitset sieve in the style of Stoll's *ratpoints*: the
-window of candidate integers x on the integral model is one Python int with
-a bit per candidate, and each small odd prime clears the bits at which the
-completed square 4x^3 + b2 x^2 + 2 b4 x + b6 is a non-square mod p.  Only
-the few survivors reach an exact square test.  Everything is Python ints;
-nothing can wrap."""
+The point search follows Stoll's *ratpoints*, which searches only where the
+polynomial is nonnegative before it sieves.  The completed square R(x) =
+4x^3 + b2 x^2 + 2 b4 x + b6 has at most one local maximum, so a few exact
+values of R decide whether it is negative at every candidate x of the
+window; such a window holds no point and is skipped.  Most windows of the
+specialization family are skipped so, as the right side of E_t is negative
+for every x <= 25 t^4.  Any other window of candidate integers x is one
+Python int with a bit per candidate, and each small odd prime clears the
+bits at which R(x) is a non-square mod p.  Only the few survivors reach an
+exact square test.  Everything is Python ints; nothing can wrap."""
 
 from __future__ import annotations
 
@@ -74,7 +78,11 @@ class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     instance ``__dict__``."""
 
     def __new__(cls, a1, a2, a3, a4, a6):
-        return super().__new__(cls, *map(Fraction, (a1, a2, a3, a4, a6)))
+        # the specialization family passes Fractions, and Fraction(a) of one
+        # is slow
+        return super().__new__(
+            cls, *(a if isinstance(a, Fraction) else Fraction(a) for a in (a1, a2, a3, a4, a6))
+        )
 
     _make = classmethod(checked_make)
 
@@ -334,6 +342,25 @@ def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
     return mask
 
 
+def _negative_throughout(lo: int, hi: int, c2: int, c1: int, c0: int) -> bool:
+    """Whether R(m) = 4m^3 + c2 m^2 + c1 m + c0 is negative at every integer
+    m in lo..hi, decided exactly from at most four values of R.
+
+    R rises up to its local maximum r1 = (-c2 - sqrt(D)) / 12, D = c2^2 -
+    12 c1, falls to its local minimum and rises again; when D <= 0 it rises
+    throughout.  So over the integers of lo..hi, R is largest at lo, at hi,
+    or at floor(r1) or ceil(r1) when they lie inside.  With s = isqrt(D),
+    s <= sqrt(D) < s + 1 gives -c2 - s - 1 < 12 r1 <= -c2 - s, so k =
+    (-c2 - s - 1) // 12 satisfies k < r1 <= k + 1: floor(r1) and ceil(r1)
+    are among k and k + 1."""
+    points = [lo, hi]
+    disc = c2 * c2 - 12 * c1
+    if disc > 0:
+        k = (-c2 - math.isqrt(disc) - 1) // 12
+        points += [m for m in (k, k + 1) if lo <= m <= hi]
+    return all(((4 * m + c2) * m + c1) * m + c0 < 0 for m in points)
+
+
 def _set_bits(mask: int, start: int):
     """start + j for each set bit j of mask, ascending, in one pass."""
     digits = format(mask, "b")[::-1]
@@ -350,8 +377,11 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
 
     Completing the square, Y^2 + (A1 X + A3) Y = X^3 + A2 X^2 + A4 X + A6
     has a rational Y iff R(X) = 4X^3 + b2 X^2 + 2 b4 X + b6 is a square, and
-    R(X) is an integer.  So the window goes through ``_square_sieve`` as one
-    bitset, and only the survivors' R(X) reach ``rational_square_root``.
+    R(X) is an integer.  As ratpoints does, the search first looks at the
+    real locus: when ``_negative_throughout`` finds R < 0 at every X of the
+    window, no X can carry a point and the list is empty without a sieve.
+    Otherwise the window goes through ``_square_sieve`` as one bitset, and
+    only the survivors' R(X) reach ``rational_square_root``.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -360,6 +390,8 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
     u, a1, a2, a3, a4, a6 = curve.integral
     b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
     found: list[CurvePoint] = []
+    if _negative_throughout(-bound, bound, b2, 2 * b4, b6):
+        return found
     for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, b2, 2 * b4, b6), -bound):
         root = rational_square_root(((4 * m + b2) * m + 2 * b4) * m + b6)
         if root is None:
@@ -375,7 +407,8 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
 
 def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
     """E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4."""
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     if c == f or t == 0:
         raise DegenerateSpecialization("need c != f and t != 0")
     n4, d4 = t.numerator**4, t.denominator**4

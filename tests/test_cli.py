@@ -366,11 +366,16 @@ MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
         ["construct", "thm1", "--a", "1", "--b", "1", "--c", "1", "--u", "1", "--v", "1",
          "--bound", "0"],
         ["table", "--mode=search", "--dmax=1", "--tmax=5", f"--bound={cli.MAX_TABLE_BOUND}"],
+        # no row finds a point at t = 1 in so small a window: exit 3, every row printed
+        ["table", "--mode=search", f"--dmax={cli.MAX_SEARCH_DMAX}", "--tmax=1", "--bound=10"],
     ],
 )
 def test_caps_still_print(capsys, argv):
-    assert cli.main(argv) == cli.EXIT_OK
-    assert "error" not in json.loads(capsys.readouterr().out)
+    code = cli.main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert "error" not in payload
+    # only a table search with exhausted rows may exit 3
+    assert code == (cli.EXIT_OK if payload.get("all_ok", True) else cli.EXIT_EXHAUSTED)
 
 
 @pytest.mark.parametrize(
@@ -392,6 +397,8 @@ def test_caps_still_print(capsys, argv):
          "--dmax must be <= 100, the rows of the shipped table"),
         (["table", "--mode=search", "--dmax=1", "--tmax=5", f"--bound={cli.MAX_TABLE_BOUND + 1}"],
          "table", "--bound must be <= 1000000"),
+        (["table", "--mode=search", f"--dmax={cli.MAX_SEARCH_DMAX + 1}", "--tmax=1"], "table",
+         "--dmax must be <= 10000 in search mode"),
     ],
 )
 def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):

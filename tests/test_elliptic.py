@@ -13,6 +13,7 @@ from quinticpoints.elliptic import (
     SingularCurve,
     WeierstrassCurve,
     _b_invariants,
+    _negative_throughout,
     add,
     conjecture2_search,
     integral_model,
@@ -315,19 +316,131 @@ class TestSearch:
 
 
 def _search_reference(curve, bound):
-    """Every integer x with |x| <= bound, no sieve: y solves
-    y^2 + (a1 x + a3) y = rhs(x), tested with math.isqrt.  Integral curves
-    only, so the integral model is the curve itself."""
+    """Every integer X with |X| <= bound on the integral model, no sieve: Y
+    solves Y^2 + (A1 X + A3) Y = X^3 + A2 X^2 + A4 X + A6, tested with
+    math.isqrt, and (X, Y) maps back to (X/u^2, Y/u^3)."""
+    u, a1, a2, a3, a4, a6 = curve.integral
     found = []
     for x in range(-bound, bound + 1):
-        lin = curve.a1 * x + curve.a3
-        disc = int(lin * lin + 4 * rhs(curve, x))  # an integer on an integral curve
+        lin = a1 * x + a3
+        disc = lin * lin + 4 * (((x + a2) * x + a4) * x + a6)
         if disc < 0 or math.isqrt(disc) ** 2 != disc:
             continue
         root = math.isqrt(disc)
         for sign in (1, -1) if root else (1,):
-            found.append(CurvePoint(x, (-lin + sign * root) / 2))
+            found.append(CurvePoint(Fraction(x, u * u), Fraction(-lin + sign * root, 2 * u**3)))
     return found
+
+
+def _cubic(c2, c1, c0):
+    return lambda m: ((4 * m + c2) * m + c1) * m + c0
+
+
+@st.composite
+def cubics_and_windows(draw):
+    """(c2, c1, c0, lo, hi) for R(m) = 4m^3 + c2 m^2 + c1 m + c0.  Half the
+    draws put the window near the local maximum of R, before, across or
+    after it, and shift c0 so that R is near 0 at some integer of the
+    window: the cases where the sign test is close."""
+    big = st.integers(-(10**40), 10**40)
+    c2, c1, c0 = draw(big), draw(big), draw(big)
+    lo, width = draw(st.integers(-60, 60)), draw(st.integers(0, 40))
+    disc = c2 * c2 - 12 * c1
+    if disc > 0 and draw(st.booleans()):
+        lo = (-c2 - math.isqrt(disc)) // 12 + draw(st.integers(-width - 3, 40))
+        c0 = -_cubic(c2, c1, 0)(lo + draw(st.integers(0, width))) + draw(st.integers(-2, 2))
+    return c2, c1, c0, lo, lo + width
+
+
+@st.composite
+def cubics_with_integral_maximum(draw):
+    """R' = 12 (m - r1)(m - r2) with integers r1 < r2: the local maximum is
+    the integer r1 and D = 36 (r2 - r1)^2 is a perfect square.  R(r1) is
+    -1, 0 or 1, and the window holds r1."""
+    r1 = draw(st.integers(-(10**13), 10**13))
+    r2 = r1 + draw(st.integers(1, 10**6))
+    c2, c1 = -6 * (r1 + r2), 12 * r1 * r2
+    c0 = -_cubic(c2, c1, 0)(r1) + draw(st.integers(-1, 1))
+    return c2, c1, c0, r1 - draw(st.integers(0, 5)), r1 + draw(st.integers(0, 5))
+
+
+class TestRealLocus:
+    """``_negative_throughout`` against R evaluated at every integer of the
+    window."""
+
+    @given(st.one_of(cubics_and_windows(), cubics_with_integral_maximum()))
+    # D < 0: R rises throughout, so hi decides
+    @example((0, 1, -5, -1, 1))
+    @example((0, 1, -6, -1, 1))
+    # D = 0: an inflection at 0 with R(0) = 0
+    @example((0, 0, 0, -3, 0))
+    # one-point windows
+    @example((0, 0, -1, 0, 0))
+    @example((0, 0, 0, 0, 0))
+    # R = 4m^3 - 3m + c0: local maximum 1 + c0 at m = -1/2, between the
+    # integers, where R(-1) = c0 - 1 and R(0) = c0
+    @example((0, -3, -1, -1, 0))
+    @example((0, -3, 0, -1, 0))
+    # local maximum at the integer 0 (D = 36), R(0) = c0, and the window
+    # runs from it to the local minimum at 1
+    @example((-6, 0, 0, 0, 1))
+    @example((-6, 0, -1, 0, 1))
+    # R = 4m^3 - 60m^2 + m: local maximum just past 0, where R(0) = 0 is the
+    # only value that is not negative, so floor(r1) decides
+    @example((-60, 1, 0, -1, 1))
+    # R = 4m^3 - 60m^2 + 208: the window 2..3 lies past the local maximum
+    # at 0, where R falls, so lo decides
+    @example((-60, 0, 208, 2, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, case):
+        c2, c1, c0, lo, hi = case
+        brute = all(_cubic(c2, c1, c0)(m) < 0 for m in range(lo, hi + 1))
+        assert _negative_throughout(lo, hi, c2, c1, c0) == brute
+
+    def test_empty_window_skips_the_sieve(self, monkeypatch):
+        import quinticpoints.elliptic as elliptic
+
+        def no_sieve(*args):
+            raise AssertionError("sieved a window where R < 0 throughout")
+
+        monkeypatch.setattr(elliptic, "_square_sieve", no_sieve)
+        # X^3 - 25 X^2 - 2500 is negative for every X <= 25
+        assert search_points(specialization_curve(1, 0, Fraction(1)), 25) == []
+        assert search_points(WeierstrassCurve(0, 0, 0, 0, -1000), 9) == []
+        # at X = 26 the right side is positive, so that window is sieved
+        with pytest.raises(AssertionError, match="sieved"):
+            search_points(specialization_curve(1, 0, Fraction(1)), 40)
+
+
+class TestRationalT:
+    """The search on E_t for t that is not an integer, whose integral model
+    rescales by some u > 1, against the brute force of ``_search_reference``."""
+
+    CURVES = [
+        (d, t) for d in range(1, 13) for t in rationals_by_height(3) if t.denominator > 1
+    ]
+
+    def test_search_matches_brute_force(self):
+        hits = 0
+        for d, t in self.CURVES:
+            curve = specialization_curve(d, 0, t)
+            found = search_points(curve, 1000)
+            assert found == _search_reference(curve, 1000), (d, t)
+            hits += len(found)
+        assert hits  # E_{1/2} has points for D = 5 and D = 9
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_conjecture2_search_matches_brute_force(self, d):
+        expected = next(
+            (
+                (t, point)
+                for t in rationals_by_height(3)
+                for point in _search_reference(specialization_curve(d, 0, t), 300)
+                if _nontorsion_reference(specialization_curve(d, 0, t), point)
+            ),
+            None,
+        )
+        assert conjecture2_search(d, 0, rationals_by_height(3), 300) == expected
 
 
 class TestSpecialization:
