@@ -58,7 +58,9 @@ MAX_WITNESS_BOUND = 500
 # past 30 s.
 MAX_TABLE_BOUND = 10**6
 # A table search runs one row per D: at --dmax 10^4, --tmax 1 and the default
-# --bound the call takes about 0.7 s, at 10^5 about 4 s.
+# --bound the call takes about 0.7 s, at 10^5 about 4 s. The cap bounds the
+# time only at small --tmax (a row tries about 0.6 * tmax^2 values of t); it
+# goes once one work bound on dmax, tmax and bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
 
 

@@ -374,8 +374,10 @@ def test_caps_still_print(capsys, argv):
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
     assert "error" not in payload
-    # only a table search with exhausted rows may exit 3
-    assert code == (cli.EXIT_OK if payload.get("all_ok", True) else cli.EXIT_EXHAUSTED)
+    # only the --dmax cap's call exhausts its rows and exits 3
+    expected = cli.EXIT_EXHAUSTED if f"--dmax={cli.MAX_SEARCH_DMAX}" in argv else cli.EXIT_OK
+    assert code == expected
+    assert payload.get("all_ok", True) == (expected == cli.EXIT_OK)
 
 
 @pytest.mark.parametrize(
