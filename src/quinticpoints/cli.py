@@ -115,6 +115,37 @@ def _below_one(args, command: str, *options: str) -> int | None:
     return None
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be opened for writing, or None when it can."""
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return "is in a directory that does not exist"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return "is not writable"
+    return None
+
+
+def _unwritable_output(args, command: str) -> int | None:
+    """The InvalidInput exit for a ledger or --out path that cannot be
+    written, found before the command does any work; None when each can.  A
+    bad ledger cannot take the record of its own error, so it gets none."""
+    if args.store:
+        ledger = ("--store", args.store)
+    else:
+        ledger = ("QUINTICPOINTS_STORE", os.environ.get("QUINTICPOINTS_STORE"))
+    for option, path in (ledger, ("--out", getattr(args, "out", None))):
+        if path and (why := _unwritable(path)):
+            message = f"{option} {path} {why}"
+            if option == "--out":
+                return _invalid_input(args, command, message)
+            _emit({"error": "InvalidInput", "message": message})
+            _note(f"invalid input: {message}")
+            return EXIT_INVALID
+    return None
+
+
 def _bad_witness_bound(args, command: str) -> int | None:
     """The InvalidInput exit for a --bound outside 1..MAX_WITNESS_BOUND, or
     None when it is inside."""
@@ -706,6 +737,9 @@ def build_parser(command: str | None = None) -> types.SimpleNamespace:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_argv(argv)
+    command = f"construct {args.family}" if args.command == "construct" else args.command
+    if (invalid := _unwritable_output(args, command)) is not None:
+        return invalid
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover
@@ -713,7 +747,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # only Python's limit on int to str, hit before any output
         if not str(exc).startswith("Exceeds the limit"):
             raise
-        command = f"construct {args.family}" if args.command == "construct" else args.command
         # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
         message = str(exc).split(";")[0]
         return _invalid_input(args, command, message, "OutputTooLarge")

@@ -28,8 +28,6 @@ import math
 import random
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class NotOddPrime(ValueError):
     """Legendre symbol asked for a modulus that is not an odd prime."""
@@ -202,7 +200,6 @@ _new = object.__new__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
 
-GAUSSIAN_ZERO = GaussianRational(0, 0)
 GAUSSIAN_ONE = GaussianRational(1, 0)
 GAUSSIAN_I = GaussianRational(0, 1)
 

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and rational functions over Q or Q(i).
+"""Sparse multivariate polynomials and rational functions over Q.
 
 Every displayed identity in this package is proved by exact expansion here:
 polynomials are dicts keyed by exponent vectors over the sorted tuple of the
@@ -7,14 +7,15 @@ pairs compared by cross-multiplication.
 Polynomial GCD is deliberately out of scope; zero-testing and evaluation are
 all the certificates need.
 
-Coefficients over Q are ``int`` or ``Fraction`` (a scalar coerced in becomes
-an ``int`` when it is integral); over Q(i) they are ``GaussianRational``,
-whose parts follow the same rule.  No coefficient and no value is ever a
-``float``.  A rational function keeps its integral representative: integer
-coefficients with joint content 1.  Since the displayed formulas have small
-rational coefficients, the expansions behind the identity checks multiply
-machine-sized Python ints, not Fractions (content and primitive part, as in
-Cohen, *A Course in Computational Algebraic Number Theory*, 3.2).
+Coefficients are ``int`` or ``Fraction`` (a scalar coerced in becomes an
+``int`` when it is integral); no coefficient and no value is ever a
+``float``.  Identities over Q(i) are proved over Q[I], with I a variable
+that ``surfaces`` reduces by I^2 = -1 at the end.  A rational function keeps
+its integral representative: integer coefficients with joint content 1.
+Since the displayed formulas have small rational coefficients, the
+expansions behind the identity checks multiply machine-sized Python ints,
+not Fractions (content and primitive part, as in Cohen, *A Course in
+Computational Algebraic Number Theory*, 3.2).
 """
 
 from __future__ import annotations
@@ -22,15 +23,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, itemgetter
-
-from .exact import GAUSSIAN_ZERO, GaussianRational
-
-FIELD_Q = "Q"
-FIELD_QI = "Qi"
-
-
-class FieldMismatch(ValueError):
-    """Operands live over different coefficient fields."""
 
 
 class NotQuadratic(ValueError):
@@ -45,25 +37,12 @@ class PoleAtPoint(ZeroDivisionError):
     """Evaluation hit a vanishing denominator."""
 
 
-def _coerce(field: str, value):
-    """A scalar as a coefficient of ``field``: over Q an int when integral and
-    a Fraction otherwise, over Q(i) a GaussianRational."""
-    if field == FIELD_Q:
-        if value.__class__ is int:
-            return value
-        if isinstance(value, GaussianRational):
-            if not value.is_rational():
-                raise FieldMismatch("Q(i) scalar in a Q context")
-            return value.re
-        q = Fraction(value)
-        return q.numerator if q.denominator == 1 else q
-    return GaussianRational.of(
-        value if not isinstance(value, float) else Fraction(value)
-    )
-
-
-def _zero(field: str):
-    return 0 if field == FIELD_Q else GAUSSIAN_ZERO
+def _coerce(value):
+    """A scalar as a coefficient: an int when integral, a Fraction otherwise."""
+    if value.__class__ is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _grlex(exps):
@@ -96,17 +75,16 @@ class MultiPoly:
     Variables are identified by (case-sensitive) name.  ``vars`` is always
     the sorted tuple of the variables that occur: the constructor sorts the
     variables it is given and drops unused ones, and every operation keeps
-    that form, so equal polynomials have equal fields.  Terms print in
+    that form, so equal polynomials have equal slots.  Terms print in
     graded lexicographic order, so equal polynomials print identically.
     """
 
-    __slots__ = ("field", "vars", "terms")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, field, vars, terms, _skip_clean=False):
+    def __init__(self, vars, terms, _skip_clean=False):
         """``_skip_clean`` is for callers whose ``vars`` and ``terms``
         already are on the sorted support, with coerced nonzero
         coefficients."""
-        self.field = field
         if _skip_clean:
             self.vars, self.terms = vars, terms
             return
@@ -116,7 +94,7 @@ class MultiPoly:
         order = sorted(range(len(vars)), key=vars.__getitem__)
         clean = {}
         for exps, coeff in terms.items():
-            coeff = _coerce(field, coeff)
+            coeff = _coerce(coeff)
             if coeff:
                 if len(exps) != len(vars):
                     raise ValueError("exponent arity != variable arity")
@@ -126,21 +104,21 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(field=FIELD_Q) -> "MultiPoly":
-        return MultiPoly(field, (), {})
+    def zero() -> "MultiPoly":
+        return MultiPoly((), {})
 
     @staticmethod
-    def constant(value, field=FIELD_Q) -> "MultiPoly":
-        return MultiPoly(field, (), {(): value})
+    def constant(value) -> "MultiPoly":
+        return MultiPoly((), {(): value})
 
     @staticmethod
-    def variable(name: str, field=FIELD_Q) -> "MultiPoly":
-        return MultiPoly(field, (name,), {(1,): 1})
+    def variable(name: str) -> "MultiPoly":
+        return MultiPoly((name,), {(1,): 1})
 
     @staticmethod
-    def variables(names: str, field=FIELD_Q):
+    def variables(names: str):
         """Convenience: ``x, y = MultiPoly.variables("x y")``."""
-        return tuple(MultiPoly.variable(n, field) for n in names.split())
+        return tuple(MultiPoly.variable(n) for n in names.split())
 
     # -- structure ----------------------------------------------------------
 
@@ -151,17 +129,10 @@ class MultiPoly:
     def _unified(self, other: "MultiPoly"):
         """The terms of both operands on the sorted union of their
         variables, and that union."""
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
         if self.vars == other.vars:
             return self.terms, other.terms, self.vars
         vars = tuple(sorted(set(self.vars).union(other.vars)))
         return _embedded(self, vars), _embedded(other, vars), vars
-
-    def to_field(self, field: str) -> "MultiPoly":
-        if field == self.field:
-            return self
-        return MultiPoly(field, self.vars, dict(self.terms))
 
     # -- ring operations ----------------------------------------------------
 
@@ -169,13 +140,12 @@ class MultiPoly:
         if isinstance(other, RationalFunction):
             return NotImplemented
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.field)
+            other = MultiPoly.constant(other)
         a, b, vars = self._unified(other)
         terms = dict(a)
-        zero = _zero(self.field)
         cancelled = False
         for exps, coeff in b.items():
-            s = terms.get(exps, zero) + coeff
+            s = terms.get(exps, 0) + coeff
             if s:
                 terms[exps] = s
             else:
@@ -183,21 +153,18 @@ class MultiPoly:
                 cancelled = True
         if cancelled:
             vars, terms = _on_support(vars, terms)
-        return MultiPoly(self.field, vars, terms, _skip_clean=True)
+        return MultiPoly(vars, terms, _skip_clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.field, self.vars, {e: -c for e, c in self.terms.items()},
-            _skip_clean=True,
-        )
+        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()}, _skip_clean=True)
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other, self.field)
+            other = MultiPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -207,39 +174,38 @@ class MultiPoly:
         if isinstance(other, RationalFunction):
             return NotImplemented
         if not isinstance(other, MultiPoly):
-            k = _coerce(self.field, other)
+            k = _coerce(other)
             if not k:
-                return MultiPoly.zero(self.field)
+                return MultiPoly.zero()
             terms = {e: c * k for e, c in self.terms.items()}
-            return MultiPoly(self.field, self.vars, terms, _skip_clean=True)
+            return MultiPoly(self.vars, terms, _skip_clean=True)
         a, b, vars = self._unified(other)
         if not a or not b:
-            return MultiPoly.zero(self.field)
+            return MultiPoly.zero()
         terms: dict = {}
         get = terms.get
-        zero = _zero(self.field)
         b_terms = list(b.items())
         for e1, c1 in a.items():
             for e2, c2 in b_terms:
                 key = tuple(map(add, e1, e2))
-                terms[key] = get(key, zero) + c1 * c2
-        # over a field the product of nonzero polynomials is nonzero and has
-        # each variable of either factor, so ``vars`` stays the support
+                terms[key] = get(key, 0) + c1 * c2
+        # over Q the product of nonzero polynomials is nonzero and has each
+        # variable of either factor, so ``vars`` stays the support
         terms = {e: c for e, c in terms.items() if c}
-        return MultiPoly(self.field, vars, terms, _skip_clean=True)
+        return MultiPoly(vars, terms, _skip_clean=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return as_rational_function(self, self.field) / other
+        return as_rational_function(self) / other
 
     def __rtruediv__(self, other):
-        return other * RationalFunction(MultiPoly.constant(1, self.field), self)
+        return other * RationalFunction(MultiPoly.constant(1), self)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.field)
+        result = MultiPoly.constant(1)
         base = self
         while n:
             if n & 1:
@@ -250,16 +216,14 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.constant(other, self.field)
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (
-            self.field == other.field and self.vars == other.vars and self.terms == other.terms
-        )
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field, self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- queries ------------------------------------------------------------
 
@@ -277,14 +241,14 @@ class MultiPoly:
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """The coefficient of var**power, a polynomial in the other variables."""
         if var not in self.vars:
-            return self if power == 0 else MultiPoly.zero(self.field)
+            return self if power == 0 else MultiPoly.zero()
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
         terms = {}
         for exps, coeff in self.terms.items():
             if exps[i] == power:
                 terms[exps[:i] + exps[i + 1:]] = coeff
-        return MultiPoly(self.field, *_on_support(rest, terms), _skip_clean=True)
+        return MultiPoly(*_on_support(rest, terms), _skip_clean=True)
 
     # -- substitution / evaluation ------------------------------------------
 
@@ -298,7 +262,7 @@ class MultiPoly:
         nums: dict[str, MultiPoly] = {}
         dens: dict[str, MultiPoly] = {}
         for name, value in bindings.items():
-            rf = as_rational_function(value, self.field)
+            rf = as_rational_function(value)
             if rf.den.is_zero:
                 raise DivisionByZeroPoly(f"binding for {name} has zero denominator")
             nums[name] = rf.num
@@ -325,9 +289,9 @@ class MultiPoly:
             for gi, tot in enumerate(totals):
                 if tot > group_max[gi]:
                     group_max[gi] = tot
-        acc = MultiPoly.zero(self.field)
+        acc = MultiPoly.zero()
         for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, self.field)
+            term = MultiPoly.constant(coeff)
             totals = [0] * len(groups)
             for v, e in zip(self.vars, exps):
                 if v in nums:
@@ -335,13 +299,13 @@ class MultiPoly:
                         term = term * nums[v] ** e
                         totals[group_of[v]] += e
                 elif e:
-                    term = term * MultiPoly.variable(v, self.field) ** e
+                    term = term * MultiPoly.variable(v) ** e
             for gi, (den_poly, _) in enumerate(groups):
                 deficit = group_max[gi] - totals[gi]
                 if deficit:
                     term = term * den_poly**deficit
             acc = acc + term
-        den = MultiPoly.constant(1, self.field)
+        den = MultiPoly.constant(1)
         for gi, (den_poly, _) in enumerate(groups):
             if group_max[gi]:
                 den = den * den_poly ** group_max[gi]
@@ -352,8 +316,8 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        vals = {v: _coerce(self.field, point[v]) for v in self.vars}
-        total = _zero(self.field)
+        vals = {v: _coerce(point[v]) for v in self.vars}
+        total = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for v, e in zip(self.vars, exps):
@@ -372,11 +336,7 @@ class MultiPoly:
             return "0"
         parts = []
         for exps, coeff in self._ordered_terms():
-            factors = []
-            cs = str(coeff)
-            if isinstance(coeff, GaussianRational) and coeff.re and coeff.im:
-                cs = f"({cs})"
-            factors.append(cs)
+            factors = [str(coeff)]
             for v, e in zip(self.vars, exps):
                 if e == 1:
                     factors.append(v)
@@ -386,25 +346,16 @@ class MultiPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"MultiPoly({self.field}, {self})"
-
-
-def _components(poly: MultiPoly):
-    """The rational components of the coefficients: each coefficient over Q,
-    both parts of each coefficient over Q(i)."""
-    if poly.field == FIELD_Q:
-        return poly.terms.values()
-    return [q for c in poly.terms.values() for q in (c.re, c.im)]
+        return f"MultiPoly({self})"
 
 
 def _int_content(*polys: MultiPoly) -> tuple[int, int]:
     """(g, d): the gcd of the numerators and the lcm of the denominators of
-    the components of all coefficients of ``polys``, whose joint content is
-    g / d."""
+    all coefficients of ``polys``, whose joint content is g / d."""
     g = 0
     d = 1
     for poly in polys:
-        for q in _components(poly):
+        for q in poly.terms.values():
             if q.__class__ is int:
                 g = math.gcd(g, q)
             else:
@@ -415,18 +366,11 @@ def _int_content(*polys: MultiPoly) -> tuple[int, int]:
 
 def _scaled(poly: MultiPoly, sign: int, g: int, d: int) -> MultiPoly:
     """poly * sign * d / g, for (g, d) the content of a set of polynomials
-    that includes poly: every component comes out an int."""
-
-    def scale(q):
-        return sign * (d // q.denominator) * q.numerator // g
-
-    if poly.field == FIELD_Q:
-        terms = {e: scale(c) for e, c in poly.terms.items()}
-    else:
-        terms = {
-            e: GaussianRational(scale(c.re), scale(c.im)) for e, c in poly.terms.items()
-        }
-    return MultiPoly(poly.field, poly.vars, terms, _skip_clean=True)
+    that includes poly: every coefficient comes out an int."""
+    terms = {
+        e: sign * (d // q.denominator) * q.numerator // g for e, q in poly.terms.items()
+    }
+    return MultiPoly(poly.vars, terms, _skip_clean=True)
 
 
 class RationalFunction:
@@ -434,29 +378,23 @@ class RationalFunction:
 
     Not reduced to lowest terms (no multivariate GCD).  num and den are
     stored as the integral representative of the quotient: both are scaled
-    by one rational so that every coefficient (both parts over Q(i)) is an
-    integer, their joint content is 1, and the sign of the denominator's
-    leading term (its real part, or its imaginary part when that is 0) is
-    positive.  Products and sums of these then run on Python ints.  ``den``
-    is a MultiPoly or a scalar, 1 by default.
+    by one rational so that every coefficient is an integer, their joint
+    content is 1, and the denominator's leading term is positive.  Products
+    and sums of these then run on Python ints.  ``den`` is a MultiPoly or a
+    scalar, 1 by default.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den=None):
         if not isinstance(den, MultiPoly):
-            den = MultiPoly.constant(1 if den is None else den, num.field)
-        if num.field != den.field:
-            raise FieldMismatch(f"{num.field} vs {den.field}")
+            den = MultiPoly.constant(1 if den is None else den)
         if den.is_zero:
             raise DivisionByZeroPoly("denominator is identically zero")
         if num.is_zero:
-            den = MultiPoly.constant(1, num.field)
+            den = MultiPoly.constant(1)
         else:
-            lead = den.terms[max(den.terms, key=_grlex)]
-            if isinstance(lead, GaussianRational):
-                lead = lead.re or lead.im
-            sign = 1 if lead > 0 else -1
+            sign = 1 if den.terms[max(den.terms, key=_grlex)] > 0 else -1
             g, d = _int_content(num, den)
             if g != 1 or d != 1 or sign != 1:
                 num = _scaled(num, sign, g, d)
@@ -465,15 +403,11 @@ class RationalFunction:
         self.den = den
 
     @property
-    def field(self) -> str:
-        return self.num.field
-
-    @property
     def is_identically_zero(self) -> bool:
         return self.num.is_zero
 
     def __add__(self, other):
-        other = as_rational_function(other, self.field)
+        other = as_rational_function(other)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
@@ -486,25 +420,25 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-as_rational_function(other, self.field))
+        return self + (-as_rational_function(other))
 
     def __rsub__(self, other):
-        return as_rational_function(other, self.field) + (-self)
+        return as_rational_function(other) + (-self)
 
     def __mul__(self, other):
-        other = as_rational_function(other, self.field)
+        other = as_rational_function(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_rational_function(other, self.field)
+        other = as_rational_function(other)
         if other.num.is_zero:
             raise DivisionByZeroPoly("division by the zero function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return as_rational_function(other, self.field) / self
+        return as_rational_function(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -513,7 +447,7 @@ class RationalFunction:
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
-            other = as_rational_function(other, self.field)
+            other = as_rational_function(other)
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):
@@ -522,19 +456,15 @@ class RationalFunction:
     def substitute(self, bindings: dict) -> "RationalFunction":
         return self.num.substitute(bindings) / self.den.substitute(bindings)
 
-    def eval(self, point: dict):
-        """Exact value at a fully scalar point: a Fraction over Q, a
-        GaussianRational over Q(i)."""
+    def eval(self, point: dict) -> Fraction:
+        """Exact value at a fully scalar point."""
         d = self.den.eval(point)
         if not d:
             raise PoleAtPoint(f"denominator vanishes at {point}")
-        n = self.num.eval(point)
-        if self.field == FIELD_Q:
-            return Fraction(n, d)
-        return n / d
+        return Fraction(self.num.eval(point), d)
 
     def __str__(self):
-        if self.den == MultiPoly.constant(1, self.field):
+        if self.den == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -542,14 +472,12 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def as_rational_function(value, field=FIELD_Q) -> RationalFunction:
+def as_rational_function(value) -> RationalFunction:
     if isinstance(value, RationalFunction):
-        if value.field != field:
-            return RationalFunction(value.num.to_field(field), value.den.to_field(field))
         return value
     if isinstance(value, MultiPoly):
-        return RationalFunction(value.to_field(field) if value.field != field else value)
-    return RationalFunction(MultiPoly.constant(value, field))
+        return RationalFunction(value)
+    return RationalFunction(MultiPoly.constant(value))
 
 
 def discriminant_quadratic(p: MultiPoly, var: str) -> MultiPoly:

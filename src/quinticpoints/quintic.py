@@ -14,7 +14,11 @@ from .exact import (
     lcm_of_denominators,
     parse_rational,
 )
-from .poly import FIELD_Q, MultiPoly
+from .poly import MultiPoly
+
+# the field tag of a Point4, as its JSON prints it
+FIELD_Q = "Q"
+FIELD_QI = "Qi"
 
 
 class DegenerateQuintic(ValueError):

@@ -459,6 +459,51 @@ def test_output_past_the_int_to_str_limit_is_invalid_input(tmp_path, capsys, arg
     assert record["command"] == command and record["outputs"] == payload
 
 
+@pytest.mark.parametrize(
+    "argv, store_variable, message",
+    [
+        (["table", "--dmax", "1", "--out", "{missing}/x.csv"], None,
+         "--out {missing}/x.csv is in a directory that does not exist"),
+        (["question3", "--N", "1", "--store", "{missing}/l.jsonl"], None,
+         "--store {missing}/l.jsonl is in a directory that does not exist"),
+        (["table", "--dmax", "1", "--out", "{tmp}"], None, "--out {tmp} is a directory"),
+        (["question3", "--N", "1"], "{missing}/l.jsonl",
+         "QUINTICPOINTS_STORE {missing}/l.jsonl is in a directory that does not exist"),
+    ],
+    ids=["out-in-missing-dir", "store-in-missing-dir", "out-is-a-dir", "store-variable"],
+)
+def test_unwritable_output_path_is_invalid_input_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, store_variable, message
+):
+    def no_work(*args):
+        raise AssertionError("the command ran")
+
+    def fill(text):
+        return text.format(missing=tmp_path / "nonexistent" / "d", tmp=tmp_path)
+
+    monkeypatch.setattr(cli, "_run_parallel", no_work)
+    monkeypatch.setattr(quadform, "question3_family", no_work)
+    if store_variable:
+        monkeypatch.setenv("QUINTICPOINTS_STORE", fill(store_variable))
+    else:
+        monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+    assert cli.main([fill(word) for word in argv]) == cli.EXIT_INVALID
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line) == {"error": "InvalidInput", "message": fill(message)}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_is_stored_in_a_writable_ledger(tmp_path, capsys):
+    ledger = tmp_path / "ledger.jsonl"
+    out = tmp_path / "nonexistent" / "d" / "x.csv"
+    argv = ["table", "--dmax", "1", "--out", str(out), "--store", str(ledger)]
+    assert cli.main(argv) == cli.EXIT_INVALID
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "InvalidInput"
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == "table" and record["outputs"] == payload
+
+
 def test_unfiltered_verify_identities_stdout_is_unchanged(monkeypatch, capsys):
     """The golden set runs only --only= argvs, so the whole suite's stdout
     is pinned here."""

@@ -128,3 +128,60 @@ def test_mixed_maps_invert_each_other_and_land_on_h():
     X_back, Y_back = surfaces._mixed_inverse(D, U, V, t)
     assert vanishes_on_e(X_back.subs(image) - X)
     assert vanishes_on_e(Y_back.subs(image) - Y)
+
+
+def test_consani_scholten_display_with_sympy_i():
+    """The printed Consani-Scholten lines through (i, 0), with the U
+    numerator's +tu, and the four printed coordinates, i = sympy.I."""
+    i = sympy.I
+    t, u = sympy.symbols("t u")
+    cs = surfaces.CONSANI_SCHOLTEN
+    U, V = surfaces._conic_lines(cs.b20_at(t), cs.b02_at(t), t, (i, 0), u)
+    den = u**2 - t * u + t**2 - t + 1
+    assert vanishes(U - (-i * u**2 + t * u + i * (t**2 - t + 1)) / den)
+    assert vanishes(V - (1 + i) * (t - (1 + i) * u) / den)
+    den2 = 2 * (t - (1 + i) * u)
+    printed = (
+        (1 + i) * (u**2 - (2 - i) * t * u - i * t**2 + t - 1) / den2,
+        (1 + i) * (-(u**2) - i * t * u + t**2 - t + 1) / den2,
+        (1 + i) * (i * u**2 - (2 + i) * t * u + t**2 - i * t + i) / den2,
+        (1 - i) * (u**2 - t * u + t**2 - t + 1) / den2,
+    )
+    for got, shown in zip(surfaces._uv_coords(t, U, V), printed):
+        assert vanishes(got - shown)
+
+
+def test_c29_display():
+    """The printed lines of slope w through (3, 8) on the c1 = 29 conic at
+    t = 1, and the four printed coordinates."""
+    coeffs = surfaces.SymmetricQuinticCoeffs(1, 1, 1, 1, 1, 1, 1, 1, 1, 29)
+    w = sympy.symbols("w")
+    U, V = surfaces._conic_lines(coeffs.b20_at(1), coeffs.b02_at(1), 1, (3, 8), w)
+    den = 32 * w**2 - 32 * w + 11
+    assert vanishes(U - (160 * w**2 - 144 * w + 33) / den)
+    assert vanishes(V - 8 * (32 * w**2 - 24 * w + 5) / den)
+    den2 = 8 * (32 * w**2 - 24 * w + 5)
+    printed = (
+        96 * w**2 - 48 * w + 7, 160 * w**2 - 144 * w + 33,
+        224 * w**2 - 160 * w + 29, 32 * w**2 - 32 * w + 11,
+    )
+    for got, shown in zip(surfaces._uv_coords(1, U, V), printed):
+        assert vanishes(got - shown / den2)
+
+
+def test_example1_display():
+    """Theorem 2 at a = -1 through the base point that the witness box
+    yields, against the printed (p, q, r, s)(u, v); and the display lies on
+    V_f for f = X^5 - X^3 + cX."""
+    u, v, c = sympy.symbols("u v c")
+    coords = surfaces.thm2_parametrize(-1)(u, v)
+    den = 5 * (u**2 + 2 * v**2 + 3)
+    printed = (
+        2 * (2 * u**2 + (2 * v + 3) * u + 2 * v**2 - 9 * v - 3),
+        u**2 - 4 * (2 * v + 3) * u - 2 * v**2 - 6 * v + 3,
+        3 * (u**2 - 2 * v**2 - 6 * v + 3),
+        2 * (u**2 - (2 * v + 3) * u + 4 * v**2 - 3 * (v + 2)),
+    )
+    for got, shown in zip(coords, printed):
+        assert vanishes(got - shown / den)
+    assert vanishes(quintic_residual(-1, 0, c, *(shown / den for shown in printed)))

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quinticpoints.exact import GAUSSIAN_I, GaussianRational
 from quinticpoints.poly import (
-    FIELD_Q,
-    FIELD_QI,
     DivisionByZeroPoly,
-    FieldMismatch,
     MultiPoly,
     NotQuadratic,
     PoleAtPoint,
@@ -25,7 +21,7 @@ def small_polys(num_vars=3, degree=4):
     coeff = st.integers(-9, 9)
     exps = st.tuples(*[st.integers(0, degree) for _ in range(num_vars)])
     return st.dictionaries(exps, coeff, max_size=5).map(
-        lambda terms: MultiPoly(FIELD_Q, tuple(names), dict(terms))
+        lambda terms: MultiPoly(tuple(names), dict(terms))
     )
 
 
@@ -42,12 +38,6 @@ class TestRingOps:
     def test_zeroth_power(self):
         x = MultiPoly.variable("x")
         assert (3 * x**2 - x) ** 0 == 1
-
-    def test_field_mismatch(self):
-        x = MultiPoly.variable("x", FIELD_Q)
-        y = MultiPoly.variable("y", FIELD_QI)
-        with pytest.raises(FieldMismatch):
-            x + y
 
     @given(small_polys(), small_polys(), small_polys())
     @settings(max_examples=60, deadline=None)
@@ -69,19 +59,19 @@ class TestRingOps:
 
     def test_equality_ignores_order_of_vars(self):
         # xy + y, once on ("y", "x") and once on ("x", "y")
-        p = MultiPoly(FIELD_Q, ("y", "x"), {(1, 1): 1, (1, 0): 1})
-        q = MultiPoly(FIELD_Q, ("x", "y"), {(1, 1): 1, (0, 1): 1})
+        p = MultiPoly(("y", "x"), {(1, 1): 1, (1, 0): 1})
+        q = MultiPoly(("x", "y"), {(1, 1): 1, (0, 1): 1})
         assert (p - q).is_zero
         assert p == q
         assert hash(p) == hash(q)
-        assert p != MultiPoly(FIELD_Q, ("x", "y"), {(1, 1): 1, (1, 0): 1})
+        assert p != MultiPoly(("x", "y"), {(1, 1): 1, (1, 0): 1})
 
 
 def unsorted_polys(names=("z", "x", "w", "y"), degree=3):
     """Polynomials built on the variables in an arbitrary order."""
     exps = st.tuples(*[st.integers(0, degree) for _ in names])
     return st.builds(
-        lambda order, terms: MultiPoly(FIELD_Q, order, terms),
+        lambda order, terms: MultiPoly(order, terms),
         st.permutations(names), st.dictionaries(exps, st.integers(-9, 9), max_size=4),
     )
 
@@ -110,7 +100,7 @@ class TestSortedSupport:
 
     def test_repeated_variable_is_rejected(self):
         with pytest.raises(ValueError, match="repeated"):
-            MultiPoly(FIELD_Q, ("x", "x"), {(1, 0): 1})
+            MultiPoly(("x", "x"), {(1, 0): 1})
 
 
 class TestSubstituteEval:
@@ -140,11 +130,10 @@ class TestSubstituteEval:
         assert MultiPoly.zero().eval({}) == 0
 
     def test_pole(self):
-        u, y = (MultiPoly.variable(n, FIELD_QI) for n in ("u", "y"))
-        i5 = MultiPoly.constant(GaussianRational(0, 5), FIELD_QI)
-        rf = RationalFunction(MultiPoly.constant(1, FIELD_QI), u - i5 * y * y)
+        u, y = MultiPoly.variables("u y")
+        rf = RationalFunction(MultiPoly.constant(1), u - 5 * y * y)
         with pytest.raises(PoleAtPoint):
-            rf.eval({"u": GaussianRational(0, 5), "y": 1})
+            rf.eval({"u": 5, "y": 1})
 
     @given(small_polys(num_vars=2), st.integers(-5, 5), st.integers(-5, 5))
     @settings(max_examples=60, deadline=None)
@@ -218,59 +207,36 @@ class TestRationalFunction:
 # ---------------------------------------------------------------------------
 # the scalar contract: int-or-Fraction coefficients, integral representatives
 
-def scalars(field):
-    q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
-    return q if field == FIELD_Q else st.builds(GaussianRational, q, q)
+def scalars():
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 
 
-def polys(field):
+def polys():
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return st.dictionaries(exps, scalars(field), max_size=4).map(
-        lambda terms: MultiPoly(field, ("x", "y"), terms)
+    return st.dictionaries(exps, scalars(), max_size=4).map(
+        lambda terms: MultiPoly(("x", "y"), terms)
     )
 
 
-def components(poly):
-    for c in poly.terms.values():
-        yield from (c.re, c.im) if isinstance(c, GaussianRational) else (c,)
-
-
-def assert_exact_scalar(value):
-    """An int or Fraction; a GaussianRational whose parts are each an int
-    when integral and a Fraction otherwise."""
-    if isinstance(value, GaussianRational):
-        for part in (value.re, value.im):
-            assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
-    else:
-        assert type(value) in (int, Fraction)
-
-
 def assert_exact_poly(poly):
-    for c in poly.terms.values():
-        assert isinstance(c, GaussianRational) == (poly.field == FIELD_QI)
-        assert_exact_scalar(c)
+    assert all(type(c) in (int, Fraction) for c in poly.terms.values())
 
 
 def assert_integral_representative(rf):
-    comps = [*components(rf.num), *components(rf.den)]
+    comps = [*rf.num.terms.values(), *rf.den.terms.values()]
     assert all(type(q) is int for q in comps)
     assert math.gcd(*comps) == 1
-    lead = rf.den.terms[max(rf.den.terms, key=lambda e: (sum(e), e))]
-    if isinstance(lead, GaussianRational):
-        lead = lead.re or lead.im
-    assert lead > 0
+    assert rf.den.terms[max(rf.den.terms, key=lambda e: (sum(e), e))] > 0
 
 
 class TestScalarContract:
-    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_operations_agree_with_scalar_arithmetic(self, field, data):
-        p, q = data.draw(polys(field)), data.draw(polys(field))
+    def test_operations_agree_with_scalar_arithmetic(self, data):
+        p, q = data.draw(polys()), data.draw(polys())
         n = data.draw(st.integers(0, 3))
-        at = {"x": data.draw(scalars(field)), "y": data.draw(scalars(field))}
-        exact = Fraction if field == FIELD_Q else GaussianRational.of
-        P, Q = exact(p.eval(at)), exact(q.eval(at))
+        at = {"x": data.draw(scalars()), "y": data.draw(scalars())}
+        P, Q = Fraction(p.eval(at)), Fraction(q.eval(at))
         for poly, value in ((p + q, P + Q), (p - q, P - Q), (p * q, P * Q), (p**n, P**n)):
             assert_exact_poly(poly)
             assert poly.eval(at) == value
@@ -287,9 +253,7 @@ class TestScalarContract:
             assert_exact_poly(rf.den)
             assert_integral_representative(rf)
             result = rf.eval(at)
-            assert_exact_scalar(result)
-            if field == FIELD_Q:
-                assert type(result) is Fraction
+            assert type(result) is Fraction
             assert result == value
 
     def test_integral_quotient_evaluates_to_a_fraction(self):
@@ -300,14 +264,12 @@ class TestScalarContract:
 
     def test_integral_coefficients_are_ints(self):
         x = MultiPoly.variable("x")
-        p = MultiPoly(FIELD_Q, ("x",), {(1,): Fraction(4, 2), (0,): 3})
+        p = MultiPoly(("x",), {(1,): Fraction(4, 2), (0,): 3})
         assert [type(c) for c in p.terms.values()] == [int, int]
         assert type((p * x).eval({"x": 2})) is int
 
-    @pytest.mark.parametrize("field", [FIELD_Q, FIELD_QI])
-    def test_representative_is_scaled_to_integers(self, field):
-        x = MultiPoly.variable("x", field)
-        third = Fraction(1, 3) if field == FIELD_Q else GaussianRational(0, Fraction(1, 3))
-        rf = RationalFunction(x * Fraction(2, 3), -4 * x * x + MultiPoly.constant(third, field))
+    def test_representative_is_scaled_to_integers(self):
+        x = MultiPoly.variable("x")
+        rf = RationalFunction(x * Fraction(2, 3), -4 * x * x + Fraction(1, 3))
         assert_integral_representative(rf)
-        assert rf == RationalFunction(x * 2, -12 * x * x + MultiPoly.constant(third * 3, field))
+        assert rf == RationalFunction(x * 2, -12 * x * x + 1)

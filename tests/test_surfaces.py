@@ -4,12 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quinticpoints
 from quinticpoints import surfaces
-from quinticpoints.exact import CertificateError, GaussianRational
-from quinticpoints.poly import FIELD_QI, MultiPoly
+from quinticpoints.exact import GAUSSIAN_I, CertificateError, GaussianRational
+from quinticpoints.poly import MultiPoly, RationalFunction
 from quinticpoints.quintic import (
+    FIELD_QI,
     Point4,
     QuinticCoeffs,
     f_value,
@@ -228,11 +231,120 @@ def test_a_wrong_display_fails_its_check_and_its_constructor(
 def test_gaussian_coords_lie_on_every_v_f():
     """The full residual substitution that gaussian-residual reduces to
     p + q = r + s = y and G(p, y, r) = 0, run over MultiPoly with a, b, c
-    free."""
-    a, b, y, u = MultiPoly.variables("a b y u", FIELD_QI)
-    coords = surfaces._gaussian_coords(a, b, y, u, surfaces._I_QI)
-    res = residual_symbolic().to_field(FIELD_QI).substitute(dict(zip("pqrs", coords)))
-    assert res.is_identically_zero
+    free and i the variable I reduced by I^2 = -1."""
+    a, b, y, u = MultiPoly.variables("a b y u")
+    coords = surfaces._gaussian_coords(a, b, y, u, surfaces._I)
+    res = residual_symbolic().substitute(dict(zip("pqrs", coords)))
+    assert surfaces._vanishes_over_qi(res)
+
+
+def _polys_in(names, max_degree):
+    """Random polynomials on ``names`` with small rational coefficients; the
+    degree in each variable is at most its ``max_degree``."""
+    exps = st.tuples(*(st.integers(0, d) for d in max_degree))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    return st.dictionaries(exps, coeffs, max_size=6).map(lambda t: MultiPoly(names, t))
+
+
+def _at_i(poly, x, y):
+    """poly(I = i, x, y) in GaussianRational arithmetic, term by term."""
+    at = {"I": GAUSSIAN_I, "x": GaussianRational.of(x), "y": GaussianRational.of(y)}
+    total = GaussianRational(0, 0)
+    for exps, coeff in poly.terms.items():
+        term = GaussianRational.of(coeff)
+        for var, e in zip(poly.vars, exps):
+            term = term * at[var] ** e
+        total = total + term
+    return total
+
+
+def _reduce_square_by_lowering(poly, var, rhs):
+    """The reference reduction: lower each var^k, k >= 2, by one var^2 per
+    pass until none is left."""
+    while poly.degree(var) >= 2:
+        i = poly.vars.index(var)
+        keep = {}
+        lowered = MultiPoly.zero()
+        for exps, coeff in poly.terms.items():
+            if exps[i] >= 2:
+                mono = MultiPoly(poly.vars, {exps[:i] + (exps[i] - 2,) + exps[i + 1:]: coeff})
+                lowered = lowered + mono * rhs
+            else:
+                keep[exps] = coeff
+        poly = MultiPoly(poly.vars, keep) + lowered
+    return poly
+
+
+class TestReduceSquare:
+    @given(
+        _polys_in(("I", "x", "y"), (7, 2, 2)),
+        st.fractions(-8, 8, max_denominator=5),
+        st.fractions(-8, 8, max_denominator=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reduction_by_i_squared_is_evaluation_at_i(self, p, x, y):
+        reduced = surfaces._reduce_square(p, "I", -1)
+        assert reduced.degree("I") <= 1
+        re, im = (reduced.coefficient_of("I", k).eval({"x": x, "y": y}) for k in (0, 1))
+        assert GaussianRational(re, im) == _at_i(p, x, y)
+
+    @given(_polys_in(("X", "Y", "t"), (2, 7, 2)), _polys_in(("X", "t"), (3, 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_matches_repeated_lowering(self, p, rhs):
+        assert surfaces._reduce_square(p, "Y", rhs) == _reduce_square_by_lowering(p, "Y", rhs)
+
+    def test_vanishing_over_qi_needs_a_denominator_that_survives(self):
+        i, x, y = surfaces._I, *MultiPoly.variables("x y")
+        assert surfaces._vanishes_over_qi(RationalFunction(x * (i * i + 1), y))
+        assert not surfaces._vanishes_over_qi(RationalFunction(x, y))
+        assert not surfaces._vanishes_over_qi(i)
+        # 0/0 in Q(i), though the quotient is x/y over Q[I]
+        assert not surfaces._vanishes_over_qi(RationalFunction(x * (i * i + 1), y * (i * i + 1)))
+        assert not surfaces._vanishes_over_qi(RationalFunction(i * i + 1, i**3 + i))
+
+
+@pytest.mark.parametrize(
+    "display, flipped, checks, construct",
+    [
+        ("_fifth_power_coords", 1, {"fifth-power"},
+         lambda: surfaces.fifth_power_solution(2, GaussianRational(1, 1))),
+        ("_gaussian_coords", 0, {"gaussian-parametrization", "gaussian-residual"},
+         lambda: surfaces.gaussian_point((1, -2, 0), 2, GaussianRational(1, 1))),
+    ],
+)
+def test_the_sign_of_i_in_a_coordinate_fails_its_checks(
+    monkeypatch, display, flipped, checks, construct
+):
+    """One coordinate taken with -i in place of i fails the Q(i) checks and
+    the constructor.  Flipping i in every coordinate gives the conjugate
+    display, which solves the same equations over Q, so only the check that
+    writes its own i, gaussian-parametrization, catches that."""
+    coords = getattr(surfaces, display)
+
+    def one_flipped(*args):
+        out = list(coords(*args))
+        out[flipped] = coords(*args[:-1], -args[-1])[flipped]
+        return tuple(out)
+
+    monkeypatch.setattr(surfaces, display, one_flipped)
+    assert {c.name for c in surfaces.identity_suite() if not c.ok} == checks
+    with pytest.raises(CertificateError):
+        construct()
+    monkeypatch.setattr(surfaces, display, lambda *args: coords(*args[:-1], -args[-1]))
+    assert {c.name for c in surfaces.identity_suite() if not c.ok} == checks & {
+        "gaussian-parametrization"
+    }
+
+
+def test_identity_suite_runs_every_check_once(monkeypatch):
+    """A check added to surfaces but left out of the registry is never run."""
+    names = sorted(name for name in vars(surfaces) if name.startswith("_check_"))
+    calls = []
+    for name in names:
+        monkeypatch.setattr(surfaces, name, lambda *args, name=name: calls.append(name) or True)
+    results = surfaces.identity_suite()
+    assert sorted(calls) == names
+    assert len(results) == len({r.name for r in results}) == len(names) == 17
 
 
 def test_a_shift_that_keeps_both_sums_fails_the_gaussian_checks(monkeypatch):
