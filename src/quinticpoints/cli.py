@@ -1,14 +1,26 @@
 """Command-line front end.
 
-JSON goes to stdout (stable key order, no timestamps), human summaries to
-stderr.  Exit codes: 0 success / nontrivial point, 1 verification failure
-(a trivial point, or a failed exact certificate: CertificateError), 2 invalid
-input, degenerate construction or a number too long to print (OutputTooLarge:
-Python's limit on int to str), 3 search exhausted (a table search, a
-thm2 base-point box with no witness: NoBasePointFound, or a coefficient
-that ``exact.factor`` could not split: FactorizationExhausted).
-``--store FILE`` (or QUINTICPOINTS_STORE) appends every result to a JSON-lines
-ledger; only the timestamp differs between identical reruns.
+Every call has one boundary, ``_run``: a command's body returns an Outcome
+or raises a TypedExit, and ``_run`` alone writes the outcome.  Each call
+writes exactly one JSON line to stdout (stable key order, no timestamps),
+one human note to stderr and, with ``--store FILE`` (or
+QUINTICPOINTS_STORE), one record to a JSON-lines ledger, under the command's
+name ("construct thm1", ...); only the timestamp differs between identical
+reruns.  Exit codes:
+
+- 0: a result (a nontrivial point, a decided form, a full table);
+- 1: a verification failure: a trivial point, a failed table row, or a
+  failed exact check of a computed result (CertificateError, a fault of the
+  program);
+- 2: a typed error: invalid input, a degenerate construction, a ledger or
+  --out path that cannot be written, or a number too long to print
+  (OutputTooLarge: Python's limit on int to str);
+- 3: search exhausted: table rows with no point, a thm2 base-point box with
+  no witness (NoBasePointFound), or a coefficient that ``exact.factor``
+  could not split (FactorizationExhausted).
+
+Only help (stdout, exit 0) and usage errors (stderr, exit 2) end a call
+before ``_run``.
 
 Each subcommand's arguments are written once, in ``COMMANDS``, and one small
 parser reads every call against that table as argparse read it, building
@@ -27,6 +39,7 @@ import os
 import re
 import sys
 import types
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__, elliptic, quadform, surfaces
@@ -64,55 +77,28 @@ MAX_TABLE_BOUND = 10**6
 MAX_SEARCH_DMAX = 10**4
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+class TypedExit(Exception):
+    """Ends a command with the payload {"error": error, "message": message}
+    and exit ``code``: invalid input, or with EXIT_EXHAUSTED an exhaustion."""
+
+    def __init__(self, message: str, error: str = "InvalidInput", code: int = EXIT_INVALID):
+        super().__init__(message, error, code)
 
 
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+# what a command returns: its stdout payload, its stderr note, the inputs its
+# ledger record stores and its exit code
+Outcome = namedtuple("Outcome", "payload note inputs code")
 
-
-def _store_record(args, command: str, inputs: dict, outputs) -> None:
-    path = getattr(args, "store", None) or os.environ.get("QUINTICPOINTS_STORE")
-    if not path:
-        return
-    import datetime  # only a stored call pays for it
-
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "version": __version__,
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+# the first words of the stderr note of a typed exit, by its code
+_EXIT_NOTES = {
+    EXIT_FAIL: "certificate failed", EXIT_INVALID: "invalid input", EXIT_EXHAUSTED: "exhausted"
+}
 
 
 def _inputs(args) -> dict:
-    """The parsed arguments of a call, as its ledger record stores them."""
+    """The parsed arguments of a call, as the ledger record of its error
+    stores them."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
-
-
-def _invalid_input(
-    args, command: str, message: str, error: str = "InvalidInput", code: int = EXIT_INVALID
-) -> int:
-    """Emit and store a typed error (``error`` names its type), invalid input
-    or, with ``code`` EXIT_EXHAUSTED, an exhaustion; returns ``code``."""
-    payload = {"error": error, "message": message}
-    _emit(payload)
-    _note(f"{'exhausted' if code == EXIT_EXHAUSTED else 'invalid input'}: {message}")
-    _store_record(args, command, _inputs(args), payload)
-    return code
-
-
-def _below_one(args, command: str, *options: str) -> int | None:
-    """The InvalidInput exit for the first of the integer ``options`` that is
-    below 1, or None when each is at least 1."""
-    for option in options:
-        if getattr(args, option) < 1:
-            return _invalid_input(args, command, f"--{option} must be >= 1")
-    return None
 
 
 def _unwritable(path: str) -> str | None:
@@ -127,33 +113,68 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
-def _unwritable_output(args, command: str) -> int | None:
-    """The InvalidInput exit for a ledger or --out path that cannot be
-    written, found before the command does any work; None when each can.  A
-    bad ledger cannot take the record of its own error, so it gets none."""
-    if args.store:
-        ledger = ("--store", args.store)
-    else:
-        ledger = ("QUINTICPOINTS_STORE", os.environ.get("QUINTICPOINTS_STORE"))
-    for option, path in (ledger, ("--out", getattr(args, "out", None))):
-        if path and (why := _unwritable(path)):
-            message = f"{option} {path} {why}"
-            if option == "--out":
-                return _invalid_input(args, command, message)
-            _emit({"error": "InvalidInput", "message": message})
-            _note(f"invalid input: {message}")
-            return EXIT_INVALID
-    return None
+def _run(body, args) -> int:
+    """Run the command ``body`` on ``args`` and return its exit code: the one
+    place that writes a call's JSON line to stdout, its note to stderr and
+    its record to the ledger.  ``body`` returns an Outcome or raises a
+    TypedExit.  A CertificateError is a fault of the program, exit 1, and
+    Python's limit on int to str is an OutputTooLarge exit 2; any other
+    exception propagates.  A ledger or --out path that cannot be written is
+    an exit 2 before ``body`` runs; a bad ledger gets no record of it."""
+    ledger = args.store or os.environ.get("QUINTICPOINTS_STORE")
+    try:
+        if ledger and (why := _unwritable(ledger)):
+            option = "--store" if args.store else "QUINTICPOINTS_STORE"
+            message, ledger = f"{option} {ledger} {why}", None
+            raise TypedExit(message)
+        if getattr(args, "out", None) and (why := _unwritable(args.out)):
+            raise TypedExit(f"--out {args.out} {why}")
+        payload, note, inputs, code = body(args)
+        line = json.dumps(payload, sort_keys=True)
+    except (TypedExit, CertificateError, ValueError) as exc:
+        if isinstance(exc, TypedExit):
+            message, error, code = exc.args
+        elif isinstance(exc, CertificateError):
+            message, error, code = str(exc), type(exc).__name__, EXIT_FAIL
+        elif str(exc).startswith("Exceeds the limit"):
+            # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
+            message, error, code = str(exc).split(";")[0], "OutputTooLarge", EXIT_INVALID
+        else:
+            raise
+        payload = {"error": error, "message": message}
+        line = json.dumps(payload, sort_keys=True)
+        note = f"{_EXIT_NOTES[code]}: {message}"
+        inputs = _inputs(args)
+    print(line)
+    print(note, file=sys.stderr)
+    if ledger:
+        import datetime  # only a stored call pays for it
+
+        record = {
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "command": f"construct {args.family}" if args.command == "construct" else args.command,
+            "inputs": inputs,
+            "outputs": payload,
+            "version": __version__,
+        }
+        with open(ledger, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
 
 
-def _bad_witness_bound(args, command: str) -> int | None:
-    """The InvalidInput exit for a --bound outside 1..MAX_WITNESS_BOUND, or
-    None when it is inside."""
-    if (invalid := _below_one(args, command, "bound")) is not None:
-        return invalid
+def _require_positive(args, *options: str) -> None:
+    """Raise the InvalidInput exit for the first of the integer ``options``
+    that is below 1."""
+    for option in options:
+        if getattr(args, option) < 1:
+            raise TypedExit(f"--{option} must be >= 1")
+
+
+def _check_witness_bound(args) -> None:
+    """Raise the InvalidInput exit for a --bound outside 1..MAX_WITNESS_BOUND."""
+    _require_positive(args, "bound")
     if args.bound > MAX_WITNESS_BOUND:
-        return _invalid_input(args, command, f"--bound must be <= {MAX_WITNESS_BOUND}")
-    return None
+        raise TypedExit(f"--bound must be <= {MAX_WITNESS_BOUND}")
 
 
 def _parse_gaussian(text: str) -> GaussianRational:
@@ -167,36 +188,22 @@ def _parse_gaussian(text: str) -> GaussianRational:
 # ---------------------------------------------------------------------------
 # verify-identities
 
-def cmd_verify_identities(args) -> int:
+def cmd_verify_identities(args) -> Outcome:
     checks = surfaces.identity_suite(only=args.only, seed=args.seed)
     if not checks:
-        message = f"--only {args.only!r} matches no check name"
-        return _invalid_input(args, "verify-identities", message)
+        raise TypedExit(f"--only {args.only!r} matches no check name")
     payload = {
         "checks": [c._asdict() for c in checks],
         "all_pass": all(c.ok for c in checks),
         "count": len(checks),
     }
-    _emit(payload)
-    for c in checks:
-        _note(f"{'PASS' if c.ok else 'FAIL'}  {c.name}")
-    _store_record(args, "verify-identities", {"only": args.only}, payload)
-    return EXIT_OK if payload["all_pass"] else EXIT_FAIL
+    note = "\n".join(f"{'PASS' if c.ok else 'FAIL'}  {c.name}" for c in checks)
+    code = EXIT_OK if payload["all_pass"] else EXIT_FAIL
+    return Outcome(payload, note, {"only": args.only}, code)
 
 
 # ---------------------------------------------------------------------------
 # construct
-
-def _certificate_exit(cert: surfaces.Certificate, args) -> int:
-    payload = cert.to_json()
-    _emit(payload)
-    _note(
-        f"{cert.construction}: residual 0, "
-        f"{'nontrivial' if cert.nontrivial else 'TRIVIAL'} point {cert.point.to_json()}"
-    )
-    _store_record(args, f"construct {cert.construction}", cert.inputs, payload)
-    return EXIT_OK if cert.nontrivial else EXIT_FAIL
-
 
 _SYMMETRIC_PRESETS = {
     "consani-scholten": surfaces.CONSANI_SCHOLTEN,
@@ -222,12 +229,12 @@ def _symmetric_coeffs(args) -> surfaces.SymmetricQuinticCoeffs:
     raise ValueError("symmetric construction needs --preset or --coeffs")
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> Outcome:
     family = args.family
-    if family == "thm2" and (invalid := _bad_witness_bound(args, "construct thm2")) is not None:
-        return invalid
+    if family == "thm2":
+        _check_witness_bound(args)
     if family == "mixed" and abs(args.k) > MAX_MIXED_K:
-        return _invalid_input(args, "construct mixed", f"|--k| must be <= {MAX_MIXED_K}")
+        raise TypedExit(f"|--k| must be <= {MAX_MIXED_K}")
     try:
         if family == "thm1":
             cert = surfaces.thm1_point(
@@ -268,14 +275,15 @@ def cmd_construct(args) -> int:
                 )
         else:  # pragma: no cover - the parser admits only the families of COMMANDS
             raise ValueError(family)
-    except CertificateError as exc:  # a fault of the program, not of the input
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_FAIL
     except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
         exhausted = isinstance(exc, (FactorizationExhausted, surfaces.NoBasePointFound))
         code = EXIT_EXHAUSTED if exhausted else EXIT_INVALID
-        return _invalid_input(args, f"construct {family}", str(exc), type(exc).__name__, code)
-    return _certificate_exit(cert, args)
+        raise TypedExit(str(exc), type(exc).__name__, code) from exc
+    note = (
+        f"{cert.construction}: residual 0, "
+        f"{'nontrivial' if cert.nontrivial else 'TRIVIAL'} point {cert.point.to_json()}"
+    )
+    return Outcome(cert.to_json(), note, cert.inputs, EXIT_OK if cert.nontrivial else EXIT_FAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +301,8 @@ def _certify_witness(form, normal, solvable, witness, pulled) -> None:
         raise CertificateError(f"witness {list(witness)} for a form decided unsolvable")
 
 
-def cmd_solve_form(args) -> int:
-    if (invalid := _bad_witness_bound(args, "solve-form")) is not None:
-        return invalid
+def cmd_solve_form(args) -> Outcome:
+    _check_witness_bound(args)
     try:
         normal, back = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
         solvable, conditions = quadform.represents_zero(normal)
@@ -306,10 +313,7 @@ def cmd_solve_form(args) -> int:
             _certify_witness(form, normal, solvable, witness, pulled)
     except (quadform.ZeroCoefficient, FactorizationExhausted) as exc:
         code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
-        return _invalid_input(args, "solve-form", str(exc), type(exc).__name__, code)
-    except CertificateError as exc:  # a fault of the program, not of the input
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_FAIL
+        raise TypedExit(str(exc), type(exc).__name__, code) from exc
     payload = {
         "form": [args.a1, args.a2, args.a3, args.a4],
         "normalized": list(normal),
@@ -318,13 +322,11 @@ def cmd_solve_form(args) -> int:
         "witness": list(witness) if witness else None,
         "witness_original_form": list(pulled) if pulled else None,
     }
-    _emit(payload)
-    _note(
+    note = (
         f"form {payload['form']} -> normalized {payload['normalized']}: "
         f"{'solvable' if solvable else 'unsolvable'}"
     )
-    _store_record(args, "solve-form", {"form": payload["form"]}, payload)
-    return EXIT_OK
+    return Outcome(payload, note, {"form": payload["form"]}, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +372,20 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args) -> int:
-    if (invalid := _below_one(args, "table", "dmax", "bound", "tmax", "jobs")) is not None:
-        return invalid
+def cmd_table(args) -> Outcome:
+    _require_positive(args, "dmax", "bound", "tmax", "jobs")
     if args.bound > MAX_TABLE_BOUND:
-        return _invalid_input(args, "table", f"--bound must be <= {MAX_TABLE_BOUND}")
+        raise TypedExit(f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
         rows = elliptic.load_table(args.dmax)
         if args.dmax > len(rows):  # then rows holds the whole table
-            message = f"--dmax must be <= {len(rows)}, the rows of the shipped table"
-            return _invalid_input(args, "table", message)
+            raise TypedExit(f"--dmax must be <= {len(rows)}, the rows of the shipped table")
         results = _run_parallel(elliptic.verify_row, rows, args.jobs)
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
         if args.dmax > MAX_SEARCH_DMAX:
-            message = f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode"
-            return _invalid_input(args, "table", message)
+            raise TypedExit(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
         tasks = [(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
         results = _run_parallel(_search_row_task, tasks, args.jobs)
         exhausted = [r for r in results if r["status"] == "exhausted"]
@@ -394,25 +393,22 @@ def cmd_table(args) -> int:
         exit_code = EXIT_OK if all_ok else EXIT_EXHAUSTED
     csv_text = _rows_to_csv(results)
     payload = {"mode": args.mode, "rows": results, "all_ok": all_ok}
-    _emit(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        _note(f"wrote {args.out}")
+        note = f"wrote {args.out}"
     else:
-        _note(csv_text.rstrip("\n"))
-    _store_record(args, "table", {"dmax": args.dmax, "mode": args.mode}, payload)
-    return exit_code
+        note = csv_text.rstrip("\n")
+    return Outcome(payload, note, {"dmax": args.dmax, "mode": args.mode}, exit_code)
 
 
 # ---------------------------------------------------------------------------
 # question3
 
-def cmd_question3(args) -> int:
-    if (invalid := _below_one(args, "question3", "N")) is not None:
-        return invalid
+def cmd_question3(args) -> Outcome:
+    _require_positive(args, "N")
     if args.N > MAX_QUESTION3_N:
-        return _invalid_input(args, "question3", f"--N must be <= {MAX_QUESTION3_N}")
+        raise TypedExit(f"--N must be <= {MAX_QUESTION3_N}")
     a_n, sols = quadform.question3_family(args.N)
     f = QuinticCoeffs(a_n, 0, args.c)
     points = []
@@ -429,16 +425,14 @@ def cmd_question3(args) -> int:
             }
         )
     payload = {"N": args.N, "a_N": a_n, "c": args.c, "points": points}
-    _emit(payload)
-    _note(f"f = X^5 + ({a_n})X^3 + ({args.c})X carries {len(points)} integer points")
-    _store_record(args, "question3", {"N": args.N, "c": args.c}, payload)
-    return EXIT_OK
+    note = f"f = X^5 + ({a_n})X^3 + ({args.c})X carries {len(points)} integer points"
+    return Outcome(payload, note, {"N": args.N, "c": args.c}, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
 # scale-integers
 
-def cmd_scale_integers(args) -> int:
+def cmd_scale_integers(args) -> Outcome:
     try:
         f = QuinticCoeffs(args.a, args.b, args.c)
         raw = json.loads(args.points) if args.points else json.load(sys.stdin)
@@ -447,17 +441,15 @@ def cmd_scale_integers(args) -> int:
         points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
         big, scaled = scale_to_integers(f, points)
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
-        return _invalid_input(args, "scale-integers", str(exc), type(exc).__name__)
+        raise TypedExit(str(exc), type(exc).__name__) from exc
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},
         "F": {"a": big.a, "b": big.b, "c": big.c},
         "points": [p.to_json() for p in scaled],
         "residuals": [str(residual(big, p)) for p in scaled],
     }
-    _emit(payload)
-    _note(f"scaled {len(scaled)} point(s) onto V_F with F = {big}")
-    _store_record(args, "scale-integers", {"f": payload["f"]}, payload)
-    return EXIT_OK
+    note = f"scaled {len(scaled)} point(s) onto V_F with F = {big}"
+    return Outcome(payload, note, {"f": payload["f"]}, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +464,7 @@ _STORE_OPTION = {"--store": (str, None, None, "append-only JSONL result store")}
 COMMANDS = {
     "verify-identities": (
         "prove the displayed identities on the formulas the constructors run",
-        cmd_verify_identities,
+        functools.partial(_run, cmd_verify_identities),
         {},
         {
             "--seed": (int, 0, None, "seed for randomized spot checks"),
@@ -481,7 +473,7 @@ COMMANDS = {
     ),
     "construct": (
         "construct one certified point",
-        cmd_construct,
+        functools.partial(_run, cmd_construct),
         {
             "family": (
                 str, None, ("thm1", "thm2", "gaussian", "fifth-power", "mixed", "symmetric"), None
@@ -508,7 +500,7 @@ COMMANDS = {
     ),
     "solve-form": (
         "decide a1 X1^2 + ... + a4 X4^2 = 0",
-        cmd_solve_form,
+        functools.partial(_run, cmd_solve_form),
         {
             "a1": (int, None, None, None),
             "a2": (int, None, None, None),
@@ -519,7 +511,7 @@ COMMANDS = {
     ),
     "table": (
         "verify or extend the specialization table",
-        cmd_table,
+        functools.partial(_run, cmd_table),
         {},
         {
             "--bound": (int, 3000, None, "search-mode numerator bound"),
@@ -532,13 +524,13 @@ COMMANDS = {
     ),
     "question3": (
         "N integer points with c fixed",
-        cmd_question3,
+        functools.partial(_run, cmd_question3),
         {},
         {"--N": (int, 1, None, None), "--c": (int, 1, None, None)},
     ),
     "scale-integers": (
         "clear denominators via Corollary-style scaling",
-        cmd_scale_integers,
+        functools.partial(_run, cmd_scale_integers),
         {},
         {
             "--a": (int, 0, None, None),
@@ -735,21 +727,11 @@ def build_parser(command: str | None = None) -> types.SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_argv(argv)
-    command = f"construct {args.family}" if args.command == "construct" else args.command
-    if (invalid := _unwritable_output(args, command)) is not None:
-        return invalid
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BrokenPipeError:  # pragma: no cover
         return EXIT_FAIL
-    except ValueError as exc:  # only Python's limit on int to str, hit before any output
-        if not str(exc).startswith("Exceeds the limit"):
-            raise
-        # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
-        message = str(exc).split(";")[0]
-        return _invalid_input(args, command, message, "OutputTooLarge")
 
 
 if __name__ == "__main__":

@@ -114,15 +114,16 @@ class GaussianRational:
 
     @staticmethod
     def of(value) -> "GaussianRational":
-        if value.__class__ is GaussianRational:
-            return value
-        if isinstance(value, (int, Fraction)):
-            return _gaussian(_canonical(value), 0)
-        raise TypeError(f"cannot coerce {value!r} into Q(i)")
+        if (gaussian := _operand(value)) is None:
+            raise TypeError(f"cannot coerce {value!r} into Q(i)")
+        return gaussian
+
+    # any other operand than an int, a Fraction or a GaussianRational gets
+    # NotImplemented: a ring over Q(i), dual numbers say, then takes the operation
 
     def __add__(self, other):
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+        if other.__class__ is not GaussianRational and (other := _operand(other)) is None:
+            return NotImplemented
         return _gaussian(_canonical(self.re + other.re), _canonical(self.im + other.im))
 
     __radd__ = __add__
@@ -131,14 +132,18 @@ class GaussianRational:
         return _gaussian(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
+        if other.__class__ is not GaussianRational and (other := _operand(other)) is None:
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         return _gaussian(_canonical(a * c - b * d), _canonical(a * d + b * c))
 
@@ -155,10 +160,14 @@ class GaussianRational:
         return _gaussian(_canonical(self.re / n), _canonical(-self.im / n))
 
     def __truediv__(self, other):
-        return self * GaussianRational.of(other).inverse()
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) * self.inverse()
+        if (other := _operand(other)) is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -174,9 +183,6 @@ class GaussianRational:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __str__(self):
         if self.im == 0:
@@ -199,6 +205,17 @@ class GaussianRational:
 _new = object.__new__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
+
+
+def _operand(value):
+    """``value`` in Q(i) when it is a GaussianRational, an int or a Fraction,
+    else None."""
+    if value.__class__ is GaussianRational:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _gaussian(_canonical(value), 0)
+    return None
+
 
 GAUSSIAN_ONE = GaussianRational(1, 0)
 GAUSSIAN_I = GaussianRational(0, 1)

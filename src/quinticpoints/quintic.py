@@ -70,18 +70,18 @@ def _scalar_from_json(v):
     return parse_rational(v)
 
 
-class Point4(namedtuple("Point4", "p q r s field", defaults=(FIELD_Q,))):
-    """A candidate point (p, q, r, s), over Q or over Q(i)."""
+class Point4(namedtuple("Point4", "p q r s")):
+    """A candidate point (p, q, r, s): over Q(i) when any coordinate is a
+    GaussianRational, else over Q."""
 
     __slots__ = ()
 
-    def coords(self):
-        return self[:4]
+    @property
+    def field(self) -> str:
+        return FIELD_QI if any(v.__class__ is GaussianRational for v in self) else FIELD_Q
 
     def is_integral(self) -> bool:
-        if self.field != FIELD_Q:
-            return False
-        return all(Fraction(v).denominator == 1 for v in self.coords())
+        return self.field == FIELD_Q and all(Fraction(v).denominator == 1 for v in self)
 
     def to_json(self) -> dict:
         return {
@@ -106,7 +106,6 @@ class Point4(namedtuple("Point4", "p q r s field", defaults=(FIELD_Q,))):
             _scalar_from_json(obj["q"]),
             _scalar_from_json(obj["r"]),
             _scalar_from_json(obj["s"]),
-            obj.get("field", FIELD_Q),
         )
 
 
@@ -120,7 +119,7 @@ def classify(f, point: Point4) -> bool:
     """Triviality per the set-intersection definition: a point is nontrivial
     when it is on V_f, {p,q} and {r,s} are disjoint, and so are their
     f-value sets.  Evaluates f once per coordinate."""
-    fp, fq, fr, fs = (f(v) for v in point.coords())
+    fp, fq, fr, fs = (f(v) for v in point)
     return (
         not (fp + fq - fr - fs)
         and not {point.p, point.q} & {point.r, point.s}
@@ -138,11 +137,9 @@ def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Poi
     for pt in points:
         if residual(f, pt):
             raise PointNotOnHypersurface(f"{pt} is not on V_f")
-    d = lcm_of_denominators([c for pt in points for c in pt.coords()])
+    d = lcm_of_denominators([c for pt in points for c in pt])
     big = QuinticCoeffs(f.a * d * d, f.b * d**3, f.c * d**4)
-    scaled = [
-        Point4(pt.p * d, pt.q * d, pt.r * d, pt.s * d, FIELD_Q) for pt in points
-    ]
+    scaled = [Point4(pt.p * d, pt.q * d, pt.r * d, pt.s * d) for pt in points]
     return big, scaled
 
 

@@ -43,8 +43,6 @@ from .poly import (
     discriminant_quadratic,
 )
 from .quintic import (
-    FIELD_Q,
-    FIELD_QI,
     Point4,
     QuinticCoeffs,
     classify,
@@ -237,7 +235,7 @@ def thm1_point(fq: QuinticCoeffs, u, v, branch: int = 1) -> Certificate:
         "thm1",
         {"a": a, "b": b, "c": c, "u": str(u), "v": str(v), "branch": branch},
         a, b, c,
-        Point4(x, y - x, z, y - z, FIELD_Q),
+        Point4(x, y - x, z, y - z),
     )
 
 
@@ -294,7 +292,7 @@ def thm2_point(a: int, c: int, u, v, search_bound: int = 60) -> Certificate:
         "thm2",
         {"a": a, "c": c, "u": str(u), "v": str(v)},
         a, 0, c,
-        Point4(*thm2_parametrize(a, search_bound)(u, v), FIELD_Q),
+        Point4(*thm2_parametrize(a, search_bound)(u, v)),
     )
 
 
@@ -337,7 +335,7 @@ def gaussian_point(coeffs, y, u) -> Certificate:
         "gaussian",
         {"a": a, "b": b, "c": c, "y": str(y), "u": u.to_json()},
         a, b, c,
-        Point4(p, q, r, s, FIELD_QI),
+        Point4(p, q, r, s),
         notes,
     )
 
@@ -361,7 +359,7 @@ def fifth_power_solution(u, v) -> Certificate:
         "fifth-power",
         {"u": u.to_json(), "v": v.to_json()},
         0, 0, 0,
-        Point4(*_fifth_power_coords(u, v, GAUSSIAN_I), FIELD_QI),
+        Point4(*_fifth_power_coords(u, v, GAUSSIAN_I)),
     )
 
 
@@ -472,7 +470,7 @@ def mixed_point(
     return Certificate(
         construction="mixed",
         inputs={"c": c, "f": f, "t": str(t), "k": k},
-        point=Point4(p, q, r, s, FIELD_Q),
+        point=Point4(p, q, r, s),
         residual=Fp + f_value(0, 0, f, q) - Fr - f_value(0, 0, f, s),
         # the sides are (F(p), G(q)) and (F(r), G(s))
         nontrivial=p != r and q != s and Fp != Fr,
@@ -541,11 +539,10 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
     if not V:
         raise PoleAtPoint("V = 0")
     p, q, r, s = _uv_coords(t, U, V)
-    field = FIELD_QI if isinstance(p, GaussianRational) else FIELD_Q
     return Certificate(
         construction=construction,
         inputs=inputs,
-        point=Point4(p, q, r, s, field),
+        point=Point4(p, q, r, s),
         residual=coeffs.f_eval(p, q) - coeffs.f_eval(r, s),
         # trivial iff the unordered pairs coincide (f is symmetric)
         nontrivial={p, q} != {r, s},

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import argparse_oracle
@@ -421,6 +422,10 @@ def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, c
         (["scale-integers", "--a=1", '--points=[{"p":"1"}]'], "scale-integers", "ValueError"),
         (["scale-integers", "--a=1", "--points=[1]"], "scale-integers", "ValueError"),
         (["scale-integers", "--a=1", '--points={"p":"1"}'], "scale-integers", "ValueError"),
+        # a Gaussian coordinate makes a Q(i) point, whatever its imaginary part
+        (["scale-integers", "--a=1", "--points", json.dumps([{
+            "p": {"re": "1/2", "im": "0"}, "q": "1/3", "r": "1/3", "s": {"re": "1/2", "im": "0"}
+        }])], "scale-integers", "ValueError"),
     ],
 )
 def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
@@ -431,6 +436,72 @@ def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
     assert payload["error"] == error and captured.err.startswith("invalid input: ")
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == command and record["outputs"] == payload
+
+
+@pytest.mark.parametrize("field", ["Qi", "R"])
+def test_an_input_points_field_comes_from_its_coordinates(capsys, field):
+    point = {"p": "-2/5", "q": "1/5", "r": "3/5", "s": "-4/5"}
+    outputs = []
+    for obj in (point, {**point, "field": field}):
+        assert cli.main(["scale-integers", "--a=-1", f"--points={json.dumps([obj])}"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["points"][0]["field"] == "Q"
+
+
+def _add_a_seventh(*coords, r4_point=surfaces.r4_point):
+    """The question-3 point with 1/7 added to p; the default keeps the
+    r4_point that this function replaces."""
+    p, q, r, s = r4_point(*coords)
+    return p + Fraction(1, 7), q, r, s
+
+
+def _residual_one(*args, **kwargs):
+    raise CertificateError("residual 1")
+
+
+@pytest.mark.parametrize(
+    "argv, command, patch",
+    [
+        (["construct", "thm1", "--b=1", "--u=1", "--v=1"], "construct thm1",
+         (surfaces, "thm1_point", _residual_one)),
+        (["solve-form", "1", "2", "3", "-5"], "solve-form",
+         (quadform, "find_zero", lambda form, bound: (1, 1, 1, 1))),
+        (["question3", "--N=2"], "question3", (surfaces, "r4_point", _add_a_seventh)),
+    ],
+    ids=["construct", "solve-form", "question3"],
+)
+def test_certificate_errors_exit_1_with_a_note_and_a_record(
+    tmp_path, monkeypatch, capsys, argv, command, patch
+):
+    monkeypatch.setattr(*patch)
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "CertificateError"
+    assert captured.err == f"certificate failed: {payload['message']}\n"
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
+
+
+@pytest.mark.parametrize(
+    "variant, argv",
+    [
+        ("gaussian", ["--preset=consani-scholten", "--t=2", "--u=1"]),
+        ("rational", ["--preset=c29", "--t=1", "--seed-point=3,8", "--w=2"]),
+        ("error", ["--preset=c29", "--variant=rational", "--seed-point=3"]),
+    ],
+)
+def test_symmetric_calls_are_stored_as_construct_symmetric(tmp_path, capsys, variant, argv):
+    ledger = tmp_path / "ledger.jsonl"
+    variant_option = [] if variant == "error" else [f"--variant={variant}"]
+    code = cli.main(["construct", "symmetric", *variant_option, *argv, "--store", str(ledger)])
+    assert code == (cli.EXIT_INVALID if variant == "error" else cli.EXIT_OK)
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == "construct symmetric"
+    assert record["outputs"] == json.loads(capsys.readouterr().out)
 
 
 _HUGE_DENOMINATOR = "1" + "0" * 1500

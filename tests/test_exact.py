@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quinticpoints.exact import (
+    GAUSSIAN_I,
     EmptyList,
     FactorizationExhausted,
     GaussianRational,
@@ -269,6 +271,76 @@ class TestGaussian:
         x = GaussianRational(Fraction(-3, 4), Fraction(5, 7))
         assert GaussianRational.from_json(x.to_json()) == x
         assert x.to_json() == {"re": "-3/4", "im": "5/7"}
+
+
+class Dual:
+    """a + b*eps with eps^2 = 0, over any ring its parts mix with: a minimal
+    ring that carries GaussianRational parts without knowing the class."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    @staticmethod
+    def _of(value):
+        return value if isinstance(value, Dual) else Dual(value, 0)
+
+    def __eq__(self, other):
+        other = Dual._of(other)
+        return self.a == other.a and self.b == other.b
+
+    def __add__(self, other):
+        other = Dual._of(other)
+        return Dual(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -Dual._of(other)
+
+    def __rsub__(self, other):
+        return Dual._of(other) - self
+
+    def __mul__(self, other):
+        other = Dual._of(other)
+        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+
+class TestGaussianOperands:
+    """The operators take an int, a Fraction or a GaussianRational, and give
+    any other operand NotImplemented, so that its own reflected operator can
+    run."""
+
+    def test_a_dual_number_ring_carries_i_from_both_sides(self):
+        i = GAUSSIAN_I
+        x = Dual(Fraction(1, 2), 3)
+        assert i * x == x * i == Dual(GaussianRational(0, Fraction(1, 2)), GaussianRational(0, 3))
+        assert i + x == x + i == Dual(GaussianRational(Fraction(1, 2), 1), 3)
+        assert i - x == Dual(GaussianRational(Fraction(-1, 2), 1), -3)
+        assert x - i == Dual(GaussianRational(Fraction(1, 2), -1), 3)
+        # eps^2 = 0: (i + eps)^2 = -1 + 2i eps
+        e = i + Dual(0, 1)
+        assert e * e == Dual(GaussianRational(-1, 0), GaussianRational(0, 2))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_a_float_operand_still_raises_type_error(self, op):
+        for left, right in ((GAUSSIAN_I, 1.5), (1.5, GAUSSIAN_I)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+    def test_rational_operands_from_both_sides(self):
+        i = GAUSSIAN_I
+        half = Fraction(1, 2)
+        assert i + 1 == 1 + i == GaussianRational(1, 1)
+        assert i - half == GaussianRational(-half, 1) and half - i == GaussianRational(half, -1)
+        assert 2 * i == i * 2 == GaussianRational(0, 2)
+        assert i / 2 == GaussianRational(0, half) and 1 / i == GaussianRational(0, -1)
+        with pytest.raises(TypeError):
+            GaussianRational.of(1.5)
 
 
 class TestTextFormat:

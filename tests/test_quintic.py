@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quinticpoints.exact import GaussianRational
 from quinticpoints.poly import MultiPoly, RationalFunction, as_rational_function
 from quinticpoints.quintic import (
     DegenerateQuintic,
@@ -36,7 +37,7 @@ class TestResidual:
     def test_example1_point(self):
         # oracle: direct exact evaluation of f = X^5 - X^3
         f = QuinticCoeffs(-1, 0, 0)
-        vals = [x**5 - x**3 for x in EXAMPLE1_POINT.coords()]
+        vals = [x**5 - x**3 for x in EXAMPLE1_POINT]
         assert vals[0] + vals[1] - vals[2] - vals[3] == 0
         assert residual(f, EXAMPLE1_POINT) == 0
 
@@ -203,6 +204,18 @@ def test_point_json_round_trip():
     p = Point4(Fraction(-2, 5), Fraction(1, 5), Fraction(3, 5), Fraction(-4, 5))
     assert Point4.from_json(p.to_json()) == p
     assert p.to_json()["field"] == "Q"
+
+
+def test_a_points_field_comes_from_its_coordinates():
+    rational = Point4(Fraction(1, 2), 1, 2, 3)
+    gaussian = rational._replace(s=GaussianRational(3, 0))
+    assert rational.field == "Q" and rational.is_integral() is False
+    assert gaussian.field == "Qi" and gaussian.to_json()["field"] == "Qi"
+    assert Point4(1, 2, GaussianRational(3, 0), 4).is_integral() is False
+    # a "field" key of the input is not read
+    for tag in ("Qi", "R"):
+        assert Point4.from_json({**rational.to_json(), "field": tag}) == rational
+    assert Point4.from_json(gaussian.to_json()).field == "Qi"
 
 
 @pytest.mark.parametrize(

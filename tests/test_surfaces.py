@@ -66,7 +66,7 @@ class TestFamiliesCertify:
         cert = surfaces.gaussian_point((1, -2, 0), 2, GaussianRational(1, 1))
         assert not cert.residual and cert.point.field == FIELD_QI
         five = surfaces.fifth_power_solution(GaussianRational(2, 0), GaussianRational(1, 1))
-        p, q, r, s = five.point.coords()
+        p, q, r, s = five.point
         assert not five.residual
         assert five.nontrivial == (not ({p, q} & {r, s}) and not ({p**5, q**5} & {r**5, s**5}))
 
