@@ -70,10 +70,12 @@ MAX_WITNESS_BOUND = 500
 # tries: at bound 10^6 a row of height 5 takes about 0.3 s, at 10^9 it ran
 # past 30 s.
 MAX_TABLE_BOUND = 10**6
-# A table search runs one row per D: at --dmax 10^4, --tmax 1 and the default
-# --bound the call takes about 0.7 s, at 10^5 about 4 s. The cap bounds the
-# time only at small --tmax (a row tries about 0.6 * tmax^2 values of t); it
-# goes once one work bound on dmax, tmax and bound replaces the single caps.
+# A table search runs one row per D, and a row tries about 0.6 * tmax^2
+# values of t.  Most t are ruled out in about 2 us each, before E_t is built:
+# at --dmax 10^4 and the default --bound the call takes about 0.3 s at
+# --tmax 1 and about 37 s at the default --tmax 50.  So the cap bounds the
+# time only at small --tmax; it goes once one work bound on dmax, tmax and
+# bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
 
 
@@ -435,12 +437,15 @@ def cmd_question3(args) -> Outcome:
 def cmd_scale_integers(args) -> Outcome:
     try:
         f = QuinticCoeffs(args.a, args.b, args.c)
-        raw = json.loads(args.points) if args.points else json.load(sys.stdin)
+        try:
+            raw = json.loads(args.points) if args.points else json.load(sys.stdin)
+        except RecursionError as exc:  # JSON nested past the decoder's limit
+            raise TypedExit(str(exc), type(exc).__name__) from exc
         if not isinstance(raw, list):
             raise ValueError("the points must be a JSON list")
         points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
         big, scaled = scale_to_integers(f, points)
-    except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
+    except (ValueError, ZeroDivisionError) as exc:  # bad input; "1/0" is a ZeroDivisionError
         raise TypedExit(str(exc), type(exc).__name__) from exc
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},

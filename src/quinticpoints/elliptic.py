@@ -21,20 +21,24 @@ The point search follows Stoll's *ratpoints*, which searches only where the
 polynomial is nonnegative before it sieves.  The completed square R(x) =
 4x^3 + b2 x^2 + 2 b4 x + b6 has at most one local maximum, so a few exact
 values of R decide whether it is negative at every candidate x of the
-window; such a window holds no point and is skipped.  Most windows of the
-specialization family are skipped so, as the right side of E_t is negative
-for every x <= 25 t^4.  Any other window of candidate integers x is one
-Python int with a bit per candidate, and each small odd prime clears the
-bits at which R(x) is a non-square mod p.  Only the few survivors reach an
-exact square test.  Everything is Python ints; nothing can wrap."""
+window; such a window holds no point and is skipped.  Any other window of
+candidate integers x is one Python int with a bit per candidate, and small
+odd primes, smallest first, clear the bits at which R(x) is a non-square
+mod p until at most two bits are left.  Only those survivors reach an
+exact square test.  Everything is Python ints; nothing can wrap.
+
+The specialization search applies the same real-locus test to t itself:
+the right side of E_t is negative for every x <= 25 t^4, and bounds on
+every integral model, read from t, c - f and the window, rule out most t
+before E_t, its integral model and its discriminant are built."""
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 
 from .exact import (
     FactorizationExhausted,
@@ -323,8 +327,11 @@ def _cubic_residues(p: int, c2: int, c1: int, s: int) -> bytes:
 
 def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
     """Bit j is set when R(m) = 4m^3 + c2 m^2 + c1 m + c0 at m = start + j
-    is a square modulo every sieve prime.  An integer square is a square
-    mod every p, so no square is ever cleared."""
+    is a square modulo every prime tried.  An integer square is a square
+    mod every p, so no square is ever cleared.  The primes are tried
+    smallest first, and the sieve stops once at most two bits are left: by
+    then another prime clears less than it costs, and ``search_points``
+    tests each survivor exactly."""
     mask = (1 << length) - 1
     for p in _SIEVE_PRIMES:
         flags, c0p = _squares_mod(p), c0 % p
@@ -337,7 +344,7 @@ def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
             bits |= bits << width
             width <<= 1
         mask &= bits
-        if not mask:
+        if mask.bit_count() <= 2:
             break
     return mask
 
@@ -425,7 +432,9 @@ def _table_cell(text: str) -> Fraction:
 
 def _table_lines() -> list[str]:
     """The data lines of the shipped table, its header checked."""
-    text = (resources.files("quinticpoints") / "data" / "table_d100.csv").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", "table_d100.csv")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     header, *lines = text.splitlines()
     if header != "D,t,X,Y":
         raise ValueError(f"table header {header!r} is not 'D,t,X,Y'")
@@ -491,21 +500,47 @@ def rationals_by_height(max_height: int):
                 yield Fraction(num, den)
 
 
+def _no_real_point(c: int, f: int, t, bound: int) -> bool:
+    """Whether R(X) < 0 at every integer |X| <= bound on every integral model
+    of E_t (c != f, t = n/m != 0), decided in ints from n, m, c - f and the
+    bound, before E_t is built.  When True, ``search_points`` on E_t returns
+    [] at this bound.
+
+    Write a2 = -25 t^4 = -N2/D2 and a6 = -2500 (c-f)^2 t^4, both in lowest
+    terms.  A model scaled by u is integral only if D2 | u^2, so -A2 =
+    u^2 |a2| >= N2 and |A6| = u^6 |a6| >= D2^3 |a6|.  On it R(X) = 4 (X^2 (X +
+    A2) + A6), and X^2 (X + A2) <= max(0, B^2 (B - N2)) for X <= B.  So R < 0
+    throughout when B <= N2, or when B^2 (B - N2) < D2^3 |a6|.  As gcd(n, m)
+    = 1, the gcd of 25 n^4 and m^4 is g = gcd(25, m^4), which gives N2 = 25
+    n^4 / g and D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.
+
+    The least u is m^2 / sqrt(g), so u^2 = D2: on the model that
+    ``integral_model`` finds both bounds are equalities, and the answer is
+    that of ``_negative_throughout`` on it."""
+    n4, m4 = t.numerator**4, t.denominator**4
+    g = math.gcd(25, m4)
+    n2 = 25 * n4 // g
+    return bound <= n2 or g**3 * bound * bound * (bound - n2) < 2500 * (c - f) ** 2 * n4 * m4 * m4
+
+
 def conjecture2_search(c: int, f: int, t_candidates, bound: int):
-    """First t in the given enumeration whose specialization E_t carries a
-    nontorsion point that ``search_points`` finds within the bound.
-    Evidence for the conjecture, never proof; None when the enumeration is
-    exhausted."""
+    """First t in the given enumeration of rationals (ints or Fractions)
+    whose specialization E_t carries a nontorsion point that
+    ``search_points`` finds within the bound.  Evidence for the conjecture,
+    never proof; None when the enumeration is exhausted.
+
+    A t for which ``_no_real_point`` holds is passed over without building
+    E_t: its window holds no point.  No other t is skipped; E_t is never
+    singular, as its discriminant -16 a6 (4 a2^3 + 27 a6) is nonzero: a6
+    and 4 a2^3 + 27 a6 are both negative for t != 0 and c != f."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if c == f:
         raise DegenerateSpecialization("need c != f")
     for t in t_candidates:
-        if t == 0:
+        if t == 0 or _no_real_point(c, f, t, bound):
             continue
         curve = specialization_curve(c, f, t)
-        if curve.is_singular:
-            continue
         for point in search_points(curve, bound):
             if not point.is_identity and is_nontorsion(curve, point):
                 return t, point

@@ -59,6 +59,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def rational_from_json(value, where: str) -> Fraction:
+    """A JSON rational: a string such as "-2/5", or an integer.  A ValueError
+    names ``where`` for a float, a bool or any other JSON value."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{where} must be a rational string or an integer, not {type(value).__name__}")
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -196,8 +206,14 @@ class GaussianRational:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
     @staticmethod
-    def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(parse_rational(obj["re"]), parse_rational(obj["im"]))
+    def from_json(obj: dict, where: str = "value") -> "GaussianRational":
+        """The value of {"re": ..., "im": ...}, each part as
+        ``rational_from_json`` reads it; a ValueError names ``where``."""
+        if missing := [k for k in ("re", "im") if k not in obj]:
+            raise ValueError(f"{where} lacks part(s) {', '.join(missing)}")
+        return GaussianRational(
+            rational_from_json(obj["re"], f"{where}.re"), rational_from_json(obj["im"], f"{where}.im")
+        )
 
 
 # the slot setters bypass the immutable __setattr__; only _gaussian and

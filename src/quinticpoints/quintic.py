@@ -12,7 +12,7 @@ from .exact import (
     checked_make,
     format_rational,
     lcm_of_denominators,
-    parse_rational,
+    rational_from_json,
 )
 from .poly import MultiPoly
 
@@ -64,10 +64,10 @@ def _scalar_to_json(v):
     return format_rational(v)
 
 
-def _scalar_from_json(v):
+def _scalar_from_json(v, where: str):
     if isinstance(v, dict):
-        return GaussianRational.from_json(v)
-    return parse_rational(v)
+        return GaussianRational.from_json(v, where)
+    return rational_from_json(v, where)
 
 
 class Point4(namedtuple("Point4", "p q r s")):
@@ -101,12 +101,7 @@ class Point4(namedtuple("Point4", "p q r s")):
             raise ValueError(f"point {index} must be a JSON object")
         if missing := [k for k in "pqrs" if k not in obj]:
             raise ValueError(f"point {index} lacks coordinate(s) {', '.join(missing)}")
-        return Point4(
-            _scalar_from_json(obj["p"]),
-            _scalar_from_json(obj["q"]),
-            _scalar_from_json(obj["r"]),
-            _scalar_from_json(obj["s"]),
-        )
+        return Point4(*(_scalar_from_json(obj[k], f"point {index} coordinate {k}") for k in "pqrs"))
 
 
 def residual(f, point: Point4):

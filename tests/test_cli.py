@@ -426,6 +426,14 @@ def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, c
         (["scale-integers", "--a=1", "--points", json.dumps([{
             "p": {"re": "1/2", "im": "0"}, "q": "1/3", "r": "1/3", "s": {"re": "1/2", "im": "0"}
         }])], "scale-integers", "ValueError"),
+        # a coordinate is a rational string, an integer or an {re, im} object
+        *((["scale-integers", "--a=1", "--points", json.dumps([{**dict.fromkeys("pqrs", "1"),
+            "p": value}])], "scale-integers", "ValueError")
+          for value in (1.5, [1], True, None, {"re": "1"}, {"re": "1", "im": 0.5})),
+        (["scale-integers", "--a=1", "--points", json.dumps([dict.fromkeys("pqrs", "1/0")])],
+         "scale-integers", "ZeroDivisionError"),
+        (["scale-integers", "--a=1", "--points", "[" * 100000], "scale-integers",
+         "RecursionError"),
     ],
 )
 def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
@@ -447,6 +455,25 @@ def test_an_input_points_field_comes_from_its_coordinates(capsys, field):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["points"][0]["field"] == "Q"
+
+
+def test_json_integer_coordinates_are_exact_rationals(capsys):
+    outputs = []
+    for coords in (["-2", "1", "3", "-4"], [-2, 1, 3, -4]):
+        points = json.dumps([dict(zip("pqrs", coords))])
+        assert cli.main(["scale-integers", "--a=-25", f"--points={points}"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_fault_in_scale_to_integers_is_not_invalid_input(monkeypatch, capsys):
+    def fault(f, points):
+        raise TypeError("a fault of the program")
+
+    monkeypatch.setattr(cli, "scale_to_integers", fault)
+    with pytest.raises(TypeError, match="a fault of the program"):
+        cli.main(["scale-integers", "--a=-1", '--points=[{"p": "1", "q": "0", "r": "1", "s": "0"}]'])
+    assert capsys.readouterr().out == ""
 
 
 def _add_a_seventh(*coords, r4_point=surfaces.r4_point):

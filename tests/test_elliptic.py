@@ -14,6 +14,8 @@ from quinticpoints.elliptic import (
     WeierstrassCurve,
     _b_invariants,
     _negative_throughout,
+    _no_real_point,
+    _square_sieve,
     add,
     conjecture2_search,
     integral_model,
@@ -28,6 +30,9 @@ from quinticpoints.elliptic import (
     verify_row,
 )
 from quinticpoints.exact import factor
+
+# t of height <= 30, either sign
+nonzero_ts = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 30))
 
 D1_CURVE = specialization_curve(1, 0, Fraction(2, 45))
 D1_POINT = CurvePoint(1, Fraction(403, 405))
@@ -54,9 +59,15 @@ class TestCurveBasics:
         c = WeierstrassCurve(0, 0, 0, 0, -1)
         assert not on_curve(c, CurvePoint(0, 0))
 
-    def test_discriminant_never_zero_in_family(self):
-        for t in (Fraction(1), Fraction(2, 45), Fraction(-3, 7)):
-            assert not specialization_curve(5, 2, t).is_singular
+    @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), nonzero_ts)
+    @example(5, 2, Fraction(1))
+    @example(5, 2, Fraction(2, 45))
+    @example(5, 2, Fraction(-3, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_discriminant_never_zero_in_family(self, c, f, t):
+        # so conjecture2_search needs no singular branch
+        assume(c != f)
+        assert not specialization_curve(c, f, t).is_singular
 
 
 class TestGroupLaw:
@@ -407,9 +418,131 @@ class TestRealLocus:
         # X^3 - 25 X^2 - 2500 is negative for every X <= 25
         assert search_points(specialization_curve(1, 0, Fraction(1)), 25) == []
         assert search_points(WeierstrassCurve(0, 0, 0, 0, -1000), 9) == []
-        # at X = 26 the right side is positive, so that window is sieved
+        # at X = 29 the right side is positive, so that window is sieved
         with pytest.raises(AssertionError, match="sieved"):
             search_points(specialization_curve(1, 0, Fraction(1)), 40)
+
+
+@st.composite
+def cubics_with_squares(draw):
+    """(start, length, c2, c1, c0) with R(m) = 4m^3 + c2 m^2 + c1 m + c0 a
+    perfect square at a drawn m of the window, so that the sieve has a
+    square to keep."""
+    start, length = draw(st.integers(-500, 500)), draw(st.integers(1, 600))
+    c2, c1 = draw(st.integers(-(10**12), 10**12)), draw(st.integers(-(10**12), 10**12))
+    m = start + draw(st.integers(0, length - 1))
+    c0 = draw(st.integers(0, 10**9)) ** 2 - _cubic(c2, c1, 0)(m)
+    return start, length, c2, c1, c0
+
+
+class TestSquareSieve:
+    @given(cubics_with_squares())
+    @settings(max_examples=200, deadline=None)
+    def test_every_square_keeps_its_bit(self, case):
+        start, length, c2, c1, c0 = case
+        mask = _square_sieve(start, length, c2, c1, c0)
+        assert 0 <= mask < 1 << length
+        for j in range(length):
+            value = _cubic(c2, c1, c0)(start + j)
+            if value >= 0 and math.isqrt(value) ** 2 == value:
+                assert mask >> j & 1, start + j
+
+    def test_stops_at_two_survivors(self, monkeypatch):
+        import quinticpoints.elliptic as elliptic
+
+        # R(m) = 4m^3 + 1 over 0..999, where R(0) = 1 is a square
+        tried = []
+        squares_mod = elliptic._squares_mod
+
+        def counting(p):
+            tried.append(p)
+            return squares_mod(p)
+
+        monkeypatch.setattr(elliptic, "_squares_mod", counting)
+        mask = _square_sieve(0, 1000, 0, 0, 1)
+        assert mask.bit_count() <= 2 and mask & 1
+        assert len(tried) < len(elliptic._SIEVE_PRIMES)
+
+
+def _first_real_x(curve):
+    """The least X >= 1 at which X^3 + A2 X^2 + A6 >= 0 on the integral model
+    of E_t, by bisection: the window |X| <= bound has a real point iff bound
+    reaches it."""
+    _, _, a2, _, _, a6 = curve.integral
+    lo, hi = 1, 1
+    while hi * hi * (hi + a2) + a6 < 0:
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid * mid * (mid + a2) + a6 < 0 else (lo, mid)
+    return lo
+
+
+@st.composite
+def screened_windows(draw):
+    """(c, f, t, bound) with c != f; half the draws put the bound within 2
+    of the first X where the window gains a real point."""
+    c, f = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+    assume(c != f)
+    t = draw(nonzero_ts)
+    if draw(st.booleans()):
+        bound = draw(st.integers(1, 10**6))
+    else:
+        bound = max(1, _first_real_x(specialization_curve(c, f, t)) + draw(st.integers(-2, 2)))
+    return c, f, t, bound
+
+
+class TestScreenT:
+    """``_no_real_point`` rules t out before E_t is built, and only where
+    ``_negative_throughout`` would skip the window of the integral model."""
+
+    @given(screened_windows())
+    # t = 1, c - f = 1: X^2 (X - 25) - 2500 < 0 for every X <= 25 (B <= N2)
+    # and up to X = 28 (28^2 * 3 < 2500), but not at X = 29
+    @example((1, 0, Fraction(1), 25))
+    @example((1, 0, Fraction(1), 28))
+    @example((1, 0, Fraction(1), 29))
+    # t = 10: B = N2 = 250000 is skipped by the first test alone
+    @example((1, 0, Fraction(10), 250000))
+    @example((1, 0, Fraction(10), 250001))
+    # 5 | m: a2 = -25/5^4 has N2 = 1 and D2 = 25
+    @example((1, 0, Fraction(1, 5), 2))
+    @example((1, 0, Fraction(2, 45), 165000))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_window_test_on_the_integral_model(self, case):
+        # the minimal u has u^2 = D2, so both bounds are equalities and the
+        # screen is exact; soundness, skip => no real point, is the half
+        # the search needs
+        c, f, t, bound = case
+        u, a1, a2, a3, a4, a6 = specialization_curve(c, f, t).integral
+        b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
+        assert _no_real_point(c, f, t, bound) == _negative_throughout(-bound, bound, b2, 2 * b4, b6)
+
+    @staticmethod
+    def _count_curves(monkeypatch):
+        import quinticpoints.elliptic as elliptic
+
+        built = []
+        original = elliptic.specialization_curve
+
+        def counting(c, f, t):
+            built.append(t)
+            return original(c, f, t)
+
+        monkeypatch.setattr(elliptic, "specialization_curve", counting)
+        return built
+
+    def test_table_search_workload_builds_32_curves(self, monkeypatch):
+        # the 30 rows at height 4 and bound 200 try 250 values of t
+        built = self._count_curves(monkeypatch)
+        found = [conjecture2_search(d, 0, rationals_by_height(4), 200) for d in range(1, 31)]
+        assert len(built) == 32
+        assert sum(row is not None for row in found) == 8
+
+    def test_small_bound_at_large_height_builds_no_curve(self, monkeypatch):
+        built = self._count_curves(monkeypatch)
+        assert conjecture2_search(1, 0, rationals_by_height(300), 3) is None
+        assert built == []
 
 
 class TestRationalT:
@@ -431,16 +564,18 @@ class TestRationalT:
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_conjecture2_search_matches_brute_force(self, d):
-        expected = next(
-            (
-                (t, point)
-                for t in rationals_by_height(3)
-                for point in _search_reference(specialization_curve(d, 0, t), 300)
-                if _nontorsion_reference(specialization_curve(d, 0, t), point)
-            ),
-            None,
-        )
-        assert conjecture2_search(d, 0, rationals_by_height(3), 300) == expected
+        # height 4 at bound 200 is the table-search workload's setting
+        for height, bound in ((3, 300), (4, 200)):
+            expected = next(
+                (
+                    (t, point)
+                    for t in rationals_by_height(height)
+                    for point in _search_reference(specialization_curve(d, 0, t), bound)
+                    if _nontorsion_reference(specialization_curve(d, 0, t), point)
+                ),
+                None,
+            )
+            assert conjecture2_search(d, 0, rationals_by_height(height), bound) == expected
 
 
 class TestSpecialization:

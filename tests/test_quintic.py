@@ -206,6 +206,12 @@ def test_point_json_round_trip():
     assert p.to_json()["field"] == "Q"
 
 
+def test_json_integers_are_exact_rationals():
+    point = Point4.from_json({"p": -2, "q": 10**30, "r": {"re": 3, "im": "1/2"}, "s": "4"})
+    assert point == Point4(-2, 10**30, GaussianRational(3, Fraction(1, 2)), 4)
+    assert type(point.p) is Fraction and type(point.q) is Fraction
+
+
 def test_a_points_field_comes_from_its_coordinates():
     rational = Point4(Fraction(1, 2), 1, 2, 3)
     gaussian = rational._replace(s=GaussianRational(3, 0))
@@ -225,6 +231,13 @@ def test_a_points_field_comes_from_its_coordinates():
         ({"p": "1", "q": "1", "s": "1"}, "point 3 lacks coordinate(s) r"),
         (1, "point 3 must be a JSON object"),
         (["1", "1", "1", "1"], "point 3 must be a JSON object"),
+        ({**dict.fromkeys("pqrs", "1"), "q": 0.5},
+         "point 3 coordinate q must be a rational string or an integer, not float"),
+        ({**dict.fromkeys("pqrs", "1"), "r": False},
+         "point 3 coordinate r must be a rational string or an integer, not bool"),
+        ({**dict.fromkeys("pqrs", "1"), "s": {"im": "1"}}, "point 3 coordinate s lacks part(s) re"),
+        ({**dict.fromkeys("pqrs", "1"), "p": {"re": "1", "im": [1]}},
+         "point 3 coordinate p.im must be a rational string or an integer, not list"),
     ],
 )
 def test_malformed_point_json_names_the_point(obj, message):
