@@ -26,8 +26,7 @@ Each subcommand's arguments are written once, in ``COMMANDS``, and one small
 parser reads every call against that table as argparse read it, building
 nothing first: building argparse's parser cost more than the cheapest
 call's work.  ``--help`` and usage errors are written from the same table.
-``concurrent.futures`` and ``datetime`` are imported only by ``table
---jobs`` and ``--store``.
+``datetime`` is imported only by ``--store``.
 """
 
 from __future__ import annotations
@@ -71,11 +70,11 @@ MAX_WITNESS_BOUND = 500
 # past 30 s.
 MAX_TABLE_BOUND = 10**6
 # A table search runs one row per D, and a row tries about 0.6 * tmax^2
-# values of t.  Most t are ruled out in about 2 us each, before E_t is built:
-# at --dmax 10^4 and the default --bound the call takes about 0.3 s at
-# --tmax 1 and about 37 s at the default --tmax 50.  So the cap bounds the
-# time only at small --tmax; it goes once one work bound on dmax, tmax and
-# bound replaces the single caps.
+# values of t.  Most t are ruled out in about 1 us each, before t or E_t is
+# built: at --dmax 10^4 and the default --bound the call takes about 0.5 s at
+# --tmax 1 and about 14 s at the default --tmax 50 (one core of a 2-core
+# x86-64 machine).  So the cap bounds the time only at small --tmax; it goes
+# once one work bound on dmax, tmax and bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
 
 
@@ -334,9 +333,8 @@ def cmd_solve_form(args) -> Outcome:
 # ---------------------------------------------------------------------------
 # table
 
-def _search_row_task(task):
-    d, height, bound = task
-    found = elliptic.conjecture2_search(d, 0, elliptic.rationals_by_height(height), bound)
+def _search_row(d: int, height: int, bound: int) -> dict:
+    found = elliptic.conjecture2_search(d, 0, height, bound)
     if found is None:
         return {"D": d, "status": "exhausted"}
     t, point = found
@@ -347,20 +345,6 @@ def _search_row_task(task):
         "Y": format_rational(point.y),
         "status": "ok",
     }
-
-
-def _run_parallel(task_fn, tasks, jobs: int):
-    """Map task_fn over tasks in order, on at most one worker per task and per
-    CPU; each worker gets one chunk, as one pickled round trip per row costs
-    more than a row."""
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [task_fn(t) for t in tasks]
-    import concurrent.futures  # only a parallel table pays for it
-
-    chunksize = math.ceil(len(tasks) / workers)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task_fn, tasks, chunksize=chunksize))
 
 
 def _rows_to_csv(rows) -> str:
@@ -375,21 +359,20 @@ def _rows_to_csv(rows) -> str:
 
 
 def cmd_table(args) -> Outcome:
-    _require_positive(args, "dmax", "bound", "tmax", "jobs")
+    _require_positive(args, "dmax", "bound", "tmax")
     if args.bound > MAX_TABLE_BOUND:
         raise TypedExit(f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
         rows = elliptic.load_table(args.dmax)
         if args.dmax > len(rows):  # then rows holds the whole table
             raise TypedExit(f"--dmax must be <= {len(rows)}, the rows of the shipped table")
-        results = _run_parallel(elliptic.verify_row, rows, args.jobs)
+        results = [elliptic.verify_row(row) for row in rows]
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
         if args.dmax > MAX_SEARCH_DMAX:
             raise TypedExit(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
-        tasks = [(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
-        results = _run_parallel(_search_row_task, tasks, args.jobs)
+        results = [_search_row(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
         exhausted = [r for r in results if r["status"] == "exhausted"]
         all_ok = not exhausted
         exit_code = EXIT_OK if all_ok else EXIT_EXHAUSTED
@@ -523,7 +506,6 @@ COMMANDS = {
             "--dmax": (int, 100, None, None),
             "--mode": (str, "verify", ("verify", "search"), None),
             "--tmax": (int, 50, None, "height cap for search mode"),
-            "--jobs": (int, 1, None, "worker processes"),
             "--out": (str, None, None, "output file (table CSV)"),
         },
     ),

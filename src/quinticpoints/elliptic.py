@@ -27,10 +27,11 @@ odd primes, smallest first, clear the bits at which R(x) is a non-square
 mod p until at most two bits are left.  Only those survivors reach an
 exact square test.  Everything is Python ints; nothing can wrap.
 
-The specialization search applies the same real-locus test to t itself:
-the right side of E_t is negative for every x <= 25 t^4, and bounds on
-every integral model, read from t, c - f and the window, rule out most t
-before E_t, its integral model and its discriminant are built."""
+The specialization search walks t = n/m as coprime int pairs (n, m) in
+height order and applies the same real-locus test to t itself: the right
+side of E_t is negative for every x <= 25 t^4, and bounds on every integral
+model, read in ints from n, m, c - f and the window, rule out most t before
+the Fraction t, E_t, its integral model and its discriminant are built."""
 
 from __future__ import annotations
 
@@ -488,23 +489,24 @@ def verify_row(row: tuple[int, Fraction, CurvePoint]) -> dict:
 # evidence search for the positive-rank conjecture
 
 def rationals_by_height(max_height: int):
-    """Positive rationals ordered by max(numerator, denominator), then
-    denominator, then numerator.  E_t only sees t^4, so negative t are
-    redundant and omitted."""
+    """The positive rationals t = n/m of height max(n, m) <= max_height, as
+    coprime int pairs (n, m), ordered by height, then m, then n: height h
+    gives (h, m) for m < h, then (n, h) for n <= h.  E_t only sees t^4, so
+    negative t are redundant and omitted."""
     for h in range(1, max_height + 1):
-        pairs = [(h, den) for den in range(1, h + 1)] + [
-            (num, h) for num in range(1, h)
-        ]
-        for num, den in sorted(pairs, key=lambda nd: (nd[1], nd[0])):
-            if math.gcd(num, den) == 1:
-                yield Fraction(num, den)
+        for m in range(1, h):
+            if math.gcd(h, m) == 1:
+                yield h, m
+        for n in range(1, h + 1):
+            if math.gcd(n, h) == 1:
+                yield n, h
 
 
-def _no_real_point(c: int, f: int, t, bound: int) -> bool:
+def _no_real_point(c: int, f: int, n: int, m: int, bound: int) -> bool:
     """Whether R(X) < 0 at every integer |X| <= bound on every integral model
-    of E_t (c != f, t = n/m != 0), decided in ints from n, m, c - f and the
-    bound, before E_t is built.  When True, ``search_points`` on E_t returns
-    [] at this bound.
+    of E_t (c != f, t = n/m with n != 0, m > 0 and gcd(n, m) = 1), decided in
+    ints from n, m, c - f and the bound, before t or E_t is built.  When
+    True, ``search_points`` on E_t returns [] at this bound.
 
     Write a2 = -25 t^4 = -N2/D2 and a6 = -2500 (c-f)^2 t^4, both in lowest
     terms.  A model scaled by u is integral only if D2 | u^2, so -A2 =
@@ -517,29 +519,30 @@ def _no_real_point(c: int, f: int, t, bound: int) -> bool:
     The least u is m^2 / sqrt(g), so u^2 = D2: on the model that
     ``integral_model`` finds both bounds are equalities, and the answer is
     that of ``_negative_throughout`` on it."""
-    n4, m4 = t.numerator**4, t.denominator**4
+    n4, m4 = n**4, m**4
     g = math.gcd(25, m4)
     n2 = 25 * n4 // g
     return bound <= n2 or g**3 * bound * bound * (bound - n2) < 2500 * (c - f) ** 2 * n4 * m4 * m4
 
 
-def conjecture2_search(c: int, f: int, t_candidates, bound: int):
-    """First t in the given enumeration of rationals (ints or Fractions)
-    whose specialization E_t carries a nontorsion point that
-    ``search_points`` finds within the bound.  Evidence for the conjecture,
-    never proof; None when the enumeration is exhausted.
+def conjecture2_search(c: int, f: int, height: int, bound: int):
+    """First t = n/m of ``rationals_by_height(height)`` whose specialization
+    E_t carries a nontorsion point that ``search_points`` finds within the
+    bound, as (Fraction t, point).  Evidence for the conjecture, never
+    proof; None when every t is exhausted.
 
-    A t for which ``_no_real_point`` holds is passed over without building
-    E_t: its window holds no point.  No other t is skipped; E_t is never
-    singular, as its discriminant -16 a6 (4 a2^3 + 27 a6) is nonzero: a6
-    and 4 a2^3 + 27 a6 are both negative for t != 0 and c != f."""
+    A pair (n, m) for which ``_no_real_point`` holds is passed over without
+    building t or E_t: its window holds no point.  No other t is skipped;
+    E_t is never singular, as its discriminant -16 a6 (4 a2^3 + 27 a6) is
+    nonzero: a6 and 4 a2^3 + 27 a6 are both negative for t != 0 and c != f."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if c == f:
         raise DegenerateSpecialization("need c != f")
-    for t in t_candidates:
-        if t == 0 or _no_real_point(c, f, t, bound):
+    for n, m in rationals_by_height(height):
+        if _no_real_point(c, f, n, m, bound):
             continue
+        t = Fraction(n, m)
         curve = specialization_curve(c, f, t)
         for point in search_points(curve, bound):
             if not point.is_identity and is_nontorsion(curve, point):

@@ -57,7 +57,6 @@ def _table_arguments(p) -> None:
     p.add_argument("--dmax", type=int, default=100)
     p.add_argument("--mode", choices=["verify", "search"], default="verify")
     p.add_argument("--tmax", type=int, default=50, help="height cap for search mode")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", help="output file (table CSV)")
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from quinticpoints import cli, poly, quadform, surfaces
+from quinticpoints import cli, elliptic, poly, quadform, surfaces
 from quinticpoints.exact import CertificateError, factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -37,6 +36,8 @@ class TestOptions:
             ("question3", "--bound", "5"),
             ("verify-identities", "--bound", "5"),
             ("scale-integers", "--jobs", "2"),
+            # the table runs serially: no worker processes to ask for
+            ("table", "--jobs", "2"),
             ("construct", "thm1", "--out", "x.csv"),
             ("solve-form", "1", "2", "3", "-5", "--seed", "1"),
             # no prefix matching: these would set --seed-point and --dmax
@@ -296,7 +297,7 @@ class TestConstructErrors:
 
 
 class TestTable:
-    @pytest.mark.parametrize("option", ["--dmax", "--bound", "--tmax", "--jobs"])
+    @pytest.mark.parametrize("option", ["--dmax", "--bound", "--tmax"])
     def test_bounds_below_one_are_invalid_input(self, capsys, option):
         argv = ["table", "--mode=search", "--dmax=1", "--tmax=1", f"{option}=0"]
         assert cli.main(argv) == cli.EXIT_INVALID
@@ -304,50 +305,22 @@ class TestTable:
             "error": "InvalidInput", "message": f"{option} must be >= 1"
         }
 
-    def test_jobs_match_serial_output(self, capsys):
-        outputs = []
-        for jobs in (1, 2):
-            assert cli.main(["table", "--mode=verify", "--dmax=6", f"--jobs={jobs}"]) == cli.EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert [row["D"] for row in json.loads(outputs[0])["rows"]] == list(range(1, 7))
-
-
     @pytest.mark.parametrize(
-        "jobs, dmax, cpus, pool",
+        "argv, digest",
         [
-            (64, 6, 4, (4, 2)),  # capped by the CPUs, one chunk per worker
-            (3, 7, 8, (3, 3)),
-            (64, 5, 8, (5, 1)),  # capped by the rows
-            (64, 1, 8, None),  # one row: serial, no pool
-            (64, 6, None, None),  # unknown CPU count: serial
+            # the defaults: dmax 100, tmax 50, bound 3000
+            ([], "e90eb307dca73fc686931811eaddba2fcdfa7633716237f8ae9e35d7cd9b6467"),
+            (["--dmax=30", "--tmax=30", "--bound=3"],
+             "a6cdd0197f744fbe381730fee8cb4f867a1f415cd11589c7fc8bd26afa088d52"),
         ],
+        ids=["default", "dmax30-tmax30-bound3"],
     )
-    def test_jobs_are_capped(self, monkeypatch, capsys, jobs, dmax, cpus, pool):
-        pools = []
-
-        class RecordingPool:  # never starts a process
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                self.chunksize = chunksize
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ["table", "--mode=verify", f"--dmax={dmax}", f"--jobs={jobs}"]
-        assert cli.main(argv) == cli.EXIT_OK
-        assert [(p.max_workers, p.chunksize) for p in pools] == ([pool] if pool else [])
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [row["D"] for row in rows] == list(range(1, dmax + 1))
+    def test_search_stdout_is_unchanged(self, monkeypatch, capsys, argv, digest):
+        """The golden set's table searches stop at --tmax 4, so the stdout of
+        two deeper searches is pinned here."""
+        monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+        assert cli.main(["table", "--mode=search", *argv]) == cli.EXIT_EXHAUSTED
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # the shipped row whose kP is the first to pass 4300 digits, at k = 23
@@ -579,7 +552,8 @@ def test_unwritable_output_path_is_invalid_input_before_any_work(
     def fill(text):
         return text.format(missing=tmp_path / "nonexistent" / "d", tmp=tmp_path)
 
-    monkeypatch.setattr(cli, "_run_parallel", no_work)
+    monkeypatch.setattr(elliptic, "verify_row", no_work)
+    monkeypatch.setattr(elliptic, "conjecture2_search", no_work)
     monkeypatch.setattr(quadform, "question3_family", no_work)
     if store_variable:
         monkeypatch.setenv("QUINTICPOINTS_STORE", fill(store_variable))
@@ -756,11 +730,12 @@ def test_point_commands_build_no_polynomial(monkeypatch, argv):
 
 def test_cli_import_leaves_numpy_out():
     src = Path(__file__).resolve().parents[1] / "src"
-    # nor a parallel table's concurrent.futures, a stored call's datetime or
-    # csv, nor dataclasses and the inspect it loads (the value types are
-    # named tuples), nor argparse and its gettext, even once a call is
-    # parsed (COMMANDS has its own parser); surfaces stays a top-level
-    # import, which ops forked after it skip
+    # nor concurrent.futures, a stored call's datetime or csv, nor
+    # dataclasses and the inspect it loads (the value types are named
+    # tuples), nor argparse and its gettext, even once a call is parsed
+    # (COMMANDS has its own parser); surfaces stays a top-level import,
+    # which ops forked after it skip; both table modes run serially, with
+    # no process pool
     code = """
 import sys
 import quinticpoints.cli as cli
@@ -774,6 +749,11 @@ import contextlib, io
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cli.main(["construct", "thm1", "--b=1", "--u=1", "--v=1"]) == 0
 assert not {"argparse", "gettext"} & set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["table", "--mode=search", "--dmax=2", "--tmax=2", "--bound=50"]) == 3
+    assert cli.main(["table", "--mode=verify", "--dmax=2"]) == 0
+pools = {"concurrent.futures", "multiprocessing"}
+assert not pools & set(sys.modules), pools & set(sys.modules)
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

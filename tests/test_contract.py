@@ -55,15 +55,14 @@ _RATIONAL_TEXTS = ["-1", "0", "1", "2", "1/2", "-1/2", "2,1", "x"]
 
 def _values(command: str, name: str, spec):
     """The words drawn for the argument ``name`` of ``command``: its choices,
-    or -1, 0, 1, 2 and each cap + 1 for an integer (no 2 for --jobs, which
-    would start worker processes), or a few good and bad texts."""
+    or -1, 0, 1, 2 and each cap + 1 for an integer, or a few good and bad
+    texts."""
     kind, _, choices, _ = spec
     if choices is not None:
         return st.sampled_from([str(c) for c in choices])
     if kind is int:
-        small = [-1, 0, 1] if name == "--jobs" else [-1, 0, 1, 2]
         caps = [cap + 1 for cap in _CAPS.get((command, name), ())]
-        return st.sampled_from(small + caps).map(str)
+        return st.sampled_from([-1, 0, 1, 2] + caps).map(str)
     return st.sampled_from(_TEXTS.get(name, _RATIONAL_TEXTS))
 
 

@@ -323,7 +323,7 @@ class TestSearch:
         with pytest.raises(ValueError, match=">= 1"):
             search_points(D1_CURVE, 0)
         with pytest.raises(ValueError, match=">= 1"):
-            conjecture2_search(1, 0, [], 0)
+            conjecture2_search(1, 0, 1, 0)
 
 
 def _search_reference(curve, bound):
@@ -516,7 +516,8 @@ class TestScreenT:
         c, f, t, bound = case
         u, a1, a2, a3, a4, a6 = specialization_curve(c, f, t).integral
         b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
-        assert _no_real_point(c, f, t, bound) == _negative_throughout(-bound, bound, b2, 2 * b4, b6)
+        screened = _no_real_point(c, f, t.numerator, t.denominator, bound)
+        assert screened == _negative_throughout(-bound, bound, b2, 2 * b4, b6)
 
     @staticmethod
     def _count_curves(monkeypatch):
@@ -535,14 +536,27 @@ class TestScreenT:
     def test_table_search_workload_builds_32_curves(self, monkeypatch):
         # the 30 rows at height 4 and bound 200 try 250 values of t
         built = self._count_curves(monkeypatch)
-        found = [conjecture2_search(d, 0, rationals_by_height(4), 200) for d in range(1, 31)]
+        found = [conjecture2_search(d, 0, 4, 200) for d in range(1, 31)]
         assert len(built) == 32
         assert sum(row is not None for row in found) == 8
 
     def test_small_bound_at_large_height_builds_no_curve(self, monkeypatch):
         built = self._count_curves(monkeypatch)
-        assert conjecture2_search(1, 0, rationals_by_height(300), 3) is None
+        assert conjecture2_search(1, 0, 300, 3) is None
         assert built == []
+
+
+def _rationals_reference(max_height):
+    """The positive rationals of height <= max_height as Fractions, each
+    height's pairs sorted by denominator, then numerator: the reference
+    order for the int pairs of ``rationals_by_height``."""
+    for h in range(1, max_height + 1):
+        pairs = [(h, den) for den in range(1, h + 1)] + [
+            (num, h) for num in range(1, h)
+        ]
+        for num, den in sorted(pairs, key=lambda nd: (nd[1], nd[0])):
+            if math.gcd(num, den) == 1:
+                yield Fraction(num, den)
 
 
 class TestRationalT:
@@ -550,7 +564,7 @@ class TestRationalT:
     rescales by some u > 1, against the brute force of ``_search_reference``."""
 
     CURVES = [
-        (d, t) for d in range(1, 13) for t in rationals_by_height(3) if t.denominator > 1
+        (d, t) for d in range(1, 13) for t in _rationals_reference(3) if t.denominator > 1
     ]
 
     def test_search_matches_brute_force(self):
@@ -569,13 +583,13 @@ class TestRationalT:
             expected = next(
                 (
                     (t, point)
-                    for t in rationals_by_height(height)
+                    for t in _rationals_reference(height)
                     for point in _search_reference(specialization_curve(d, 0, t), bound)
                     if _nontorsion_reference(specialization_curve(d, 0, t), point)
                 ),
                 None,
             )
-            assert conjecture2_search(d, 0, rationals_by_height(height), bound) == expected
+            assert conjecture2_search(d, 0, height, bound) == expected
 
 
 class TestSpecialization:
@@ -611,20 +625,21 @@ class TestTable:
 class TestConjectureSearch:
     def test_d89_finds_paper_row(self):
         # t = 1 is the first enumerated rational and carries the paper's point
-        found = conjecture2_search(89, 0, rationals_by_height(3), 20000)
+        found = conjecture2_search(89, 0, 3, 20000)
         assert found is not None
         t, point = found
         assert t == 1 and point == CurvePoint(8381, 766104)
 
     def test_exhausted(self):
-        found = conjecture2_search(1, 0, rationals_by_height(1), 10)
+        found = conjecture2_search(1, 0, 1, 10)
         assert found is None
 
     def test_enumeration_order(self):
         # height ascending, then denominator, then numerator
         seq = list(rationals_by_height(3))
-        assert seq == [
-            Fraction(1),
-            Fraction(2), Fraction(1, 2),
-            Fraction(3), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3),
-        ]
+        assert seq == [(1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (1, 3), (2, 3)]
+
+    def test_pairs_match_the_sorted_reference(self):
+        for height in range(61):
+            pairs = [Fraction(n, m) for n, m in rationals_by_height(height)]
+            assert pairs == list(_rationals_reference(height)), height

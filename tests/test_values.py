@@ -1,4 +1,4 @@
-"""The value types are named tuples: they pickle (as ``table --jobs`` needs),
+"""The value types are named tuples: they survive a pickle round trip,
 compare and hash by value, refuse assignment to a field, and keep the checks
 of their constructors."""
 
