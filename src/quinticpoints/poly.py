@@ -1,28 +1,33 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-Every displayed identity in this package is proved by exact expansion here:
-polynomials are dicts keyed by exponent vectors over the sorted tuple of the
-variables that occur, rational functions are unreduced numerator/denominator
-pairs compared by cross-multiplication.
-Polynomial GCD is deliberately out of scope; zero-testing and evaluation are
-all the certificates need.
+Every displayed identity in this package is proved by exact expansion here,
+on packed monomials: each variable name owns a W-bit field of a Python int,
+and a monomial is the int whose fields hold its exponents, so multiplying
+monomials is adding keys (packed exponent vectors, as in Monagan and
+Pearce, CASC 2007).  Rational functions are unreduced numerator/denominator
+pairs compared by cross-multiplication; polynomial GCD is out of scope.
 
 Coefficients are ``int`` or ``Fraction`` (a scalar coerced in becomes an
 ``int`` when it is integral); no coefficient and no value is ever a
 ``float``.  Identities over Q(i) are proved over Q[I], with I a variable
 that ``surfaces`` reduces by I^2 = -1 at the end.  A rational function keeps
-its integral representative: integer coefficients with joint content 1.
-Since the displayed formulas have small rational coefficients, the
-expansions behind the identity checks multiply machine-sized Python ints,
-not Fractions (content and primitive part, as in Cohen, *A Course in
+its integral representative: integer coefficients with joint content 1, so
+the expansions behind the identity checks multiply machine-sized Python
+ints, not Fractions (content and primitive part, as in Cohen, *A Course in
 Computational Algebraic Number Theory*, 3.2).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
-from operator import add, itemgetter
+
+W = 16  # bits of one exponent field
+FIELD = (1 << W) - 1
+_LIMIT = 1 << (W - 1)  # every total degree stays below this
+_SHIFT: dict = {}  # name -> bit offset of its field, in order of first sight
+_SORTED: list = []  # (name, offset), in name order
 
 
 class NotQuadratic(ValueError):
@@ -45,63 +50,72 @@ def _coerce(value):
     return q.numerator if q.denominator == 1 else q
 
 
-def _grlex(exps):
-    """Sort key of the graded lexicographic term order."""
-    return sum(exps), exps
+def shift_of(name) -> int:
+    """The bit offset of the field of ``name``, registered on first sight."""
+    if name not in _SHIFT:
+        _SHIFT[name] = W * len(_SHIFT)
+        insort(_SORTED, (name, _SHIFT[name]))
+    return _SHIFT[name]
 
 
-def _on_support(vars: tuple, terms: dict) -> tuple[tuple, dict]:
-    """(vars, terms) without the columns of the variables that do not occur."""
-    keep = [i for i, column in enumerate(zip(*terms)) if any(column)]
-    if len(keep) == len(vars):
-        return vars, terms
-    return tuple(vars[i] for i in keep), {tuple([e[i] for i in keep]): c for e, c in terms.items()}
+def _occurring(packed) -> list:
+    """(name, offset) of the variables that occur in ``packed``, in name order."""
+    mask = 0
+    for key in packed:
+        mask |= key
+    return [(name, s) for name, s in _SORTED if mask >> s & FIELD]
 
 
-def _embedded(poly: "MultiPoly", vars: tuple) -> dict:
-    """The terms of ``poly`` on ``vars``, a sorted superset of its variables."""
-    if poly.vars == vars:
-        return poly.terms
-    if not poly.vars:
-        return {(0,) * len(vars): c for c in poly.terms.values()}
-    # a variable poly lacks reads the 0 appended to each exponent vector
-    get = itemgetter(*(poly.vars.index(v) if v in poly.vars else -1 for v in vars))
-    return {get(e + (0,)): c for e, c in poly.terms.items()}
+def _checked(bound: int) -> int:
+    if bound >= _LIMIT:
+        raise ValueError(f"total degree {bound} reaches the packed limit {_LIMIT}")
+    return bound
 
 
 class MultiPoly:
-    """Sparse polynomial: a map from exponent vectors to nonzero coefficients.
+    """Sparse polynomial: ``packed`` maps packed monomials to nonzero
+    coefficients, and ``bound`` is at least its total degree.
 
-    Variables are identified by (case-sensitive) name.  ``vars`` is always
-    the sorted tuple of the variables that occur: the constructor sorts the
-    variables it is given and drops unused ones, and every operation keeps
-    that form, so equal polynomials have equal slots.  Terms print in
-    graded lexicographic order, so equal polynomials print identically.
+    A process-wide registry gives each name its field the first time the
+    name is seen (``shift_of``) and keeps it for the life of the process, so
+    equal polynomials have equal dicts.  A constructor term or product whose
+    degree would reach 2^(W-1) raises ``ValueError``, so no field carries
+    into its neighbour, and a key's total degree is the key mod 2^W - 1.
+    The constructor takes exponent tuples over the names it is given, in any
+    order; ring operations build no tuple.  The read-only views ``vars``
+    (the sorted names that occur) and ``terms`` (exponent tuples over
+    ``vars``) serve printing, ``hash`` and queries.  They and the sign rule
+    of :class:`RationalFunction` read the exponents over the sorted names,
+    so nothing depends on the order of registration.  Terms print in graded
+    lexicographic order.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("packed", "bound")
 
-    def __init__(self, vars, terms, _skip_clean=False):
-        """``_skip_clean`` is for callers whose ``vars`` and ``terms``
-        already are on the sorted support, with coerced nonzero
-        coefficients."""
-        if _skip_clean:
-            self.vars, self.terms = vars, terms
-            return
+    def __init__(self, vars, terms):
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError(f"repeated variable in {vars}")
-        order = sorted(range(len(vars)), key=vars.__getitem__)
-        clean = {}
+        shifts = [shift_of(v) for v in vars]
+        self.packed, self.bound = {}, 0
         for exps, coeff in terms.items():
+            if len(exps) != len(vars):
+                raise ValueError("exponent arity != variable arity")
+            if any(e.__class__ is not int or e < 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative ints, not {exps}")
             coeff = _coerce(coeff)
             if coeff:
-                if len(exps) != len(vars):
-                    raise ValueError("exponent arity != variable arity")
-                clean[tuple(exps[i] for i in order)] = coeff
-        self.vars, self.terms = _on_support(tuple(vars[i] for i in order), clean)
+                self.packed[sum(e << s for e, s in zip(exps, shifts))] = coeff
+                self.bound = max(self.bound, _checked(sum(exps)))
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def from_packed(packed: dict, bound: int) -> "MultiPoly":
+        """Unchecked: ``packed`` has coerced nonzero coefficients, degree <= ``bound``."""
+        poly = object.__new__(MultiPoly)
+        poly.packed, poly.bound = packed, bound
+        return poly
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -124,47 +138,46 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
-    def _unified(self, other: "MultiPoly"):
-        """The terms of both operands on the sorted union of their
-        variables, and that union."""
-        if self.vars == other.vars:
-            return self.terms, other.terms, self.vars
-        vars = tuple(sorted(set(self.vars).union(other.vars)))
-        return _embedded(self, vars), _embedded(other, vars), vars
+    @property
+    def vars(self) -> tuple:
+        """The sorted names of the variables that occur."""
+        return tuple(name for name, _ in _occurring(self.packed))
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients keyed by exponent tuples over ``vars``."""
+        shifts = [s for _, s in _occurring(self.packed)]
+        return {tuple([k >> s & FIELD for s in shifts]): c for k, c in self.packed.items()}
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other)
-        a, b, vars = self._unified(other)
-        terms = dict(a)
-        cancelled = False
-        for exps, coeff in b.items():
-            s = terms.get(exps, 0) + coeff
+        if isinstance(other, MultiPoly):
+            small, big = sorted((self.packed, other.packed), key=len)
+            terms, bound, items = dict(big), max(self.bound, other.bound), small.items()
+        else:
+            c = _coerce(other)
+            terms, bound, items = dict(self.packed), self.bound, ((0, c),) if c else ()
+        for key, coeff in items:
+            s = terms.get(key, 0) + coeff
             if s:
-                terms[exps] = s
+                terms[key] = s
             else:
-                del terms[exps]
-                cancelled = True
-        if cancelled:
-            vars, terms = _on_support(vars, terms)
-        return MultiPoly(vars, terms, _skip_clean=True)
+                del terms[key]
+        return _poly(terms, bound)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()}, _skip_clean=True)
+        return _poly({k: -c for k, c in self.packed.items()}, self.bound)
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -175,24 +188,19 @@ class MultiPoly:
             return NotImplemented
         if not isinstance(other, MultiPoly):
             k = _coerce(other)
-            if not k:
-                return MultiPoly.zero()
-            terms = {e: c * k for e, c in self.terms.items()}
-            return MultiPoly(self.vars, terms, _skip_clean=True)
-        a, b, vars = self._unified(other)
-        if not a or not b:
-            return MultiPoly.zero()
+            terms = {e: c * k for e, c in self.packed.items()} if k else {}
+            return _poly(terms, self.bound)
+        if not self.packed or not other.packed:
+            return _poly({}, 0)
+        bound = _checked(self.bound + other.bound)
         terms: dict = {}
         get = terms.get
-        b_terms = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in b_terms:
-                key = tuple(map(add, e1, e2))
+        b_terms = list(other.packed.items())
+        for k1, c1 in self.packed.items():
+            for k2, c2 in b_terms:
+                key = k1 + k2
                 terms[key] = get(key, 0) + c1 * c2
-        # over Q the product of nonzero polynomials is nonzero and has each
-        # variable of either factor, so ``vars`` stays the support
-        terms = {e: c for e, c in terms.items() if c}
-        return MultiPoly(vars, terms, _skip_clean=True)
+        return _poly({k: c for k, c in terms.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -200,16 +208,16 @@ class MultiPoly:
         return as_rational_function(self) / other
 
     def __rtruediv__(self, other):
-        return other * RationalFunction(MultiPoly.constant(1), self)
+        return other * RationalFunction(_poly({0: 1}, 0), self)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
+        result = None if n else _poly({0: 1}, 0)
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             if n > 1:
                 base = base * base
             n >>= 1
@@ -217,38 +225,35 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
+            c = _coerce(other)
+            return self.packed == ({0: c} if c else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.packed == other.packed
 
     def __hash__(self):
+        if not any(self.packed):  # a constant hashes as its scalar
+            return hash(self.packed.get(0, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- queries ------------------------------------------------------------
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or degree in one variable; zero polynomial -> -1."""
-        if not self.terms:
+        if not self.packed:
             return -1
         if var is None:
-            return max(sum(e) for e in self.terms)
-        if var not in self.vars:
-            return 0
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+            return max(k % FIELD for k in self.packed)
+        s = _SHIFT.get(var, -1)
+        return 0 if s < 0 else max(k >> s & FIELD for k in self.packed)
 
     def coefficient_of(self, var: str, power: int) -> "MultiPoly":
         """The coefficient of var**power, a polynomial in the other variables."""
-        if var not in self.vars:
-            return self if power == 0 else MultiPoly.zero()
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                terms[exps[:i] + exps[i + 1:]] = coeff
-        return MultiPoly(*_on_support(rest, terms), _skip_clean=True)
+        if var not in _SHIFT:
+            return self if power == 0 else _poly({}, 0)
+        s = _SHIFT[var]
+        terms = {k - (power << s): c for k, c in self.packed.items() if (k >> s & FIELD) == power}
+        return _poly(terms, self.bound)
 
     # -- substitution / evaluation ------------------------------------------
 
@@ -260,93 +265,79 @@ class MultiPoly:
         denominators raised to the needed powers (not reduced: only scaled to
         the integral representative)."""
         nums: dict[str, MultiPoly] = {}
-        dens: dict[str, MultiPoly] = {}
+        groups: list[MultiPoly] = []  # the distinct denominators other than 1
+        masks: list[int] = []  # the fields of the variables over each one
         for name, value in bindings.items():
             rf = as_rational_function(value)
             if rf.den.is_zero:
                 raise DivisionByZeroPoly(f"binding for {name} has zero denominator")
             nums[name] = rf.num
-            dens[name] = rf.den
-        # variables sharing a denominator polynomial share one power of it in
-        # the common denominator (keeps f(p)+f(q)-f(r)-f(s)-style sums small)
-        groups: list[tuple[MultiPoly, list[str]]] = []
-        for name, den_poly in dens.items():
-            for existing, members in groups:
-                if existing == den_poly:
-                    members.append(name)
-                    break
-            else:
-                groups.append((den_poly, [name]))
-        group_of = {
-            name: gi for gi, (_, members) in enumerate(groups) for name in members
-        }
-        group_max = [0] * len(groups)
-        for exps in self.terms:
-            totals = [0] * len(groups)
-            for v, e in zip(self.vars, exps):
-                if v in group_of and e:
-                    totals[group_of[v]] += e
-            for gi, tot in enumerate(totals):
-                if tot > group_max[gi]:
-                    group_max[gi] = tot
-        acc = MultiPoly.zero()
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff)
-            totals = [0] * len(groups)
-            for v, e in zip(self.vars, exps):
-                if v in nums:
-                    if e:
-                        term = term * nums[v] ** e
-                        totals[group_of[v]] += e
-                elif e:
-                    term = term * MultiPoly.variable(v) ** e
-            for gi, (den_poly, _) in enumerate(groups):
-                deficit = group_max[gi] - totals[gi]
-                if deficit:
-                    term = term * den_poly**deficit
-            acc = acc + term
-        den = MultiPoly.constant(1)
-        for gi, (den_poly, _) in enumerate(groups):
-            if group_max[gi]:
-                den = den * den_poly ** group_max[gi]
-        return RationalFunction(acc, den)
+            # variables sharing a denominator polynomial share one power of it in
+            # the common denominator (keeps f(p)+f(q)-f(r)-f(s)-style sums small)
+            if rf.den != 1 and name in _SHIFT:
+                if rf.den not in groups:
+                    groups.append(rf.den)
+                    masks.append(0)
+                masks[groups.index(rf.den)] |= FIELD << _SHIFT[name]
+        # bound fields leave each key, the free ones stay symbolic; a masked
+        # key's total degree is the key mod FIELD
+        fields = [(s, nums[n]) for n, s in _occurring(self.packed) if n in nums]
+        free = ~sum(FIELD << s for s, _ in fields)
+        tops = [max([(key & m) % FIELD for key in self.packed], default=0) for m in masks]
+        powers: dict = {}
+
+        def power(poly, e):
+            if (id(poly), e) not in powers:
+                powers[id(poly), e] = poly**e
+            return powers[id(poly), e]
+
+        acc: dict = {}
+        bound = 0
+        for key, coeff in self.packed.items():
+            term = _poly({key & free: coeff}, (key & free) % FIELD)
+            for s, num in fields:
+                if key >> s & FIELD:
+                    term = term * power(num, key >> s & FIELD)
+            for d, m, top in zip(groups, masks, tops):
+                if top > (key & m) % FIELD:
+                    term = term * power(d, top - (key & m) % FIELD)
+            for k, c in term.packed.items():
+                acc[k] = acc.get(k, 0) + c
+            bound = max(bound, term.bound)
+        den = math.prod([power(d, top) for d, top in zip(groups, tops)], start=_poly({0: 1}, 0))
+        return RationalFunction(_poly({k: c for k, c in acc.items() if c}, bound), den)
 
     def eval(self, point: dict):
         """Exact value at a fully scalar point."""
         missing = [v for v in self.vars if v not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        vals = {v: _coerce(point[v]) for v in self.vars}
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(self.vars, exps):
-                if e:
-                    term = term * vals[v] ** e
-            total = total + term
-        return total
+        vals = [_coerce(point[v]) for v in self.vars]
+        return sum(
+            math.prod([c, *(x**e for x, e in zip(vals, exps) if e)])
+            for exps, c in self.terms.items()
+        )
 
     # -- printing -----------------------------------------------------------
 
-    def _ordered_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
-
     def __str__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
-        parts = []
-        for exps, coeff in self._ordered_terms():
+        vars, parts = self.vars, []
+        # graded lexicographic order, highest term first
+        for exps, coeff in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
             factors = [str(coeff)]
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
+            for v, e in zip(vars, exps):
+                if e:
+                    factors.append(v if e == 1 else f"{v}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+_poly = MultiPoly.from_packed
 
 
 def _int_content(*polys: MultiPoly) -> tuple[int, int]:
@@ -355,7 +346,7 @@ def _int_content(*polys: MultiPoly) -> tuple[int, int]:
     g = 0
     d = 1
     for poly in polys:
-        for q in poly.terms.values():
+        for q in poly.packed.values():
             if q.__class__ is int:
                 g = math.gcd(g, q)
             else:
@@ -367,10 +358,15 @@ def _int_content(*polys: MultiPoly) -> tuple[int, int]:
 def _scaled(poly: MultiPoly, sign: int, g: int, d: int) -> MultiPoly:
     """poly * sign * d / g, for (g, d) the content of a set of polynomials
     that includes poly: every coefficient comes out an int."""
-    terms = {
-        e: sign * (d // q.denominator) * q.numerator // g for e, q in poly.terms.items()
-    }
-    return MultiPoly(poly.vars, terms, _skip_clean=True)
+    terms = {k: sign * (d // q.denominator) * q.numerator // g for k, q in poly.packed.items()}
+    return _poly(terms, poly.bound)
+
+
+def _leading_sign(poly: MultiPoly) -> int:
+    """The sign of the grlex-leading coefficient over the sorted names."""
+    shifts = [s for _, s in _occurring(poly.packed)] if len(poly.packed) > 1 else ()
+    lead = max(poly.packed, key=lambda k: (k % FIELD, [k >> s & FIELD for s in shifts]))
+    return 1 if poly.packed[lead] > 0 else -1
 
 
 class RationalFunction:
@@ -388,13 +384,13 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den=None):
         if not isinstance(den, MultiPoly):
-            den = MultiPoly.constant(1 if den is None else den)
+            den = _poly({0: 1}, 0) if den is None else MultiPoly.constant(den)
         if den.is_zero:
             raise DivisionByZeroPoly("denominator is identically zero")
         if num.is_zero:
-            den = MultiPoly.constant(1)
+            den = _poly({0: 1}, 0)
         else:
-            sign = 1 if den.terms[max(den.terms, key=_grlex)] > 0 else -1
+            sign = _leading_sign(den)
             g, d = _int_content(num, den)
             if g != 1 or d != 1 or sign != 1:
                 num = _scaled(num, sign, g, d)

@@ -36,11 +36,13 @@ from . import elliptic
 from .elliptic import CurvePoint, DegenerateSpecialization
 from .exact import GAUSSIAN_I, CertificateError, GaussianRational, checked_make
 from .poly import (
+    FIELD,
     MultiPoly,
     PoleAtPoint,
     RationalFunction,
     as_rational_function,
     discriminant_quadratic,
+    shift_of,
 )
 from .quintic import (
     Point4,
@@ -132,18 +134,17 @@ def _reduce_square(poly: MultiPoly, var: str, rhs) -> MultiPoly:
     MultiPoly free of var): in one pass, var^(2j + r) becomes var^r rhs^j."""
     if poly.degree(var) < 2:
         return poly
-    i = poly.vars.index(var)
+    shift = shift_of(var)
     by_j: dict[int, dict] = {}
-    for exps, coeff in poly.terms.items():
-        j, r = divmod(exps[i], 2)
-        by_j.setdefault(j, {})[exps[:i] + (r,) + exps[i + 1:]] = coeff
-    result = MultiPoly.zero()
-    power = 1  # rhs^j
+    for key, coeff in poly.packed.items():
+        j = (key >> shift & FIELD) // 2
+        by_j.setdefault(j, {})[key - (2 * j << shift)] = coeff
+    result, power = MultiPoly.zero(), 1  # power = rhs^j
     for j in range(max(by_j) + 1):
         if j:
             power = power * rhs
         if j in by_j:
-            result = result + MultiPoly(poly.vars, by_j[j]) * power
+            result = result + MultiPoly.from_packed(by_j[j], poly.bound) * power
     return result
 
 

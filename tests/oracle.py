@@ -6,12 +6,19 @@ standard Hensel lifting criterion at every relevant prime.  It knows nothing
 about the three conditions of ``represents_zero`` and is the cross-check of
 that decision procedure.  No command needs it, so it lives with the tests.
 ``_zp_isotropic_odd`` builds arrays of size p and p^2: keep p small.
+
+``TuplePoly`` is the reference for ``poly.MultiPoly``: the kernel that
+keyed each term by its exponent tuple over the sorted variables that occur,
+before monomials were packed into ints.  ``tuple_rational`` is the integral
+representative that ``poly.RationalFunction`` keeps.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -226,3 +233,182 @@ def congruence_sweep(a_min: int = -200, a_max: int = -1) -> dict:
         "theorem_statement_uses_a_not_minus_a": True,
         "oracle_disagreements": disagreements,
     }
+
+
+# ---------------------------------------------------------------------------
+# the reference polynomial kernel: terms keyed by exponent tuples
+
+def _grlex(exps):
+    return sum(exps), exps
+
+
+def _coerce(value):
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _on_support(vars: tuple, terms: dict) -> tuple[tuple, dict]:
+    """(vars, terms) without the columns of the variables that do not occur."""
+    keep = [i for i, column in enumerate(zip(*terms)) if any(column)]
+    if len(keep) == len(vars):
+        return vars, terms
+    return tuple(vars[i] for i in keep), {tuple([e[i] for i in keep]): c for e, c in terms.items()}
+
+
+def _embedded(poly: "TuplePoly", vars: tuple) -> dict:
+    """The terms of ``poly`` on ``vars``, a sorted superset of its variables."""
+    if poly.vars == vars:
+        return poly.terms
+    if not poly.vars:
+        return {(0,) * len(vars): c for c in poly.terms.values()}
+    get = itemgetter(*(poly.vars.index(v) if v in poly.vars else -1 for v in vars))
+    return {get(e + (0,)): c for e, c in poly.terms.items()}
+
+
+class TuplePoly:
+    """A polynomial as (sorted variables that occur, exponent tuple -> coefficient)."""
+
+    def __init__(self, vars, terms):
+        vars = tuple(vars)
+        order = sorted(range(len(vars)), key=vars.__getitem__)
+        clean = {}
+        for exps, coeff in terms.items():
+            coeff = _coerce(coeff)
+            if coeff:
+                clean[tuple(exps[i] for i in order)] = coeff
+        self.vars, self.terms = _on_support(tuple(vars[i] for i in order), clean)
+
+    @staticmethod
+    def constant(value) -> "TuplePoly":
+        return TuplePoly((), {(): value})
+
+    def _unified(self, other: "TuplePoly"):
+        vars = tuple(sorted(set(self.vars).union(other.vars)))
+        return _embedded(self, vars), _embedded(other, vars), vars
+
+    def __add__(self, other):
+        if not isinstance(other, TuplePoly):
+            other = TuplePoly.constant(other)
+        a, b, vars = self._unified(other)
+        terms = dict(a)
+        for exps, coeff in b.items():
+            terms[exps] = terms.get(exps, 0) + coeff
+        return TuplePoly(vars, terms)
+
+    def __neg__(self):
+        return TuplePoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, TuplePoly):
+            other = TuplePoly.constant(other)
+        a, b, vars = self._unified(other)
+        terms: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(map(add, e1, e2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return TuplePoly(vars, terms)
+
+    def __pow__(self, n: int):
+        result = TuplePoly.constant(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self.vars == other.vars and self.terms == other.terms
+
+    def __hash__(self):
+        if not self.vars:  # a constant hashes as its scalar, as it compares
+            return hash(self.terms.get((), 0))
+        return hash((self.vars, frozenset(self.terms.items())))
+
+    def degree(self, var=None) -> int:
+        if not self.terms:
+            return -1
+        if var is None:
+            return max(sum(e) for e in self.terms)
+        if var not in self.vars:
+            return 0
+        i = self.vars.index(var)
+        return max(e[i] for e in self.terms)
+
+    def coefficient_of(self, var, power: int) -> "TuplePoly":
+        if var not in self.vars:
+            return self if power == 0 else TuplePoly((), {})
+        i = self.vars.index(var)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        terms = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
+        return TuplePoly(rest, terms)
+
+    def substitute(self, bindings: dict) -> tuple["TuplePoly", "TuplePoly"]:
+        """Compose with bindings name -> (num, den); the result is the
+        integral representative (num, den) of ``tuple_rational``."""
+        nums, dens = {}, {}
+        for name, (num, den) in bindings.items():
+            nums[name], dens[name] = tuple_rational(num, den)
+        groups: list = []
+        for name, den_poly in dens.items():
+            for existing, members in groups:
+                if existing == den_poly:
+                    members.append(name)
+                    break
+            else:
+                groups.append((den_poly, [name]))
+        group_of = {name: gi for gi, (_, members) in enumerate(groups) for name in members}
+        group_max = [0] * len(groups)
+        for exps in self.terms:
+            totals = [0] * len(groups)
+            for v, e in zip(self.vars, exps):
+                if v in group_of:
+                    totals[group_of[v]] += e
+            group_max = list(map(max, group_max, totals))
+        acc = TuplePoly((), {})
+        for exps, coeff in self.terms.items():
+            term = TuplePoly.constant(coeff)
+            totals = [0] * len(groups)
+            for v, e in zip(self.vars, exps):
+                if v in nums:
+                    term = term * nums[v] ** e
+                    totals[group_of[v]] += e
+                else:
+                    term = term * TuplePoly((v,), {(e,): 1})
+            for gi, (den_poly, _) in enumerate(groups):
+                term = term * den_poly ** (group_max[gi] - totals[gi])
+            acc = acc + term
+        den = TuplePoly.constant(1)
+        for gi, (den_poly, _) in enumerate(groups):
+            den = den * den_poly ** group_max[gi]
+        return tuple_rational(acc, den)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps, coeff in sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True):
+            factors = [str(coeff)]
+            for v, e in zip(self.vars, exps):
+                if e == 1:
+                    factors.append(v)
+                elif e > 1:
+                    factors.append(f"{v}^{e}")
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+def tuple_rational(num: TuplePoly, den: TuplePoly) -> tuple[TuplePoly, TuplePoly]:
+    """num / den scaled to integer coefficients with joint content 1 and a
+    positive grlex-leading denominator coefficient over the sorted names."""
+    if not num.terms:
+        return num, TuplePoly.constant(1)
+    sign = 1 if den.terms[max(den.terms, key=_grlex)] > 0 else -1
+    coeffs = [Fraction(c) for c in (*num.terms.values(), *den.terms.values())]
+    g = math.gcd(*(q.numerator for q in coeffs))
+    d = math.lcm(*(q.denominator for q in coeffs))
+    return tuple(
+        TuplePoly(p.vars, {e: Fraction(sign * c * d) / g for e, c in p.terms.items()})
+        for p in (num, den)
+    )

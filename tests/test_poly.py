@@ -1,10 +1,17 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import TuplePoly
 
+from quinticpoints import poly, surfaces
 from quinticpoints.poly import (
     DivisionByZeroPoly,
     MultiPoly,
@@ -273,3 +280,197 @@ class TestScalarContract:
         rf = RationalFunction(x * Fraction(2, 3), -4 * x * x + Fraction(1, 3))
         assert_integral_representative(rf)
         assert rf == RationalFunction(x * 2, -12 * x * x + 1)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the tuple-keyed reference
+
+_fresh = itertools.count()
+
+
+def _fresh_name():
+    """A name this process has not seen: it sorts between "a" and "x", so
+    its field is registered mid-test and out of name order."""
+    return f"m{next(_fresh)}"
+
+
+def _names():
+    name = st.sampled_from(["a", "b", "x", "y", "z"]) | st.builds(_fresh_name)
+    return st.lists(name, min_size=1, max_size=4, unique=True)
+
+
+def _paired(names, degree=3):
+    """The same terms over ``names`` as a (MultiPoly, TuplePoly) pair."""
+    exps = st.tuples(*[st.integers(0, degree) for _ in names])
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    return st.dictionaries(exps, coeffs, max_size=4).map(
+        lambda t: (MultiPoly(names, t), TuplePoly(names, t))
+    )
+
+
+def _assert_matches(new, ref, names):
+    assert str(new) == str(ref)
+    assert new.vars == ref.vars
+    assert new.terms == ref.terms
+    assert hash(new) == hash(ref)
+    assert new.degree() == ref.degree()
+    for v in names:
+        assert new.degree(v) == ref.degree(v)
+        for k in range(3):
+            coeff, ref_coeff = new.coefficient_of(v, k), ref.coefficient_of(v, k)
+            assert str(coeff) == str(ref_coeff)
+            assert coeff.terms == ref_coeff.terms
+
+
+class TestTupleReference:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_packed_kernel_matches_the_tuple_reference(self, data):
+        names = data.draw(_names())
+        p, P = data.draw(_paired(data.draw(st.permutations(names))))
+        q, Q = data.draw(_paired(data.draw(st.permutations(names))[: len(names) - 1 or 1]))
+        n = data.draw(st.integers(0, 3))
+        cases = [
+            (p, P), (q, Q), (p + q, P + Q), (p - q, P - Q), (p * q, P * Q),
+            (p**n, P**n), (p * Fraction(3, 2), P * Fraction(3, 2)), (p + 2, P + 2),
+        ]
+        for new, ref in cases:
+            _assert_matches(new, ref, names)
+        assert (p == q) == (P == Q)
+        assert (p * q == q * p) and hash(p * q) == hash(q * p)
+        # bind some names to polynomials and quotients over the same pool
+        bound = data.draw(st.lists(st.sampled_from(names), unique=True))
+        bindings, ref_bindings = {}, {}
+        for name in bound:
+            (num, NUM), (den, DEN) = data.draw(_paired(names, 2)), data.draw(_paired(names, 1))
+            assume(not den.is_zero)
+            bindings[name] = RationalFunction(num, den)
+            ref_bindings[name] = (NUM, DEN)
+        rf = p.substitute(bindings)
+        ref_num, ref_den = P.substitute(ref_bindings)
+        _assert_matches(rf.num, ref_num, names)
+        _assert_matches(rf.den, ref_den, names)
+
+    def test_printing_and_equality_ignore_registry_order(self):
+        script = """
+import sys
+from quinticpoints import poly
+from quinticpoints.poly import MultiPoly, RationalFunction
+order = sys.argv[1].split()
+for name in order:
+    MultiPoly.variable(name)
+assert list(poly._SHIFT) == order
+w, x, y, z = MultiPoly.variables("w x y z")
+p = 3 * x**2 * y - w * z + 1
+q = (y - x) * (z + 2 * w) - 1
+rf = (p * q).substitute({"x": RationalFunction(y - z, w - x), "z": x * x})
+for value in (p * q, p + q, p - q, (p - q) ** 2, rf.num, rf.den, q.coefficient_of("z", 1)):
+    print(value, value.vars, sorted(value.terms.items()), value.degree(), hash(value))
+print(p * q == q * p, (p + q) - q == p, p == q, (p - p).is_zero)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", script, order], env=env, capture_output=True,
+                text=True, check=True, timeout=60,
+            ).stdout
+            for order in ("w x y z", "z y x w")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[-1] == "True True False True"
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("exps", [(-1,), (1.5,), (True,), (Fraction(1),), ("1",)])
+    def test_exponents_must_be_non_negative_ints(self, exps):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            MultiPoly(("x",), {exps: 1, (0,): 2})
+
+    def test_constants_hash_as_their_scalars(self):
+        x = MultiPoly.variable("x")
+        for poly_, scalar in (
+            (MultiPoly.constant(3), 3), (MultiPoly.zero(), 0), (x - x, 0),
+            (MultiPoly.constant(Fraction(1, 2)), Fraction(1, 2)),
+            (MultiPoly.constant(Fraction(4, 2)), Fraction(2)),
+        ):
+            assert poly_ == scalar
+            assert hash(poly_) == hash(scalar)
+            assert len({poly_, scalar}) == 1
+
+
+class TestDegreeGuard:
+    LIMIT = 1 << (poly.W - 1)
+
+    def test_power_past_the_field_width(self):
+        x = MultiPoly.variable("x")
+        with pytest.raises(ValueError, match="packed limit"):
+            x ** (2**poly.W)
+
+    def test_product_just_past_the_bound(self):
+        x, y = MultiPoly.variables("x y")
+        top = x ** (self.LIMIT - 1) + y
+        assert top.degree() == self.LIMIT - 1
+        for factor in (x, y, x + 1):
+            with pytest.raises(ValueError, match="packed limit"):
+                top * factor
+        with pytest.raises(ValueError, match="packed limit"):
+            MultiPoly(("x", "y"), {(self.LIMIT - 1, 1): 1})
+
+    def test_fields_stay_apart_just_under_the_bound(self):
+        a, b = MultiPoly.variables("guard_a guard_b")
+        assert poly.shift_of("guard_b") == poly.shift_of("guard_a") + poly.W
+        k = (self.LIMIT - 1) // 2
+        p = (a * b) ** k
+        assert p.vars == ("guard_a", "guard_b")
+        assert p.terms == {(k, k): 1}
+        assert p.degree("guard_a") == p.degree("guard_b") == k
+        assert p.coefficient_of("guard_a", k) == b**k
+
+
+def _tuple_reduce_square(P, var, rhs):
+    """Lower var^k, k >= 2, by one var^2 = rhs per pass, on tuple keys."""
+    while P.degree(var) >= 2:
+        i = P.vars.index(var)
+        keep = {e: c for e, c in P.terms.items() if e[i] < 2}
+        high = {e[:i] + (e[i] - 2,) + e[i + 1:]: c for e, c in P.terms.items() if e[i] >= 2}
+        P = TuplePoly(P.vars, keep) + TuplePoly(P.vars, high) * rhs
+    return P
+
+
+def test_ring_operations_read_no_tuple_view(monkeypatch):
+    """The ring operations, substitution and the I^2 = -1 reduction work on
+    packed keys alone: with the tuple views patched to raise they still
+    run, and the results match the reference."""
+    I, w, x, y, z = MultiPoly.variables("I w x y z")
+    p = 3 * x**2 * y - I * z + Fraction(1, 2)
+    q = (y - x) * (z + 2 * I) - w
+    rhs = x * x + 1
+    bindings = {"x": RationalFunction(y - z, I + 1), "z": x * x - 3, "w": 2}
+
+    def as_tuples(f):
+        return TuplePoly(f.vars, f.terms)
+
+    P, Q, RHS = map(as_tuples, (p, q, rhs))
+    rfs = {name: as_rational_function(value) for name, value in bindings.items()}
+    tuples = {name: (as_tuples(rf.num), as_tuples(rf.den)) for name, rf in rfs.items()}
+
+    def refuse(self):
+        raise AssertionError("a ring operation read a tuple view")
+
+    monkeypatch.setattr(MultiPoly, "vars", property(refuse))
+    monkeypatch.setattr(MultiPoly, "terms", property(refuse))
+    got = [p * q, p + q, p - q, 2 - p, p**3, p * 5]
+    rf = p.substitute(bindings)
+    reduced = [surfaces._reduce_square(p**3, "I", -1), surfaces._reduce_square(p**3, "y", rhs)]
+    monkeypatch.undo()
+
+    expected = [P * Q, P + Q, P - Q, -P + 2, P**3, P * 5]
+    for new, ref in zip(got, expected):
+        assert str(new) == str(ref)
+    ref_num, ref_den = P.substitute(tuples)
+    assert (str(rf.num), str(rf.den)) == (str(ref_num), str(ref_den))
+    minus_one = TuplePoly.constant(-1)
+    for new, ref in zip(reduced, (_tuple_reduce_square(P**3, "I", minus_one),
+                                  _tuple_reduce_square(P**3, "y", RHS))):
+        assert str(new) == str(ref)
