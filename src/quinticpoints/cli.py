@@ -86,6 +86,16 @@ class TypedExit(Exception):
         super().__init__(message, error, code)
 
 
+def _input_exit(exc: Exception, code: int = EXIT_INVALID) -> TypedExit:
+    """The typed exit, named after ``exc``, of a command whose input it
+    rejects.  An input past Python's limit on str to int is InvalidInput,
+    cut like OutputTooLarge in ``_run`` before the set_int_max_str_digits()
+    advice."""
+    if str(exc).startswith("Exceeds the limit"):
+        return TypedExit(str(exc).split(";")[0])
+    return TypedExit(str(exc), type(exc).__name__, code)
+
+
 # what a command returns: its stdout payload, its stderr note, the inputs its
 # ledger record stores and its exit code
 Outcome = namedtuple("Outcome", "payload note inputs code")
@@ -208,9 +218,7 @@ def cmd_verify_identities(args) -> Outcome:
 
 _SYMMETRIC_PRESETS = {
     "consani-scholten": surfaces.CONSANI_SCHOLTEN,
-    "c29": surfaces.SymmetricQuinticCoeffs(
-        a1=1, a2=1, a3=1, a4=1, a5=1, b1=1, b2=1, b3=1, c0=1, c1=29
-    ),
+    "c29": surfaces.C29,
 }
 
 
@@ -278,8 +286,7 @@ def cmd_construct(args) -> Outcome:
             raise ValueError(family)
     except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
         exhausted = isinstance(exc, (FactorizationExhausted, surfaces.NoBasePointFound))
-        code = EXIT_EXHAUSTED if exhausted else EXIT_INVALID
-        raise TypedExit(str(exc), type(exc).__name__, code) from exc
+        raise _input_exit(exc, EXIT_EXHAUSTED if exhausted else EXIT_INVALID) from exc
     note = (
         f"{cert.construction}: residual 0, "
         f"{'nontrivial' if cert.nontrivial else 'TRIVIAL'} point {cert.point.to_json()}"
@@ -423,13 +430,13 @@ def cmd_scale_integers(args) -> Outcome:
         try:
             raw = json.loads(args.points) if args.points else json.load(sys.stdin)
         except RecursionError as exc:  # JSON nested past the decoder's limit
-            raise TypedExit(str(exc), type(exc).__name__) from exc
+            raise _input_exit(exc) from exc
         if not isinstance(raw, list):
             raise ValueError("the points must be a JSON list")
         points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
         big, scaled = scale_to_integers(f, points)
     except (ValueError, ZeroDivisionError) as exc:  # bad input; "1/0" is a ZeroDivisionError
-        raise TypedExit(str(exc), type(exc).__name__) from exc
+        raise _input_exit(exc) from exc
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},
         "F": {"a": big.a, "b": big.b, "c": big.c},

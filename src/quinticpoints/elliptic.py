@@ -1,6 +1,6 @@
-"""Weierstrass curves over Q with exact arithmetic: the chord-tangent group
-law in long form, torsion certification, integral rescaling, naive point
-search, and the specialization family
+"""Weierstrass curves y^2 = x^3 + a2 x^2 + a4 x + a6 over Q with exact
+arithmetic: the chord-tangent group law, torsion certification, integral
+rescaling, naive point search, and the specialization family
 
     E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4
 
@@ -12,20 +12,20 @@ the least positive integer that makes every u^w a_w integral, (x, y) ->
 the on-curve test, the torsion certificate and the point search all run on
 it in Python ints.  The certificate rests on Nagell-Lutz (Silverman-Tate,
 *Rational Points on Elliptic Curves*, II.4), which holds on any integral
-model: on y^2 = x^3 + a x^2 + b x + c with integer coefficients a torsion
+model: on y^2 = x^3 + A2 x^2 + A4 x + A6 with integer coefficients a torsion
 point has integer coordinates, so when P and its first multiples are
 integral, a chord or tangent step from them whose slope is not an integer
 proves that P has infinite order.
 
 The point search follows Stoll's *ratpoints*, which searches only where the
-polynomial is nonnegative before it sieves.  The completed square R(x) =
-4x^3 + b2 x^2 + 2 b4 x + b6 has at most one local maximum, so a few exact
-values of R decide whether it is negative at every candidate x of the
-window; such a window holds no point and is skipped.  Any other window of
-candidate integers x is one Python int with a bit per candidate, and small
-odd primes, smallest first, clear the bits at which R(x) is a non-square
-mod p until at most two bits are left.  Only those survivors reach an
-exact square test.  Everything is Python ints; nothing can wrap.
+polynomial is nonnegative before it sieves.  The monic cubic R(x) = x^3 +
+A2 x^2 + A4 x + A6 of the integral model has at most one local maximum, so
+a few exact values of R decide whether it is negative at every candidate x
+of the window; such a window holds no point and is skipped.  Any other
+window of candidate integers x is one Python int with a bit per candidate,
+and small odd primes, smallest first, clear the bits at which R(x) is a
+non-square mod p until at most two bits are left.  Only those survivors
+reach an exact square test.  Everything is Python ints; nothing can wrap.
 
 The specialization search walks t = n/m as coprime int pairs (n, m) in
 height order and applies the same real-locus test to t itself: the right
@@ -62,37 +62,26 @@ class DegenerateSpecialization(ValueError):
     """t = 0 or c = f collapses the specialization family."""
 
 
-# weights of a1, a2, a3, a4, a6 under (x, y) -> (u^2 x, u^3 y)
-_WEIGHTS = (1, 2, 3, 4, 6)
+# weights of a2, a4, a6 under (x, y) -> (u^2 x, u^3 y)
+_WEIGHTS = (2, 4, 6)
 
 
-def _b_invariants(a1, a2, a3, a4, a6):
-    """The standard (b2, b4, b6, b8) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 +
-    a4 x + a6, for integer or rational coefficients."""
-    return (
-        a1 * a1 + 4 * a2,
-        2 * a4 + a1 * a3,
-        a3 * a3 + 4 * a6,
-        a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4,
-    )
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a2 a4 a6")):
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 over Q.  No ``__slots__``:
+    ``integral`` and ``discriminant`` are cached in the instance
+    ``__dict__``."""
 
-
-class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.  No
-    ``__slots__``: ``integral`` and ``discriminant`` are cached in the
-    instance ``__dict__``."""
-
-    def __new__(cls, a1, a2, a3, a4, a6):
+    def __new__(cls, a2, a4, a6):
         # the specialization family passes Fractions, and Fraction(a) of one
         # is slow
         return super().__new__(
-            cls, *(a if isinstance(a, Fraction) else Fraction(a) for a in (a1, a2, a3, a4, a6))
+            cls, *(a if isinstance(a, Fraction) else Fraction(a) for a in (a2, a4, a6))
         )
 
     _make = classmethod(checked_make)
 
     @cached_property
-    def integral(self) -> tuple[int, int, int, int, int, int]:
+    def integral(self) -> tuple[int, int, int, int]:
         """``integral_model(self)``, computed once per curve and cached in
         the instance ``__dict__``."""
         return integral_model(self)
@@ -100,21 +89,18 @@ class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     @cached_property
     def discriminant(self) -> Fraction:
         """Computed once per curve and in integers: the discriminant has
-        weight 12, so it is the discriminant of the integral model divided
-        by u^12."""
-        u, *ints = self.integral
-        b2, b4, b6, b8 = _b_invariants(*ints)
-        return Fraction(-b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6, u**12)
+        weight 12, so it is the discriminant of the integral model, 16 times
+        that of its cubic x^3 + a x^2 + b x + c, divided by u^12."""
+        u, a, b, c = self.integral
+        disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+        return Fraction(16 * disc, u**12)
 
     @property
     def is_singular(self) -> bool:
         return self.discriminant == 0
 
     def __str__(self):
-        return (
-            f"y^2 + {self.a1}*xy + {self.a3}*y = "
-            f"x^3 + {self.a2}*x^2 + {self.a4}*x + {self.a6}"
-        )
+        return f"y^2 = x^3 + {self.a2}*x^2 + {self.a4}*x + {self.a6}"
 
 
 class CurvePoint(namedtuple("CurvePoint", "x y")):
@@ -152,21 +138,19 @@ def on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     """Whether the point satisfies the curve's equation, decided in ints:
     with x = xn/xd, y = yn/yd and (X, Y) = (u^2 xn, u^3 yn), the equation of
     the integral model, multiplied through by xd^3 yd^2, reads
-    Y xd^2 (Y xd + A1 X yd + A3 xd yd) = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
+    Y^2 xd^3 = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
     if point.is_identity:
         return True
-    u, a1, a2, a3, a4, a6 = curve.integral
+    u, a2, a4, a6 = curve.integral
     x, y = point.x, point.y
     xd, yd = x.denominator, y.denominator
     big_x, big_y = u * u * x.numerator, u**3 * y.numerator
-    lhs = big_y * xd * xd * (big_y * xd + (a1 * big_x + a3 * xd) * yd)
+    lhs = big_y * big_y * xd**3
     return lhs == yd * yd * (((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3)
 
 
 def negate(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
-    if point.is_identity:
-        return point
-    return CurvePoint(point.x, -point.y - curve.a1 * point.x - curve.a3)
+    return point if point.is_identity else CurvePoint(point.x, -point.y)
 
 
 def _check(curve: WeierstrassCurve, *points: CurvePoint) -> None:
@@ -178,7 +162,7 @@ def _check(curve: WeierstrassCurve, *points: CurvePoint) -> None:
 
 
 def add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition in long Weierstrass form."""
+    """Chord-tangent addition (Silverman, *The Arithmetic of Elliptic Curves*, III.2.3)."""
     _check(curve, p, q)
     return _add(curve, p, q)
 
@@ -189,20 +173,15 @@ def _add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
         return q
     if q.is_identity:
         return p
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
-    if x1 == x2 and y2 == -y1 - a1 * x1 - a3:
-        return IDENTITY
     if x1 != x2:
         lam = (y2 - y1) / (x2 - x1)
-        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    elif y2 == -y1:
+        return IDENTITY
     else:
-        denom = 2 * y1 + a1 * x1 + a3
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
-        nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / denom
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return CurvePoint(x3, y3)
+        lam = ((3 * x1 + 2 * curve.a2) * x1 + curve.a4) / (2 * y1)
+    x3 = lam * lam - curve.a2 - x1 - x2
+    return CurvePoint(x3, lam * (x1 - x3) - y1)
 
 
 def mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
@@ -226,36 +205,25 @@ MAZUR_BOUND = 12  # largest order of a rational torsion point (Mazur 1977)
 def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     """True when P has infinite order, False when nP = O for some n <= 12.
 
-    The work is in ints, on an integral short model y^2 = x^3 + a x^2 +
-    b x + c.  When a1 = a3 = 0 that is the cached ``integral`` model and P
-    maps to (u^2 x, u^3 y); otherwise the square is completed there as well,
-    (X, Y) -> (4X, 8Y + 4 A1 X + 4 A3), onto y^2 = x^3 + b2 x^2 + 8 b4 x +
-    16 b6.  By Nagell-Lutz a torsion point has integer coordinates on this
-    model, so a P whose image is not integral has infinite order.  Otherwise
-    kP = (k-1)P + P is built for k = 2..12 from integral points, and
-    x(kP) = lam^2 - a - x((k-1)P) - x(P) is an integer iff the slope lam
-    is: the first slope that is not an integer proves infinite order, and a
-    vertical chord means kP = O.  By Mazur's theorem a rational torsion
-    point has order at most 12, so twelve multiples other than O certify
-    infinite order.
+    The work is in ints, on the cached ``integral`` model y^2 = x^3 + a x^2
+    + b x + c, to which P maps as (u^2 x, u^3 y).  By Nagell-Lutz a torsion
+    point has integer coordinates on this model, so a P whose image is not
+    integral has infinite order.  Otherwise kP = (k-1)P + P is built for
+    k = 2..12 from integral points, and x(kP) = lam^2 - a - x((k-1)P) -
+    x(P) is an integer iff the slope lam is: the first slope that is not an
+    integer proves infinite order, and a vertical chord means kP = O.  By
+    Mazur's theorem a rational torsion point has order at most 12, so twelve
+    multiples other than O certify infinite order.
     """
     _check(curve, point)
     if point.is_identity:
         return False
-    u, a1, a2, a3, a4, a6 = curve.integral
+    u, a, b, _ = curve.integral
     x, y = point.x, point.y
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    if a1 == 0 and a3 == 0:
-        a, b = a2, a4
-        x_num, x_den, y_num, y_den = u * u * xn, xd, u**3 * yn, yd
-    else:
-        b2, b4, _, _ = _b_invariants(a1, a2, a3, a4, a6)
-        a, b = b2, 8 * b4
-        x_num, x_den = 4 * u * u * xn, xd
-        y_num, y_den = 4 * (2 * u**3 * yn * xd + (a1 * u * u * xn + a3 * xd) * yd), xd * yd
-    if x_num % x_den or y_num % y_den:
+    x_num, y_num = u * u * x.numerator, u**3 * y.numerator
+    if x_num % x.denominator or y_num % y.denominator:
         return True
-    x1, y1 = x_num // x_den, y_num // y_den
+    x1, y1 = x_num // x.denominator, y_num // y.denominator
     xk, yk = x1, y1
     for _ in range(2, MAZUR_BOUND + 1):
         if xk == x1:
@@ -275,8 +243,8 @@ def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
 # ---------------------------------------------------------------------------
 # integral model and naive search
 
-def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int, int, int]:
-    """(u, A1, A2, A3, A4, A6) in ints: u is the least positive integer for
+def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int]:
+    """(u, A2, A4, A6) in ints: u is the least positive integer for
     which every A_w = u^w a_w is integral, and the A_w are the coefficients
     of the model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  A prime
     p enters u to the power max over w of ceil(v_p(den a_w) / w), so only
@@ -320,19 +288,19 @@ def _squares_mod(p: int) -> bytes:
 
 @lru_cache(maxsize=4096)
 def _cubic_residues(p: int, c2: int, c1: int, s: int) -> bytes:
-    """(4m^3 + c2 m^2 + c1 m) mod p as one byte per m, for m = s + p - 1
+    """(m^3 + c2 m^2 + c1 m) mod p as one byte per m, for m = s + p - 1
     down to s.  Along a specialization family c2 and c1 take few values mod
     p, so nearly every call after the first few is a cache hit."""
-    return bytes([((4 * m + c2) * m + c1) * m % p for m in range(s + p - 1, s - 1, -1)])
+    return bytes([((m + c2) * m + c1) * m % p for m in range(s + p - 1, s - 1, -1)])
 
 
 def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
-    """Bit j is set when R(m) = 4m^3 + c2 m^2 + c1 m + c0 at m = start + j
-    is a square modulo every prime tried.  An integer square is a square
-    mod every p, so no square is ever cleared.  The primes are tried
-    smallest first, and the sieve stops once at most two bits are left: by
-    then another prime clears less than it costs, and ``search_points``
-    tests each survivor exactly."""
+    """Bit j is set when the monic cubic R(m) = m^3 + c2 m^2 + c1 m + c0 at
+    m = start + j is a square modulo every prime tried.  An integer square
+    is a square mod every p, so no square is ever cleared.  The primes are
+    tried smallest first, and the sieve stops once at most two bits are
+    left: by then another prime clears less than it costs, and
+    ``search_points`` tests each survivor exactly."""
     mask = (1 << length) - 1
     for p in _SIEVE_PRIMES:
         flags, c0p = _squares_mod(p), c0 % p
@@ -351,22 +319,22 @@ def _square_sieve(start: int, length: int, c2: int, c1: int, c0: int) -> int:
 
 
 def _negative_throughout(lo: int, hi: int, c2: int, c1: int, c0: int) -> bool:
-    """Whether R(m) = 4m^3 + c2 m^2 + c1 m + c0 is negative at every integer
-    m in lo..hi, decided exactly from at most four values of R.
+    """Whether the monic cubic R(m) = m^3 + c2 m^2 + c1 m + c0 is negative at
+    every integer m in lo..hi, decided exactly from at most four values of R.
 
-    R rises up to its local maximum r1 = (-c2 - sqrt(D)) / 12, D = c2^2 -
-    12 c1, falls to its local minimum and rises again; when D <= 0 it rises
+    R rises up to its local maximum r1 = (-c2 - sqrt(D)) / 3, D = c2^2 -
+    3 c1, falls to its local minimum and rises again; when D <= 0 it rises
     throughout.  So over the integers of lo..hi, R is largest at lo, at hi,
     or at floor(r1) or ceil(r1) when they lie inside.  With s = isqrt(D),
-    s <= sqrt(D) < s + 1 gives -c2 - s - 1 < 12 r1 <= -c2 - s, so k =
-    (-c2 - s - 1) // 12 satisfies k < r1 <= k + 1: floor(r1) and ceil(r1)
+    s <= sqrt(D) < s + 1 gives -c2 - s - 1 < 3 r1 <= -c2 - s, so k =
+    (-c2 - s - 1) // 3 satisfies k < r1 <= k + 1: floor(r1) and ceil(r1)
     are among k and k + 1."""
     points = [lo, hi]
-    disc = c2 * c2 - 12 * c1
+    disc = c2 * c2 - 3 * c1
     if disc > 0:
-        k = (-c2 - math.isqrt(disc) - 1) // 12
+        k = (-c2 - math.isqrt(disc) - 1) // 3
         points += [m for m in (k, k + 1) if lo <= m <= hi]
-    return all(((4 * m + c2) * m + c1) * m + c0 < 0 for m in points)
+    return all(((m + c2) * m + c1) * m + c0 < 0 for m in points)
 
 
 def _set_bits(mask: int, start: int):
@@ -381,11 +349,10 @@ def _set_bits(mask: int, start: int):
 def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
     """Enumerate the integers |X| <= bound on the cached integral model
     (ascending), test for a rational Y, and map hits back as (X/u^2, Y/u^3).
-    Output order is deterministic.
+    Output order is deterministic, +Y before -Y.
 
-    Completing the square, Y^2 + (A1 X + A3) Y = X^3 + A2 X^2 + A4 X + A6
-    has a rational Y iff R(X) = 4X^3 + b2 X^2 + 2 b4 X + b6 is a square, and
-    R(X) is an integer.  As ratpoints does, the search first looks at the
+    Y^2 = R(X) = X^3 + A2 X^2 + A4 X + A6 has a rational Y iff the integer
+    R(X) is a square.  As ratpoints does, the search first looks at the
     real locus: when ``_negative_throughout`` finds R < 0 at every X of the
     window, no X can carry a point and the list is empty without a sieve.
     Otherwise the window goes through ``_square_sieve`` as one bitset, and
@@ -395,18 +362,17 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
         raise ValueError("bound must be >= 1")
     if curve.is_singular:
         raise SingularCurve(str(curve))
-    u, a1, a2, a3, a4, a6 = curve.integral
-    b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
+    u, a2, a4, a6 = curve.integral
     found: list[CurvePoint] = []
-    if _negative_throughout(-bound, bound, b2, 2 * b4, b6):
+    if _negative_throughout(-bound, bound, a2, a4, a6):
         return found
-    for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, b2, 2 * b4, b6), -bound):
-        root = rational_square_root(((4 * m + b2) * m + 2 * b4) * m + b6)
+    for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, a2, a4, a6), -bound):
+        root = rational_square_root(((m + a2) * m + a4) * m + a6)
         if root is None:
             continue
-        x, lin = Fraction(m, u * u), a1 * m + a3
+        x = Fraction(m, u * u)
         for sign in (1, -1) if root else (1,):
-            found.append(CurvePoint(x, Fraction(-lin + sign * root.numerator, 2 * u**3)))
+            found.append(CurvePoint(x, Fraction(sign * root.numerator, u**3)))
     return found
 
 
@@ -420,9 +386,7 @@ def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
     if c == f or t == 0:
         raise DegenerateSpecialization("need c != f and t != 0")
     n4, d4 = t.numerator**4, t.denominator**4
-    return WeierstrassCurve(
-        0, Fraction(-25 * n4, d4), 0, 0, Fraction(-2500 * (c - f) ** 2 * n4, d4)
-    )
+    return WeierstrassCurve(Fraction(-25 * n4, d4), 0, Fraction(-2500 * (c - f) ** 2 * n4, d4))
 
 
 def _table_cell(text: str) -> Fraction:
@@ -510,8 +474,8 @@ def _no_real_point(c: int, f: int, n: int, m: int, bound: int) -> bool:
 
     Write a2 = -25 t^4 = -N2/D2 and a6 = -2500 (c-f)^2 t^4, both in lowest
     terms.  A model scaled by u is integral only if D2 | u^2, so -A2 =
-    u^2 |a2| >= N2 and |A6| = u^6 |a6| >= D2^3 |a6|.  On it R(X) = 4 (X^2 (X +
-    A2) + A6), and X^2 (X + A2) <= max(0, B^2 (B - N2)) for X <= B.  So R < 0
+    u^2 |a2| >= N2 and |A6| = u^6 |a6| >= D2^3 |a6|.  On it R(X) = X^2 (X +
+    A2) + A6, and X^2 (X + A2) <= max(0, B^2 (B - N2)) for X <= B.  So R < 0
     throughout when B <= N2, or when B^2 (B - N2) < D2^3 |a6|.  As gcd(n, m)
     = 1, the gcd of 25 n^4 and m^4 is g = gcd(25, m^4), which gives N2 = 25
     n^4 / g and D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.

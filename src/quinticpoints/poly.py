@@ -43,9 +43,12 @@ class PoleAtPoint(ZeroDivisionError):
 
 
 def _coerce(value):
-    """A scalar as a coefficient: an int when integral, a Fraction otherwise."""
+    """A scalar as a coefficient: an int when integral, a Fraction otherwise.
+    A float is refused: its binary fraction is never the number meant."""
     if value.__class__ is int:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"a coefficient or value is never a float, got {value!r}")
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 

@@ -529,6 +529,7 @@ class SymmetricQuinticCoeffs(
 
 
 CONSANI_SCHOLTEN = SymmetricQuinticCoeffs(a1=-5, a2=5, a5=1, b1=5, b2=-5)
+C29 = SymmetricQuinticCoeffs(a1=1, a2=1, a3=1, a4=1, a5=1, b1=1, b2=1, b3=1, c0=1, c1=29)
 
 
 def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
@@ -878,11 +879,8 @@ def _check_cs_display() -> bool:
 
 
 def _check_c29_display() -> bool:
-    coeffs = SymmetricQuinticCoeffs(
-        a1=1, a2=1, a3=1, a4=1, a5=1, b1=1, b2=1, b3=1, c0=1, c1=29
-    )
     w = MultiPoly.variable("w")
-    U, V = _conic_lines(coeffs.b20_at(1), coeffs.b02_at(1), 1, (3, 8), w)
+    U, V = _conic_lines(C29.b20_at(1), C29.b02_at(1), 1, (3, 8), w)
     den = 32 * w * w - 32 * w + 11
     expected_U = RationalFunction(160 * w * w - 144 * w + 33, den)
     expected_V = RationalFunction(8 * (32 * w * w - 24 * w + 5), den)

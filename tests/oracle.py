@@ -11,6 +11,12 @@ that decision procedure.  No command needs it, so it lives with the tests.
 keyed each term by its exponent tuple over the sorted variables that occur,
 before monomials were packed into ints.  ``tuple_rational`` is the integral
 representative that ``poly.RationalFunction`` keeps.
+
+``long_on_curve``, ``long_add`` and ``long_is_nontorsion`` are the reference
+for the group law of ``elliptic``: the long Weierstrass form y^2 + a1 xy +
+a3 y = x^3 + a2 x^2 + a4 x + a6 that ``elliptic`` carried before it kept
+the short form only, in Fractions.  A point is an (x, y) pair of Fractions
+and the identity is None.
 """
 
 from __future__ import annotations
@@ -412,3 +418,67 @@ def tuple_rational(num: TuplePoly, den: TuplePoly) -> tuple[TuplePoly, TuplePoly
         TuplePoly(p.vars, {e: Fraction(sign * c * d) / g for e, c in p.terms.items()})
         for p in (num, den)
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference group law: long Weierstrass form, coefficients (a1, a2, a3, a4, a6)
+
+def long_on_curve(a, point) -> bool:
+    """Whether the point satisfies the long-form equation, cross-multiplied
+    by xd^3 yd^2 as ``elliptic.on_curve`` was on its integral model (here
+    on the curve itself, with rational coefficients)."""
+    if point is None:
+        return True
+    a1, a2, a3, a4, a6 = a
+    x, y = point
+    xd, yd = x.denominator, y.denominator
+    big_x, big_y = x.numerator, y.numerator
+    lhs = big_y * xd * xd * (big_y * xd + (a1 * big_x + a3 * xd) * yd)
+    return lhs == yd * yd * (((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3)
+
+
+def long_negate(a, point):
+    if point is None:
+        return None
+    a1, _, a3, _, _ = a
+    return point[0], -point[1] - a1 * point[0] - a3
+
+
+def long_add(a, p, q):
+    """The chord-tangent step in long form, with the line y = lam x + nu."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    a1, a2, a3, a4, a6 = a
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2 and y2 == -y1 - a1 * x1 - a3:
+        return None
+    if x1 != x2:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    else:
+        denom = 2 * y1 + a1 * x1 + a3
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
+        nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / denom
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return x3, -(lam + a1) * x3 - nu - a3
+
+
+def long_mul(a, n: int, point):
+    """nP by |n| chord-tangent steps, negated for n < 0."""
+    acc = None
+    for _ in range(abs(n)):
+        acc = long_add(a, acc, point)
+    return long_negate(a, acc) if n < 0 else acc
+
+
+def long_is_nontorsion(a, point) -> bool:
+    """False when one of the first 12 multiples of P is the identity; by
+    Mazur's theorem a rational torsion point has order at most 12."""
+    acc = None
+    for _ in range(12):
+        acc = long_add(a, acc, point)
+        if acc is None:
+            return False
+    return True

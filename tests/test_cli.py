@@ -530,6 +530,35 @@ def test_output_past_the_int_to_str_limit_is_invalid_input(tmp_path, capsys, arg
     assert record["command"] == command and record["outputs"] == payload
 
 
+_DIGITS_5000 = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["construct", "thm1", "--a=1", "--u", _DIGITS_5000], "construct thm1"),
+        (["scale-integers", "--a=1", "--points",
+          f'[{{"p": {_DIGITS_5000}, "q": 1, "r": 1, "s": 1}}]'], "scale-integers"),
+        (["scale-integers", "--a=1", "--points",
+          f'[{{"p": "{_DIGITS_5000}", "q": 1, "r": 1, "s": 1}}]'], "scale-integers"),
+    ],
+    ids=["construct-u", "json-number", "json-string"],
+)
+def test_input_past_the_str_to_int_limit_is_invalid_input(tmp_path, capsys, argv, command):
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload == {
+        "error": "InvalidInput",
+        "message": "Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits",
+    }
+    assert captured.err == f"invalid input: {payload['message']}\n"
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["command"] == command and record["outputs"] == payload
+
+
 @pytest.mark.parametrize(
     "argv, store_variable, message",
     [

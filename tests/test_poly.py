@@ -398,6 +398,22 @@ class TestInputChecks:
             assert hash(poly_) == hash(scalar)
             assert len({poly_, scalar}) == 1
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: MultiPoly.constant(0.1),
+            lambda x: x * 0.1,
+            lambda x: 0.5 * x,
+            lambda x: x + 0.5,
+            lambda x: x.eval({"x": 0.1}),
+        ],
+        ids=["constant", "mul", "rmul", "add", "eval"],
+    )
+    def test_floats_are_refused(self, call):
+        # 0.1 would enter as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="never a float"):
+            call(MultiPoly.variable("x"))
+
 
 class TestDegreeGuard:
     LIMIT = 1 << (poly.W - 1)
