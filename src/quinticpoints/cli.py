@@ -76,6 +76,10 @@ MAX_TABLE_BOUND = 10**6
 # x86-64 machine).  So the cap bounds the time only at small --tmax; it goes
 # once one work bound on dmax, tmax and bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
+# A usage error echoes an unreadable value in full up to this many
+# characters, and a longer one (an int past Python's 4300-digit limit, say)
+# as a prefix of this length and its size.
+MAX_ECHOED_VALUE = 40
 
 
 class TypedExit(Exception):
@@ -370,10 +374,10 @@ def cmd_table(args) -> Outcome:
     if args.bound > MAX_TABLE_BOUND:
         raise TypedExit(f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
-        rows = elliptic.load_table(args.dmax)
-        if args.dmax > len(rows):  # then rows holds the whole table
-            raise TypedExit(f"--dmax must be <= {len(rows)}, the rows of the shipped table")
-        results = [elliptic.verify_row(row) for row in rows]
+        lines = elliptic.table_lines(args.dmax)
+        if args.dmax > len(lines):  # then lines holds the whole table
+            raise TypedExit(f"--dmax must be <= {len(lines)}, the rows of the shipped table")
+        results = [elliptic.verify_row(line) for line in lines]
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
@@ -642,7 +646,10 @@ def _value(command: str | None, name: str, spec, word: str):
     try:
         value = kind(word)
     except ValueError:
-        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {word!r}")
+        shown = repr(word)
+        if len(word) > MAX_ECHOED_VALUE:
+            shown = f"{word[:MAX_ECHOED_VALUE]!r}... ({len(word)} characters)"
+        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {shown}")
     if choices is not None and value not in choices:
         listed = ", ".join(map(repr, choices))
         _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")

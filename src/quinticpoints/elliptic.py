@@ -8,30 +8,24 @@ behind the shipped 100-row table of nontorsion points.
 
 Each curve caches one integral model (``WeierstrassCurve.integral``): with u
 the least positive integer that makes every u^w a_w integral, (x, y) ->
-(u^2 x, u^3 y) gives the integer coefficients u^w a_w.  The discriminant,
-the on-curve test, the torsion certificate and the point search all run on
-it in Python ints.  The certificate rests on Nagell-Lutz (Silverman-Tate,
-*Rational Points on Elliptic Curves*, II.4), which holds on any integral
-model: on y^2 = x^3 + A2 x^2 + A4 x + A6 with integer coefficients a torsion
-point has integer coordinates, so when P and its first multiples are
-integral, a chord or tangent step from them whose slope is not an integer
-proves that P has infinite order.
+(u^2 x, u^3 y) gives the integer coefficients u^w a_w.  E_t, t = n/m, gets
+it in closed form (u = m^2, or m^2/5 when 5 | m); any other curve factors
+its denominators.  The discriminant, the on-curve test, the torsion
+certificate and the point search all run on it in Python ints, and a table
+row is checked straight from the ints of its CSV cells.  The certificate
+rests on Nagell-Lutz (Silverman-Tate, *Rational Points on Elliptic Curves*,
+II.4), which holds on any integral model: on y^2 = x^3 + A2 x^2 + A4 x + A6
+with integer coefficients a torsion point has integer coordinates, so when
+P and its first multiples are integral, a chord or tangent step from them
+whose slope is not an integer proves that P has infinite order.
 
-The point search follows Stoll's *ratpoints*, which searches only where the
-polynomial is nonnegative before it sieves.  The monic cubic R(x) = x^3 +
-A2 x^2 + A4 x + A6 of the integral model has at most one local maximum, so
-a few exact values of R decide whether it is negative at every candidate x
-of the window; such a window holds no point and is skipped.  Any other
-window of candidate integers x is one Python int with a bit per candidate,
-and small odd primes, smallest first, clear the bits at which R(x) is a
-non-square mod p until at most two bits are left.  Only those survivors
-reach an exact square test.  Everything is Python ints; nothing can wrap.
-
-The specialization search walks t = n/m as coprime int pairs (n, m) in
-height order and applies the same real-locus test to t itself: the right
-side of E_t is negative for every x <= 25 t^4, and bounds on every integral
-model, read in ints from n, m, c - f and the window, rule out most t before
-the Fraction t, E_t, its integral model and its discriminant are built."""
+The point search follows Stoll's *ratpoints*.  A few exact values of the
+monic cubic R(x) of the integral model skip a window where R < 0 throughout
+(``_negative_throughout``); any other window is one Python int with a bit
+per candidate x, sieved by small odd primes (``_square_sieve``) before the
+survivors reach an exact square test.  The specialization search applies
+the real-locus test to t = n/m itself, in ints, before t or E_t is built
+(``_no_real_point``).  Everything is Python ints; nothing can wrap."""
 
 from __future__ import annotations
 
@@ -135,18 +129,22 @@ IDENTITY = CurvePoint()
 
 
 def on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
-    """Whether the point satisfies the curve's equation, decided in ints:
-    with x = xn/xd, y = yn/yd and (X, Y) = (u^2 xn, u^3 yn), the equation of
-    the integral model, multiplied through by xd^3 yd^2, reads
-    Y^2 xd^3 = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
+    """Whether the point satisfies the curve's equation, decided in ints by
+    ``_on_model`` on the integral model."""
     if point.is_identity:
         return True
     u, a2, a4, a6 = curve.integral
     x, y = point.x, point.y
-    xd, yd = x.denominator, y.denominator
-    big_x, big_y = u * u * x.numerator, u**3 * y.numerator
-    lhs = big_y * big_y * xd**3
-    return lhs == yd * yd * (((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return _on_model(u * u * xn, xd, u**3 * yn, yd, a2, a4, a6)
+
+
+def _on_model(big_x: int, xd: int, big_y: int, yd: int, a2: int, a4: int, a6: int) -> bool:
+    """Whether (x, y) = (xn/xd, yn/yd) maps onto the integral model: with
+    (X, Y) = (u^2 xn, u^3 yn), its equation times xd^3 yd^2 reads
+    Y^2 xd^3 = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
+    rhs = ((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3
+    return big_y * big_y * xd**3 == yd * yd * rhs
 
 
 def negate(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
@@ -220,10 +218,15 @@ def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
         return False
     u, a, b, _ = curve.integral
     x, y = point.x, point.y
-    x_num, y_num = u * u * x.numerator, u**3 * y.numerator
-    if x_num % x.denominator or y_num % y.denominator:
+    return _nontorsion(u * u * x.numerator, x.denominator, u**3 * y.numerator, y.denominator, a, b)
+
+
+def _nontorsion(x_num: int, x_den: int, y_num: int, y_den: int, a: int, b: int) -> bool:
+    """``is_nontorsion`` for the image (x_num/x_den, y_num/y_den) of a point
+    known to lie on the nonsingular model y^2 = x^3 + a x^2 + b x + c."""
+    if x_num % x_den or y_num % y_den:
         return True
-    x1, y1 = x_num // x.denominator, y_num // y.denominator
+    x1, y1 = x_num // x_den, y_num // y_den
     xk, yk = x1, y1
     for _ in range(2, MAZUR_BOUND + 1):
         if xk == x1:
@@ -250,7 +253,8 @@ def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int]:
     p enters u to the power max over w of ceil(v_p(den a_w) / w), so only
     the lcm of the denominators is factored.  When ``factor`` cannot split
     that lcm, u is the lcm itself: integral but not minimal, which is all
-    Nagell-Lutz needs."""
+    Nagell-Lutz needs.  Only curves that ``specialization_curve`` did not
+    build come here: E_t caches ``_specialization_model``'s."""
     dens = [(a.denominator, w) for a, w in zip(curve, _WEIGHTS) if a.denominator > 1]
     lcm = math.lcm(*(d for d, _ in dens))
     u = 1
@@ -379,70 +383,87 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
 # ---------------------------------------------------------------------------
 # the specialization family and the shipped table
 
+def _specialization_model(d: int, n: int, m: int) -> tuple[int, int, int]:
+    """(u, A2, A6) of the least integral model of E_t (A4 = 0), D = c - f and
+    t = n/m in lowest terms, m > 0: a2 = -25 n^4 / m^4 has denominator m^4 /
+    r^2, r = 5 if 5 | m else 1, so u = m^2 / r; u^6 a6 is integral there."""
+    if d == 0 or n == 0:
+        raise DegenerateSpecialization("need c != f and t != 0")
+    n4, r = n**4, 5 if m % 5 == 0 else 1
+    return m * m // r, -25 * n4 // r**2, -2500 * d * d * n4 * m**8 // r**6
+
+
 def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
-    """E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4."""
+    """E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4, its integral model
+    cached from ``_specialization_model``."""
     if not isinstance(t, Fraction):
         t = Fraction(t)
-    if c == f or t == 0:
-        raise DegenerateSpecialization("need c != f and t != 0")
-    n4, d4 = t.numerator**4, t.denominator**4
-    return WeierstrassCurve(Fraction(-25 * n4, d4), 0, Fraction(-2500 * (c - f) ** 2 * n4, d4))
+    u, a2, a6 = _specialization_model(c - f, t.numerator, t.denominator)
+    curve = WeierstrassCurve(Fraction(a2, u * u), 0, Fraction(a6, u**6))
+    curve.__dict__["integral"] = (u, a2, 0, a6)  # known already: never factor
+    return curve
 
 
-def _table_cell(text: str) -> Fraction:
-    """A canonical table cell, "n/d" or "n", as a Fraction."""
+def _table_cell(text: str) -> tuple[int, int]:
+    """A table cell, "n/d" or "n", as (num, den) ints reduced as Fraction does."""
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    num, den = int(num), int(den or 1)
+    if den == 0:
+        raise ZeroDivisionError(f"table cell {text!r} has denominator 0")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
-def _table_lines() -> list[str]:
-    """The data lines of the shipped table, its header checked."""
+def table_lines(n: int | None = None) -> list[str]:
+    """The first n (default all) data lines of the shipped table, header checked."""
     path = os.path.join(os.path.dirname(__file__), "data", "table_d100.csv")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     header, *lines = text.splitlines()
     if header != "D,t,X,Y":
         raise ValueError(f"table header {header!r} is not 'D,t,X,Y'")
-    return lines
+    return lines[:n]
 
 
 def _table_row(line: str) -> tuple[int, Fraction, CurvePoint]:
     """One data line "D,t,X,Y" of the table as a (D, t, point) triple."""
     d, t, x, y = line.split(",")
-    return int(d), _table_cell(t), CurvePoint(_table_cell(x), _table_cell(y))
+    t, x, y = (Fraction(*_table_cell(cell)) for cell in (t, x, y))
+    return int(d), t, CurvePoint(x, y)
 
 
 def load_table(n: int | None = None) -> list[tuple[int, Fraction, CurvePoint]]:
     """The 100 rows (D = 1..100) of specialization data shipped with the
     package: for each D a rational t and a nontorsion point on E_t, as
     (D, t, point) triples.  With ``n``, only the first n rows are parsed.
-
-    ``verify_row`` certifies a row in ints on the cached integral model of
-    E_t: the point satisfies the cross-multiplied equation, and it or one
-    of its first multiples has a non-integral image (``is_nontorsion``).
-    The shipped rows need at most three multiples."""
-    return [_table_row(line) for line in _table_lines()[:n]]
+    ``verify_row`` checks a row from its line, in ints, with no Fraction."""
+    return [_table_row(line) for line in table_lines(n)]
 
 
 def table_row(d: int) -> tuple[int, Fraction, CurvePoint] | None:
     """The shipped (D, t, point) row of D alone, parsed without the other
     rows; None when D has no row."""
     prefix = f"{d},"
-    line = next((line for line in _table_lines() if line.startswith(prefix)), None)
+    line = next((line for line in table_lines() if line.startswith(prefix)), None)
     return None if line is None else _table_row(line)
 
 
-def verify_row(row: tuple[int, Fraction, CurvePoint]) -> dict:
-    """The JSON report of a ``load_table`` row (D, t, point): whether the
-    point lies on E_t and, if so, whether it has infinite order; status
-    "ok" when both hold."""
-    d, t, point = row
-    curve = specialization_curve(d, 0, t)
-    member = on_curve(curve, point)
-    nontor = member and is_nontorsion(curve, point)
+def verify_row(line: str) -> dict:
+    """The JSON report of one table line "D,t,X,Y": whether the point lies on
+    E_t and, if so, whether it has infinite order; status "ok" when both
+    hold.  D = 0 or t = 0 raises DegenerateSpecialization.  One pass in ints:
+    ``_on_model`` and ``is_nontorsion``'s loop on ``_specialization_model``,
+    with no ``_check``, as E_t is nonsingular (see ``conjecture2_search``)."""
+    d, t, x, y = line.split(",")
+    d = int(d)
+    (n, m), (xn, xd), (yn, yd) = _table_cell(t), _table_cell(x), _table_cell(y)
+    u, a2, a6 = _specialization_model(d, n, m)
+    big_x, big_y = u * u * xn, u**3 * yn
+    member = _on_model(big_x, xd, big_y, yd, a2, 0, a6)
+    nontor = member and _nontorsion(big_x, xd, big_y, yd, a2, 0)
     return {
         "D": d,
-        "t": format_rational(t),
+        "t": str(n) if m == 1 else f"{n}/{m}",
         "on_curve": member,
         "nontorsion": nontor,
         "status": "ok" if nontor else "FAIL",
@@ -468,21 +489,17 @@ def rationals_by_height(max_height: int):
 
 def _no_real_point(c: int, f: int, n: int, m: int, bound: int) -> bool:
     """Whether R(X) < 0 at every integer |X| <= bound on every integral model
-    of E_t (c != f, t = n/m with n != 0, m > 0 and gcd(n, m) = 1), decided in
-    ints from n, m, c - f and the bound, before t or E_t is built.  When
-    True, ``search_points`` on E_t returns [] at this bound.
+    of E_t (c != f, t = n/m in lowest terms, n != 0, m > 0), decided in ints
+    before t or E_t is built.  When True, ``search_points`` on E_t returns []
+    at this bound.
 
-    Write a2 = -25 t^4 = -N2/D2 and a6 = -2500 (c-f)^2 t^4, both in lowest
-    terms.  A model scaled by u is integral only if D2 | u^2, so -A2 =
-    u^2 |a2| >= N2 and |A6| = u^6 |a6| >= D2^3 |a6|.  On it R(X) = X^2 (X +
-    A2) + A6, and X^2 (X + A2) <= max(0, B^2 (B - N2)) for X <= B.  So R < 0
-    throughout when B <= N2, or when B^2 (B - N2) < D2^3 |a6|.  As gcd(n, m)
-    = 1, the gcd of 25 n^4 and m^4 is g = gcd(25, m^4), which gives N2 = 25
-    n^4 / g and D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.
-
-    The least u is m^2 / sqrt(g), so u^2 = D2: on the model that
-    ``integral_model`` finds both bounds are equalities, and the answer is
-    that of ``_negative_throughout`` on it."""
+    With a2 = -N2/D2 in lowest terms, an integral model has D2 | u^2, so -A2
+    >= N2 and |A6| >= D2^3 |a6|, and for X <= B, R(X) = X^2 (X + A2) + A6 <=
+    max(0, B^2 (B - N2)) - D2^3 |a6|.  So R < 0 throughout when B <= N2 or
+    B^2 (B - N2) < D2^3 |a6|.  With g = gcd(25, m^4), N2 = 25 n^4 / g and
+    D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.  The model E_t caches has u^2 =
+    D2 (``_specialization_model``), so on it both bounds are equalities and
+    the answer is that of ``_negative_throughout``."""
     n4, m4 = n**4, m**4
     g = math.gcd(25, m4)
     n2 = 25 * n4 // g

@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 from . import elliptic
 from .elliptic import CurvePoint, DegenerateSpecialization
-from .exact import GAUSSIAN_I, CertificateError, GaussianRational, checked_make
+from .exact import GAUSSIAN_I, CertificateError, GaussianRational, checked_make, format_rational
 from .poly import (
     FIELD,
     MultiPoly,
@@ -602,7 +602,8 @@ def symmetric_rational_point(
     if b20 == 0:
         raise DegenerateConic(f"b_{{2,0}} vanishes at t = {t0}")
     if coeffs.conic_at(t0, U0, V0) != 0:
-        raise SeedNotOnConic(f"seed {seed} is not on the conic at t = {t0}")
+        shown = f"{format_rational(U0)},{format_rational(V0)}"  # --seed-point syntax
+        raise SeedNotOnConic(f"seed {shown} is not on the conic at t = {t0}")
     try:
         U, V = _conic_lines(b20, coeffs.b02_at(t0), t0, (U0, V0), w)
     except ZeroDivisionError:

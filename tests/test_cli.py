@@ -262,6 +262,14 @@ class TestConstructErrors:
         assert record["command"] == "construct gaussian"
         assert record["inputs"]["y"] == "0"
 
+    @pytest.mark.parametrize("seed, shown", [([], "3,8"), (["--seed-point=-1/2,4"], "-1/2,4")])
+    def test_seed_off_the_conic_is_shown_as_given(self, capsys, seed, shown):
+        argv = ["construct", "symmetric", "--variant=rational", "--preset=c29", "--t=2", *seed]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "SeedNotOnConic", "message": f"seed {shown} is not on the conic at t = 2"
+        }
+
     def test_short_seed_point_is_invalid_input(self, capsys):
         argv = ["construct", "symmetric", "--preset=c29", "--variant=rational", "--seed-point=3"]
         assert cli.main(argv) == cli.EXIT_INVALID
@@ -321,6 +329,28 @@ class TestTable:
         monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
         assert cli.main(["table", "--mode=search", *argv]) == cli.EXIT_EXHAUSTED
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["table", "--mode=verify", "--dmax=100"], cli.EXIT_OK),
+            (["table", "--mode=search", "--dmax=30", "--tmax=4", "--bound=200"],
+             cli.EXIT_EXHAUSTED),
+            (["construct", "mixed", "--c=1", "--f=0", "--t=2/45", "--k=2"], cli.EXIT_OK),
+        ],
+        ids=["verify", "search", "mixed"],
+    )
+    def test_specialization_curves_are_never_factored(self, monkeypatch, capsys, argv, code):
+        # every curve these build is an E_t, whose integral model is known in
+        # closed form
+        def no_work(*args):
+            raise AssertionError("a denominator was factored")
+
+        monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+        monkeypatch.setattr(elliptic, "integral_model", no_work)
+        monkeypatch.setattr(elliptic, "factor", no_work)
+        assert cli.main(argv) == code
+        capsys.readouterr()
 
 
 # the shipped row whose kP is the first to pass 4300 digits, at k = 23
@@ -557,6 +587,27 @@ def test_input_past_the_str_to_int_limit_is_invalid_input(tmp_path, capsys, argv
     assert captured.err == f"invalid input: {payload['message']}\n"
     (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
     assert record["command"] == command and record["outputs"] == payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "thm1", f"--a={_DIGITS_5000}", "--b=1", "--c=1", "--u=1", "--v=1"],
+     ["solve-form", _DIGITS_5000, "1", "1", "-1"]],
+    ids=["option", "positional"],
+)
+def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv):
+    # a usage error, so no JSON line; its echo is a prefix and the size.  The
+    # usage of construct alone takes about 520 bytes, so the bound is on what
+    # follows it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage = cli._usage(argv[0])
+    assert captured.err.startswith(usage)
+    assert len(captured.err.encode()) - len(usage.encode()) < 500
+    assert captured.err.endswith(f"'{_DIGITS_5000[:cli.MAX_ECHOED_VALUE]}'... (5000 characters)\n")
 
 
 @pytest.mark.parametrize(

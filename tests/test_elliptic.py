@@ -15,7 +15,9 @@ from quinticpoints.elliptic import (
     WeierstrassCurve,
     _negative_throughout,
     _no_real_point,
+    _specialization_model,
     _square_sieve,
+    _table_cell,
     add,
     conjecture2_search,
     integral_model,
@@ -27,9 +29,10 @@ from quinticpoints.elliptic import (
     rationals_by_height,
     search_points,
     specialization_curve,
+    table_lines,
     verify_row,
 )
-from quinticpoints.exact import factor
+from quinticpoints.exact import factor, format_rational
 
 # t of height <= 30, either sign
 nonzero_ts = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 30))
@@ -634,13 +637,128 @@ class TestTable:
         assert load_table(n) == load_table()[:n]
 
     def test_all_rows_verify(self):
-        reports = [verify_row(row) for row in load_table()]
+        reports = [verify_row(line) for line in table_lines()]
         assert all(r["status"] == "ok" and r["on_curve"] and r["nontorsion"] for r in reports)
 
     def test_corrupted_row_fails(self):
-        d, t, point = load_table()[0]
-        report = verify_row((d, t, CurvePoint(point.x, Fraction(404, 405))))
+        d, t, x, _ = table_lines()[0].split(",")
+        report = verify_row(f"{d},{t},{x},404/405")
         assert not report["on_curve"] and report["status"] == "FAIL"
+
+    @pytest.mark.parametrize(
+        "text, cell",
+        [("7", (7, 1)), ("4/90", (2, 45)), ("-2/45", (-2, 45)), ("2/-45", (-2, 45)),
+         ("-4/-90", (2, 45)), ("0/5", (0, 1)), ("-0", (0, 1))],
+    )
+    def test_cells_reduce_as_fraction_does(self, text, cell):
+        assert _table_cell(text) == cell
+        assert Fraction(*cell) == _cell_reference(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+    def test_zero_denominator_cell_raises(self, text):
+        with pytest.raises(ZeroDivisionError):
+            _table_cell(text)
+
+    @pytest.mark.parametrize("line", ["0,2/45,1,403/405", "-0,1,8381,766104", "1,0,1,1", "1,0/7,1,1"])
+    def test_degenerate_row_raises(self, line):
+        with pytest.raises(DegenerateSpecialization):
+            verify_row(line)
+
+
+def _cell_reference(text):
+    """A table cell "n/d" or "n" as a Fraction.  ``Fraction(int, int)``,
+    since ``Fraction("2/-45")`` refuses a negative denominator."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def _verify_reference(line):
+    """``verify_row``'s report by the Fraction path: a fresh E_t whose
+    integral model ``integral_model`` finds by factoring, then ``on_curve``
+    and the checked ``is_nontorsion``."""
+    d, t, x, y = line.split(",")
+    d, t = int(d), _cell_reference(t)
+    curve = WeierstrassCurve(*specialization_curve(d, 0, t))  # no cached model
+    point = CurvePoint(_cell_reference(x), _cell_reference(y))
+    member = on_curve(curve, point)
+    nontor = member and is_nontorsion(curve, point)
+    return {
+        "D": d, "t": format_rational(t), "on_curve": member, "nontorsion": nontor,
+        "status": "ok" if nontor else "FAIL",
+    }
+
+
+# (D, t, X): 2-torsion points (X, 0) on E_t, found by search_points.  At t = 1,
+# (25 + k^2, 0) is one whenever D = (25 + k^2) k / 50 is an integer.
+TORSION = [(5, "1", 50), (11, "2/5", 20), (25, "2", 500), (75, "3", 2250), (80, "2", 800),
+           (195, "3", 2925)] + [((25 + k * k) * k // 50, "1", 25 + k * k) for k in (15, 25, 35)]
+
+
+def _written(q, k, flip):
+    """The rational q as a table cell "n/d" scaled by k, both signs flipped
+    when ``flip``: a non-canonical spelling of the same value."""
+    q = Fraction(q)
+    sign = -1 if flip else 1
+    return f"{sign * k * q.numerator}/{sign * k * q.denominator}"
+
+
+@st.composite
+def table_lines_drawn(draw):
+    """Data lines "D,t,X,Y": shipped rows, their multiples kP, points
+    pushed off the curve and 2-torsion points, each cell possibly spelled
+    non-canonically (4/90 for 2/45, 2/-45 for -2/45) and D and t possibly
+    negated."""
+    kind = draw(st.sampled_from(["shipped", "multiple", "perturbed", "torsion"]))
+    if kind == "torsion":
+        d, t, x = draw(st.sampled_from(TORSION))
+        t, point = Fraction(t), CurvePoint(x, 0)
+    else:
+        d, t, point = draw(st.sampled_from(load_table()))
+        if kind == "multiple":
+            point = mul(specialization_curve(d, 0, t), draw(st.integers(2, 3)), point)
+        elif kind == "perturbed":
+            delta = draw(st.fractions(-3, 3, max_denominator=7))
+            point = CurvePoint(point.x, point.y + delta) if draw(st.booleans()) else (
+                CurvePoint(point.x + delta, point.y))
+    d, t = draw(st.sampled_from([d, -d])), draw(st.sampled_from([t, -t]))
+    cells = [
+        _written(q, draw(st.integers(1, 3)), draw(st.booleans())) if draw(st.booleans())
+        else format_rational(q)
+        for q in (t, point.x, point.y)
+    ]
+    return ",".join([str(d), *cells])
+
+
+class TestIntVerify:
+    """``verify_row`` checks a line in ints alone, from the closed-form
+    model of E_t; each part is held against the Fraction path it replaces."""
+
+    @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6),
+           st.integers(-1000, 1000).filter(bool), st.integers(1, 1000), st.booleans())
+    @example(1, 0, 2, 45, False)  # the D = 1 row: 5 | m, u = 405
+    @example(3, -2, 1, 5, False)  # u = 5
+    @example(-7, 4, 999, 1000, False)  # 5^3 | m
+    @example(1, 0, 1, 1, False)  # u = 1
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_model_is_the_least_one(self, c, f, n, m, five):
+        # half the draws put 5 in m, where u = m^2 / 5 and not m^2
+        m = 5 * m if five and m <= 200 else m
+        assume(c != f and math.gcd(n, m) == 1)
+        t = Fraction(n, m)
+        u, a2, a6 = _specialization_model(c - f, n, m)
+        expected = integral_model(specialization_curve(c, f, t))
+        assert (u, a2, 0, a6) == expected
+        assert specialization_curve(c, f, t).integral == expected
+
+    @given(table_lines_drawn())
+    @example("1,4/90,1,403/405")
+    @example("1,-2/45,1,403/405")
+    @example("1,2/-45,1,-403/405")
+    @example("5,1,50,0")
+    @example("1,2/45,1,404/405")
+    @settings(max_examples=300, deadline=None)
+    def test_report_matches_the_fraction_path(self, line):
+        assert verify_row(line) == _verify_reference(line)
 
 
 class TestConjectureSearch:
