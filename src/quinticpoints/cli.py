@@ -49,7 +49,7 @@ from .exact import (
     format_rational,
     parse_rational,
 )
-from .quintic import Point4, QuinticCoeffs, classify, residual, scale_to_integers
+from .quintic import Point4, QuinticCoeffs, scale_to_integers
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,9 +76,10 @@ MAX_TABLE_BOUND = 10**6
 # x86-64 machine).  So the cap bounds the time only at small --tmax; it goes
 # once one work bound on dmax, tmax and bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
-# A usage error echoes an unreadable value in full up to this many
-# characters, and a longer one (an int past Python's 4300-digit limit, say)
-# as a prefix of this length and its size.
+# A usage error echoes each word it names (an unreadable value, a bad choice,
+# an unknown argument) in full up to this many characters, and a longer one
+# (an int past Python's 4300-digit limit, say) as a prefix of this length and
+# its size.
 MAX_ECHOED_VALUE = 40
 
 
@@ -406,20 +407,13 @@ def cmd_question3(args) -> Outcome:
     if args.N > MAX_QUESTION3_N:
         raise TypedExit(f"--N must be <= {MAX_QUESTION3_N}")
     a_n, sols = quadform.question3_family(args.N)
-    f = QuinticCoeffs(a_n, 0, args.c)
     points = []
     for sol in sols:
         point = Point4(*surfaces.r4_point(*map(Fraction, sol)))
-        res = residual(f, point)
-        if res or not point.is_integral():
-            raise CertificateError(f"question-3 point {point.to_json()} fails its certificate")
-        points.append(
-            {
-                "point": point.to_json(),
-                "residual": str(res),
-                "nontrivial": classify(f, point),
-            }
-        )
+        if not point.is_integral():
+            raise CertificateError(f"question-3 point {point.to_json()} is not integral")
+        cert = surfaces._quintic_certificate("question3", {}, a_n, 0, args.c, point).to_json()
+        points.append({k: cert[k] for k in ("point", "residual", "nontrivial")})
     payload = {"N": args.N, "a_N": a_n, "c": args.c, "points": points}
     note = f"f = X^5 + ({a_n})X^3 + ({args.c})X carries {len(points)} integer points"
     return Outcome(payload, note, {"N": args.N, "c": args.c}, EXIT_OK)
@@ -438,14 +432,14 @@ def cmd_scale_integers(args) -> Outcome:
         if not isinstance(raw, list):
             raise ValueError("the points must be a JSON list")
         points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
-        big, scaled = scale_to_integers(f, points)
+        big, scaled, residuals = scale_to_integers(f, points)
     except (ValueError, ZeroDivisionError) as exc:  # bad input; "1/0" is a ZeroDivisionError
         raise _input_exit(exc) from exc
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},
         "F": {"a": big.a, "b": big.b, "c": big.c},
         "points": [p.to_json() for p in scaled],
-        "residuals": [str(residual(big, p)) for p in scaled],
+        "residuals": [str(res) for res in residuals],
     }
     note = f"scaled {len(scaled)} point(s) onto V_F with F = {big}"
     return Outcome(payload, note, {"f": payload["f"]}, EXIT_OK)
@@ -637,7 +631,16 @@ def _read_help(command: str | None, word: str) -> None:
         sys.stdout.write(_help(command))
         raise SystemExit(EXIT_OK)
     if word.startswith("-h") or word.partition("=")[0] == "--help":
-        _usage_error(command, f"argument -h/--help: ignored explicit argument in {word!r}")
+        _usage_error(command, f"argument -h/--help: ignored explicit argument in {_cut(word)}")
+
+
+def _cut(value, show=repr) -> str:
+    """``show(value)`` when its text has at most MAX_ECHOED_VALUE characters,
+    else the ``show`` of that many and the size: how a usage error echoes."""
+    text = str(value)
+    if len(text) <= MAX_ECHOED_VALUE:
+        return show(value)
+    return f"{show(text[:MAX_ECHOED_VALUE])}... ({len(text)} characters)"
 
 
 def _value(command: str | None, name: str, spec, word: str):
@@ -646,13 +649,10 @@ def _value(command: str | None, name: str, spec, word: str):
     try:
         value = kind(word)
     except ValueError:
-        shown = repr(word)
-        if len(word) > MAX_ECHOED_VALUE:
-            shown = f"{word[:MAX_ECHOED_VALUE]!r}... ({len(word)} characters)"
-        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {shown}")
+        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {_cut(word)}")
     if choices is not None and value not in choices:
         listed = ", ".join(map(repr, choices))
-        _usage_error(command, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+        _usage_error(command, f"argument {name}: invalid choice: {_cut(value)} (choose from {listed})")
     return value
 
 
@@ -695,7 +695,8 @@ def _parse_command(command: str, words) -> types.SimpleNamespace:
     if unfilled:
         _usage_error(command, f"the following arguments are required: {', '.join(unfilled)}")
     if unrecognized:
-        _usage_error(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+        shown = " ".join(_cut(word, str) for word in unrecognized)
+        _usage_error(command, f"unrecognized arguments: {shown}")
     return types.SimpleNamespace(command=command, func=func, **values)
 
 
@@ -715,7 +716,8 @@ def _parse_argv(argv) -> types.SimpleNamespace:
         _usage_error(None, "the following arguments are required: command")
     command = _value(None, "command", _COMMAND_ARGUMENT, argv[i])
     _parse_command(command, argv[i + 1:])
-    _usage_error(None, f"unrecognized arguments: {' '.join(unrecognized)}")
+    shown = " ".join(_cut(word, str) for word in unrecognized)
+    _usage_error(None, f"unrecognized arguments: {shown}")
 
 
 def build_parser(command: str | None = None) -> types.SimpleNamespace:

@@ -455,10 +455,9 @@ def rational_square_root(q) -> Fraction | None:
 
 
 def lcm_of_denominators(values) -> int:
-    values = list(values)
-    if not values:
+    """The lcm of the denominators of ``values``, ints, Fractions or Gaussian
+    rationals; both parts of a Gaussian rational count."""
+    parts = [p for v in values for p in ((v.re, v.im) if v.__class__ is GaussianRational else (v,))]
+    if not parts:
         raise EmptyList("need at least one rational")
-    d = 1
-    for v in values:
-        d = math.lcm(d, Fraction(v).denominator)
-    return d
+    return math.lcm(*(p.denominator for p in parts))

@@ -1,6 +1,6 @@
 """The hypersurface model f(p)+f(q) = f(r)+f(s) for f(X) = X^5+aX^3+bX^2+cX:
-residuals, triviality classification, and integer rescaling of rational
-points."""
+residuals, triviality classification, and ``integral_image``, the one scaling
+of points to integers, on whose image every point of a V_f is checked."""
 
 from __future__ import annotations
 
@@ -122,20 +122,36 @@ def classify(f, point: Point4) -> bool:
     )
 
 
-def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Point4]]:
-    """Clear denominators: with d = LCM of every coordinate denominator,
-    F = (a d^2, b d^3, c d^4) satisfies F(d x) = d^5 f(x), so d-scaled points
-    are integral points on V_F."""
+def _times(v, d: int):
+    """d v for a v whose denominators divide d: an int, or over Q(i) a
+    Gaussian rational with int parts."""
+    return v * d if v.__class__ is GaussianRational else v.numerator * (d // v.denominator)
+
+
+def integral_image(coeffs, points) -> tuple[int, tuple, list[Point4]]:
+    """Corollary 1's scaling, the only one: (d, F, [d P for P in points]),
+    with d the lcm of every denominator of every coordinate (both parts of a
+    Q(i) one) and F = (a d^2, b d^3, c d^4) for any (a, b, c) = ``coeffs``."""
+    a, b, c = coeffs
+    d = lcm_of_denominators([v for pt in points for v in pt])
+    scaled = [Point4(*(_times(v, d) for v in pt)) for pt in points]
+    return d, (a * d * d, b * d**3, c * d**4), scaled
+
+
+def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Point4], list]:
+    """(F, d-scaled points, their residuals) from ``integral_image`` for
+    rational points on V_f; the residuals, all 0, are checked on V_F, so a
+    point off V_f raises PointNotOnHypersurface."""
     points = list(points)
     if any(pt.field != FIELD_Q for pt in points):
         raise ValueError("integer scaling applies to rational points only")
-    for pt in points:
-        if residual(f, pt):
+    _, big, scaled = integral_image(f, points)
+    big = QuinticCoeffs(*big)
+    residuals = [residual(big, pt) for pt in scaled]
+    for pt, res in zip(points, residuals):
+        if res:
             raise PointNotOnHypersurface(f"{pt} is not on V_f")
-    d = lcm_of_denominators([c for pt in points for c in pt])
-    big = QuinticCoeffs(f.a * d * d, f.b * d**3, f.c * d**4)
-    scaled = [Point4(pt.p * d, pt.q * d, pt.r * d, pt.s * d) for pt in points]
-    return big, scaled
+    return big, scaled, residuals
 
 
 def residual_symbolic() -> MultiPoly:

@@ -2,7 +2,8 @@
 
 Every operation here returns (or embeds) a certificate: the exact residual of
 the emitted point plus a triviality verdict.  Building a :class:`Certificate`
-whose residual is nonzero raises :class:`CertificateError`.
+whose residual is nonzero raises :class:`CertificateError`.  Every point on a
+V_f is certified on its integral image, by :func:`_quintic_certificate`.
 Each displayed formula is written once, as a private function generic over
 the ring (as ``quintic.f_value`` is): every constructor evaluates it on
 Fraction or Q(i) scalars and builds no polynomial, and :func:`identity_suite`
@@ -49,6 +50,7 @@ from .quintic import (
     QuinticCoeffs,
     classify,
     f_value,
+    integral_image,
     residual,
     residual_symbolic,
 )
@@ -93,7 +95,8 @@ class Certificate(
     namedtuple("Certificate", "construction inputs point residual nontrivial notes")
 ):
     """Exact evidence attached to every emitted point; a point off its
-    hypersurface cannot get one."""
+    hypersurface cannot get one.  ``point`` is as emitted, though a point on
+    a V_f is certified on its integral image."""
 
     __slots__ = ()
 
@@ -116,15 +119,20 @@ class Certificate(
 
 
 def _quintic_certificate(construction, inputs, a, b, c, point, notes=()) -> Certificate:
-    """Certify a point on f(p)+f(q) = f(r)+f(s), f = X^5+aX^3+bX^2+cX; any
-    a, b, c, including a = b = c = 0."""
-    f = partial(f_value, a, b, c)
+    """Certify P = ``point`` on f(p)+f(q) = f(r)+f(s), f = X^5+aX^3+bX^2+cX,
+    any a, b, c, including a = b = c = 0: the residual and ``classify`` run in
+    ints on d P and V_F from ``integral_image``, and the certificate keeps P."""
+    d, big, (scaled,) = integral_image((a, b, c), [point])
+    f = {v: f_value(*big, v) for v in scaled}.__getitem__  # F once per coordinate
+    if res := residual(f, scaled):
+        message = f"residual {res} of d*P on V_F, d = {d}, P = {point.to_json()}"
+        raise CertificateError(f"{construction}: {message}")
     return Certificate(
         construction=construction,
         inputs=inputs,
         point=point,
-        residual=residual(f, point),
-        nontrivial=classify(f, point),
+        residual=res,
+        nontrivial=classify(f, scaled),
         notes=tuple(notes),
     )
 
@@ -205,6 +213,12 @@ def _ansatz_values(a, b, u, v):
     return p, q, r, s, -t_num / t_den
 
 
+def _r2_point(b, u, v, P, Q, R, S, T):
+    """(R2): (X, Y, 5bt) on E from the ansatz (P, Q, R, S) and T, with 5bt in
+    place of t so that no ring needs to divide by 5b."""
+    return T * T + 10 * u * T + P, T**3 + Q * T * T + R * T, v * T * T + 5 * b * S
+
+
 def thm1_point(fq: QuinticCoeffs, u, v, branch: int = 1) -> Certificate:
     """Two-parameter rational point on V_f for b != 0.
 
@@ -224,10 +238,9 @@ def thm1_point(fq: QuinticCoeffs, u, v, branch: int = 1) -> Certificate:
         raise DegenerateParameters("u = 0 kills the root denominator 30(5a-p)(5a+p)u")
     if v == 0:
         raise DegenerateParameters("v = 0 kills the ansatz denominator 30bv")
-    A_p, A_q, A_r, A_s, T = _ansatz_values(a, b, u, v)
-    X = T * T + 10 * u * T + A_p
-    Y = T**3 + A_q * T * T + A_r * T
-    t = (v / (5 * b)) * T * T + A_s
+    *ansatz, T = _ansatz_values(a, b, u, v)
+    X, Y, five_bt = _r2_point(b, u, v, *ansatz, T)
+    t = five_bt / (5 * b)
     if X + 5 * a == 0:
         raise DegenerateParameters("X + 5a = 0: surface map pole")
     x, y, w = _surface_map(a, b, X, Y, t)
@@ -667,14 +680,13 @@ def _check_thm1_surface() -> bool:
     T, P, Q, R, S, uu, vv = (
         MultiPoly.variable(n) for n in ("T", "P", "Q", "R", "S", "u", "v")
     )
-    Xs = T * T + 10 * uu * T + P
-    Ys = T**3 + Q * T * T + R * T
-    # 625 b^2 t^2 with t = (v T^2 + 5 b S) / (5 b) is 25 (v T^2 + 5 b S)^2
+    Xs, Ys, five_bt = _r2_point(b, uu, vv, P, Q, R, S, T)
+    # 625 b^2 t^2 is 25 (5 b t)^2
     F_sub = (
         Ys * Ys
         - Xs**3
         + 75 * a * a * Xs
-        + 25 * (vv * T * T + 5 * b * S) ** 2
+        + 25 * five_bt**2
         + 1250 * b * b
         + 250 * a**3
     )
@@ -899,10 +911,9 @@ def _check_c29_display() -> bool:
 
 
 def _check_corollary1_scaling() -> bool:
+    """F(d x) = d^5 f(x) for F = (a d^2, b d^3, c d^4), the scaling of ``integral_image``."""
     x, d, a, b, c = MultiPoly.variables("x d a b c")
-    f = x**5 + a * x**3 + b * x**2 + c * x
-    big = (d * x) ** 5 + a * d * d * (d * x) ** 3 + b * d**3 * (d * x) ** 2 + c * d**4 * (d * x)
-    return big == d**5 * f
+    return f_value(a * d * d, b * d**3, c * d**4, d * x) == d**5 * f_value(a, b, c, x)
 
 
 def _check_thm1_spotchecks(seed: int) -> bool:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -486,6 +487,13 @@ def _add_a_seventh(*coords, r4_point=surfaces.r4_point):
     return p + Fraction(1, 7), q, r, s
 
 
+def _add_one(*coords, r4_point=surfaces.r4_point):
+    """The question-3 point with 1 added to p: still integral, so d = 1, but
+    off V_f."""
+    p, q, r, s = r4_point(*coords)
+    return p + 1, q, r, s
+
+
 def _residual_one(*args, **kwargs):
     raise CertificateError("residual 1")
 
@@ -498,8 +506,9 @@ def _residual_one(*args, **kwargs):
         (["solve-form", "1", "2", "3", "-5"], "solve-form",
          (quadform, "find_zero", lambda form, bound: (1, 1, 1, 1))),
         (["question3", "--N=2"], "question3", (surfaces, "r4_point", _add_a_seventh)),
+        (["question3", "--N=2"], "question3", (surfaces, "r4_point", _add_one)),
     ],
-    ids=["construct", "solve-form", "question3"],
+    ids=["construct", "solve-form", "question3", "question3-off-surface"],
 )
 def test_certificate_errors_exit_1_with_a_note_and_a_record(
     tmp_path, monkeypatch, capsys, argv, command, patch
@@ -560,6 +569,18 @@ def test_output_past_the_int_to_str_limit_is_invalid_input(tmp_path, capsys, arg
     assert record["command"] == command and record["outputs"] == payload
 
 
+def test_a_2000_digit_thm1_parameter_is_output_too_large_within_seconds(capsys):
+    # The point is certified on its integral image, in ints: about 0.8 s in
+    # process on one core of a 2-core x86-64 machine, against 8-10 s when
+    # f was evaluated on Fractions with 10^5-bit denominators.
+    start = time.perf_counter()
+    code = cli.main(["construct", "thm1", "--a=1", "--b=1", "--c=1", f"--u={'1' * 2000}", "--v=1"])
+    elapsed = time.perf_counter() - start
+    assert code == cli.EXIT_INVALID
+    assert json.loads(capsys.readouterr().out)["error"] == "OutputTooLarge"
+    assert elapsed < 3
+
+
 _DIGITS_5000 = "1" * 5000
 
 
@@ -589,16 +610,28 @@ def test_input_past_the_str_to_int_limit_is_invalid_input(tmp_path, capsys, argv
     assert record["command"] == command and record["outputs"] == payload
 
 
+_X_5000 = "x" * 5000
+_CUT = cli.MAX_ECHOED_VALUE
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["construct", "thm1", f"--a={_DIGITS_5000}", "--b=1", "--c=1", "--u=1", "--v=1"],
-     ["solve-form", _DIGITS_5000, "1", "1", "-1"]],
-    ids=["option", "positional"],
+    "argv, echo",
+    [(["construct", "thm1", f"--a={_DIGITS_5000}", "--b=1", "--c=1", "--u=1", "--v=1"],
+      f"'{_DIGITS_5000[:_CUT]}'... (5000 characters)\n"),
+     (["solve-form", _DIGITS_5000, "1", "1", "-1"],
+      f"'{_DIGITS_5000[:_CUT]}'... (5000 characters)\n"),
+     (["table", "--mode", _X_5000],
+      f"invalid choice: '{_X_5000[:_CUT]}'... (5000 characters) (choose from 'verify', 'search')\n"),
+     (["solve-form", "1", "1", "1", "1", _X_5000],
+      f"unrecognized arguments: {_X_5000[:_CUT]}... (5000 characters)\n"),
+     (["construct", "thm1", f"--bogus{_X_5000}"],
+      f"unrecognized arguments: {('--bogus' + _X_5000)[:_CUT]}... (5007 characters)\n")],
+    ids=["option", "positional", "choice", "unrecognized", "unknown-option"],
 )
-def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv):
+def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv, echo):
     # a usage error, so no JSON line; its echo is a prefix and the size.  The
     # usage of construct alone takes about 520 bytes, so the bound is on what
-    # follows it.
+    # follows it.  Any other word a usage error names is cut the same way.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_INVALID
@@ -607,7 +640,23 @@ def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv):
     usage = cli._usage(argv[0])
     assert captured.err.startswith(usage)
     assert len(captured.err.encode()) - len(usage.encode()) < 500
-    assert captured.err.endswith(f"'{_DIGITS_5000[:cli.MAX_ECHOED_VALUE]}'... (5000 characters)\n")
+    assert captured.err.endswith(echo)
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [(["table", "--mode", "x" * _CUT], f"invalid choice: '{'x' * _CUT}' (choose from"),
+     (["solve-form", "1", "1", "1", "1", "y" * _CUT], f"unrecognized arguments: {'y' * _CUT}\n"),
+     (["construct", "thm1", "--branch", "+5"], "invalid choice: 5 (choose from 1, -1)\n"),
+     (["construct", "thm1", "-h=" + "z" * (_CUT - 3)],
+      f"explicit argument in '-h={'z' * (_CUT - 3)}'\n")],
+    ids=["choice", "unrecognized", "int-choice", "help-value"],
+)
+def test_a_word_of_at_most_the_cut_is_echoed_whole(capsys, argv, echo):
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert echo in err and "characters)" not in err
 
 
 @pytest.mark.parametrize(

@@ -118,8 +118,8 @@ class TestClassify:
 class TestScaleToIntegers:
     def test_example1_scaling(self):
         f = QuinticCoeffs(-1, 0, 0)
-        big, points = scale_to_integers(f, [EXAMPLE1_POINT])
-        assert (big.a, big.b, big.c) == (-25, 0, 0)
+        big, points, residuals = scale_to_integers(f, [EXAMPLE1_POINT])
+        assert (big.a, big.b, big.c) == (-25, 0, 0) and residuals == [0]
         assert points[0] == Point4(
             Fraction(-2), Fraction(1), Fraction(3), Fraction(-4)
         )
@@ -128,15 +128,16 @@ class TestScaleToIntegers:
     def test_integer_points_unchanged(self):
         f = QuinticCoeffs(1, 1, 1)
         p = Point4(Fraction(2), Fraction(0), Fraction(0), Fraction(2))
-        big, points = scale_to_integers(f, [p])
-        assert big == f and points == [p]
+        big, points, residuals = scale_to_integers(f, [p])
+        assert big == f and points == [p] and residuals == [0]
 
     def test_mixed_denominators(self):
         f = QuinticCoeffs(0, 1, 0)
         # both points land on V_f: (p, q, p, q) is always on it
         p1 = Point4(Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(3))
         p2 = Point4(Fraction(1, 3), Fraction(-2), Fraction(1, 3), Fraction(-2))
-        big, points = scale_to_integers(f, [p1, p2])
+        big, points, residuals = scale_to_integers(f, [p1, p2])
+        assert residuals == [0, 0]
         assert all(pt.is_integral() for pt in points)
         assert points[0].p == 3  # d = 6
         assert all(residual(big, pt) == 0 for pt in points)

@@ -1,10 +1,11 @@
 import ast
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quinticpoints
@@ -12,12 +13,17 @@ from quinticpoints import surfaces
 from quinticpoints.exact import GAUSSIAN_I, CertificateError, GaussianRational
 from quinticpoints.poly import MultiPoly, RationalFunction
 from quinticpoints.quintic import (
+    FIELD_Q,
     FIELD_QI,
     Point4,
+    PointNotOnHypersurface,
     QuinticCoeffs,
+    classify,
     f_value,
+    integral_image,
     residual,
     residual_symbolic,
+    scale_to_integers,
 )
 
 
@@ -206,6 +212,11 @@ _, D1_T, _ = surfaces.elliptic.load_table()[0]  # t of the shipped D = 1 row
         ("_mixed_h", ["mixed-h", "mixed-maps"], []),
         # gaussian-residual proves G(p, y, r) = 0; no constructor builds G
         ("_surface_g", ["r1-factorization", "thm1-surface", "gaussian-residual"], []),
+        (
+            "_r2_point",
+            ["thm1-surface", "thm1-spotchecks"],
+            [lambda: surfaces.thm1_point(QuinticCoeffs(2, 1, -1), Fraction(1, 2), 1)],
+        ),
     ],
 )
 def test_a_wrong_display_fails_its_check_and_its_constructor(
@@ -391,3 +402,100 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_SCALARS = st.one_of(_SMALL, st.builds(GaussianRational, _SMALL, _SMALL))
+
+
+@st.composite
+def _quintic_points(draw):
+    """(a, b, c, P): P on V_f by one of four constructions, over Q or Q(i),
+    pushed off it by a shift of p half the time; a = b = c = 0 is drawn too."""
+    a, b, c = (draw(st.integers(-3, 3)) for _ in "abc")
+    kind = draw(st.sampled_from(["swap", "odd", "gaussian", "fifth-power"]))
+    x, y = draw(_SCALARS), draw(_SCALARS)
+    if kind == "swap":  # on every V_f, and trivial
+        point = (x, y, y, x)
+    elif kind == "odd":  # f is odd when b = 0, so f(x) + f(-x) = 0 = f(y) + f(-y)
+        b, point = 0, (x, -x, y, -y)
+    elif kind == "gaussian":
+        y = draw(_SMALL.filter(bool))
+        try:
+            point = surfaces._gaussian_coords(a, b, y, GaussianRational.of(x), GAUSSIAN_I)
+        except ZeroDivisionError:  # u = 5iy^2, the pole
+            assume(False)
+    else:
+        a = b = c = 0
+        point = surfaces._fifth_power_coords(GaussianRational.of(x), GaussianRational.of(y), GAUSSIAN_I)
+    if draw(st.booleans()):
+        point = (point[0] + draw(_SCALARS.filter(bool)), *point[1:])
+    return a, b, c, Point4(*point)
+
+
+def _integral(v) -> bool:
+    parts = (v.re, v.im) if isinstance(v, GaussianRational) else (v,)
+    return all(Fraction(part).denominator == 1 for part in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quintic_points())
+def test_the_integral_image_gives_the_verdicts_on_fractions(drawn):
+    """Certified on d P and V_F, a point gets the verdicts that ``residual``
+    and ``classify`` give on P and V_f in Fractions; off V_f, a constructor
+    raises CertificateError naming d and scale-integers PointNotOnHypersurface."""
+    a, b, c, point = drawn
+    f = partial(f_value, a, b, c)
+    on = not residual(f, point)
+    d, big, (scaled,) = integral_image((a, b, c), [point])
+    assert all(map(_integral, scaled)) and big == (a * d * d, b * d**3, c * d**4)
+    assert residual(partial(f_value, *big), scaled) == d**5 * residual(f, point)
+    try:
+        cert = surfaces._quintic_certificate("drawn", {}, a, b, c, point)
+    except CertificateError as exc:
+        assert not on and "of d*P on V_F" in str(exc) and f"d = {d}," in str(exc)
+    else:
+        assert on and cert.point == point and str(cert.residual) == "0"
+        assert cert.nontrivial == classify(f, point)
+    if point.field == FIELD_Q and (a, b, c) != (0, 0, 0):
+        try:
+            _, scaled_points, residuals = scale_to_integers(QuinticCoeffs(a, b, c), [point])
+        except PointNotOnHypersurface:
+            assert not on
+        else:
+            assert on and scaled_points == [scaled] and residuals == [0]
+
+
+def _calls_in_src(name: str) -> set[str]:
+    """The functions of ``src/quinticpoints`` whose bodies call ``name``,
+    directly or as an attribute such as ``surfaces.name``."""
+    callers = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    callers.add(function)
+            visit(child, inner)
+
+    for path in Path(quinticpoints.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return callers
+
+
+def test_one_path_scales_and_certifies_a_quintic_point():
+    """Only ``integral_image`` scales a point, and only the certification
+    path runs ``classify``; a Certificate is built for V_f by
+    ``_quintic_certificate`` alone, and for the mixed and symmetric
+    equations by their own two functions."""
+    assert _calls_in_src("lcm_of_denominators") == {"integral_image"}
+    assert _calls_in_src("integral_image") == {"_quintic_certificate", "scale_to_integers"}
+    assert _calls_in_src("classify") == {"_quintic_certificate"}
+    assert _calls_in_src("Certificate") == {
+        "_quintic_certificate", "mixed_point", "_symmetric_point_from_uv"
+    }
+    assert _calls_in_src("_quintic_certificate") == {
+        "thm1_point", "thm2_point", "gaussian_point", "fifth_power_solution", "cmd_question3"
+    }
