@@ -1,26 +1,26 @@
 """Command-line front end.
 
 Every call has one boundary, ``_run``: a command's body returns an Outcome
-or raises a TypedExit, and ``_run`` alone writes the outcome.  Each call
-writes exactly one JSON line to stdout (stable key order, no timestamps),
-one human note to stderr and, with ``--store FILE`` (or
-QUINTICPOINTS_STORE), one record to a JSON-lines ledger, under the command's
-name ("construct thm1", ...); only the timestamp differs between identical
-reruns.  Exit codes:
+or raises, and ``_run`` alone writes the outcome.  Each call writes exactly
+one JSON line to stdout (stable key order, no timestamps), one human note to
+stderr and, with ``--store FILE`` (or QUINTICPOINTS_STORE), one record to a
+JSON-lines ledger, under the command's name ("construct thm1", ...); only
+the timestamp differs between identical reruns.  An Outcome exits 0 (a
+nontrivial point, a decided form, a full table), 1 (a trivial point, a
+failed check or table row) or 3 (table rows with no point).  What a body
+raises exits by its class, in the one table ``_TYPED_EXITS``:
 
-- 0: a result (a nontrivial point, a decided form, a full table);
-- 1: a verification failure: a trivial point, a failed table row, or a
-  failed exact check of a computed result (CertificateError, a fault of the
-  program);
-- 2: a typed error: invalid input, a degenerate construction, a ledger or
-  --out path that cannot be written, or a number too long to print
-  (OutputTooLarge: Python's limit on int to str);
-- 3: search exhausted: table rows with no point, a thm2 base-point box with
-  no witness (NoBasePointFound), or a coefficient that ``exact.factor``
-  could not split (FactorizationExhausted).
+- 1: CertificateError, a failed exact check of a computed result;
+- 3: a thm2 base-point box with no witness (NoBasePointFound), or a
+  coefficient that ``exact.factor`` could not split (FactorizationExhausted);
+- 2: any other ValueError, ArithmeticError or RecursionError: invalid input,
+  a degenerate construction, a path that cannot be written, or a value past
+  Python's limit on int/str conversion (InvalidInput on input, OutputTooLarge
+  on output).
 
-Only help (stdout, exit 0) and usage errors (stderr, exit 2) end a call
-before ``_run``.
+Any other exception is a fault of the program and propagates.  Only help
+(stdout, exit 0) and usage errors (stderr, exit 2) end a call before
+``_run``.
 
 Each subcommand's arguments are written once, in ``COMMANDS``, and one small
 parser reads every call against that table as argparse read it, building
@@ -83,32 +83,22 @@ MAX_SEARCH_DMAX = 10**4
 MAX_ECHOED_VALUE = 40
 
 
-class TypedExit(Exception):
-    """Ends a command with the payload {"error": error, "message": message}
-    and exit ``code``: invalid input, or with EXIT_EXHAUSTED an exhaustion."""
-
-    def __init__(self, message: str, error: str = "InvalidInput", code: int = EXIT_INVALID):
-        super().__init__(message, error, code)
+class InvalidInput(ValueError):
+    """An input that a command rejects before any work: exit 2."""
 
 
-def _input_exit(exc: Exception, code: int = EXIT_INVALID) -> TypedExit:
-    """The typed exit, named after ``exc``, of a command whose input it
-    rejects.  An input past Python's limit on str to int is InvalidInput,
-    cut like OutputTooLarge in ``_run`` before the set_int_max_str_digits()
-    advice."""
-    if str(exc).startswith("Exceeds the limit"):
-        return TypedExit(str(exc).split(";")[0])
-    return TypedExit(str(exc), type(exc).__name__, code)
-
+# The exit of a body that raises, and the first words of its stderr note, by
+# the exception's class: the first match wins, and any other exception is a
+# fault of the program and propagates.
+_TYPED_EXITS = (
+    (CertificateError, EXIT_FAIL, "certificate failed"),
+    ((FactorizationExhausted, surfaces.NoBasePointFound), EXIT_EXHAUSTED, "exhausted"),
+    ((ValueError, ArithmeticError, RecursionError), EXIT_INVALID, "invalid input"),
+)
 
 # what a command returns: its stdout payload, its stderr note, the inputs its
 # ledger record stores and its exit code
 Outcome = namedtuple("Outcome", "payload note inputs code")
-
-# the first words of the stderr note of a typed exit, by its code
-_EXIT_NOTES = {
-    EXIT_FAIL: "certificate failed", EXIT_INVALID: "invalid input", EXIT_EXHAUSTED: "exhausted"
-}
 
 
 def _inputs(args) -> dict:
@@ -132,34 +122,35 @@ def _unwritable(path: str) -> str | None:
 def _run(body, args) -> int:
     """Run the command ``body`` on ``args`` and return its exit code: the one
     place that writes a call's JSON line to stdout, its note to stderr and
-    its record to the ledger.  ``body`` returns an Outcome or raises a
-    TypedExit.  A CertificateError is a fault of the program, exit 1, and
-    Python's limit on int to str is an OutputTooLarge exit 2; any other
-    exception propagates.  A ledger or --out path that cannot be written is
-    an exit 2 before ``body`` runs; a bad ledger gets no record of it."""
+    its record to the ledger.  ``body`` returns an Outcome or raises; an
+    exception that ``_TYPED_EXITS`` names ends the call with the payload
+    {"error": its class name, "message": its text} and its exit, and any
+    other propagates.  Python's limit on int/str conversion is InvalidInput
+    when CPython names the digits of the value read (str to int), else
+    OutputTooLarge.  A ledger or --out path that cannot be written is an
+    exit 2 before ``body`` runs; a bad ledger gets no record of it."""
     ledger = args.store or os.environ.get("QUINTICPOINTS_STORE")
     try:
         if ledger and (why := _unwritable(ledger)):
             option = "--store" if args.store else "QUINTICPOINTS_STORE"
             message, ledger = f"{option} {ledger} {why}", None
-            raise TypedExit(message)
+            raise InvalidInput(message)
         if getattr(args, "out", None) and (why := _unwritable(args.out)):
-            raise TypedExit(f"--out {args.out} {why}")
+            raise InvalidInput(f"--out {args.out} {why}")
         payload, note, inputs, code = body(args)
         line = json.dumps(payload, sort_keys=True)
-    except (TypedExit, CertificateError, ValueError) as exc:
-        if isinstance(exc, TypedExit):
-            message, error, code = exc.args
-        elif isinstance(exc, CertificateError):
-            message, error, code = str(exc), type(exc).__name__, EXIT_FAIL
-        elif str(exc).startswith("Exceeds the limit"):
-            # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
-            message, error, code = str(exc).split(";")[0], "OutputTooLarge", EXIT_INVALID
-        else:
+    except Exception as exc:
+        exits = [(code, words) for kinds, code, words in _TYPED_EXITS if isinstance(exc, kinds)]
+        if not exits:
             raise
+        (code, words), message, error = exits[0], str(exc), type(exc).__name__
+        if message.startswith("Exceeds the limit"):
+            error = "InvalidInput" if ": value has" in message else "OutputTooLarge"
+            # the advice to call sys.set_int_max_str_digits() is not a CLI user's to take
+            message = message.split(";")[0]
         payload = {"error": error, "message": message}
         line = json.dumps(payload, sort_keys=True)
-        note = f"{_EXIT_NOTES[code]}: {message}"
+        note = f"{words}: {message}"
         inputs = _inputs(args)
     print(line)
     print(note, file=sys.stderr)
@@ -183,14 +174,14 @@ def _require_positive(args, *options: str) -> None:
     that is below 1."""
     for option in options:
         if getattr(args, option) < 1:
-            raise TypedExit(f"--{option} must be >= 1")
+            raise InvalidInput(f"--{option} must be >= 1")
 
 
 def _check_witness_bound(args) -> None:
     """Raise the InvalidInput exit for a --bound outside 1..MAX_WITNESS_BOUND."""
     _require_positive(args, "bound")
     if args.bound > MAX_WITNESS_BOUND:
-        raise TypedExit(f"--bound must be <= {MAX_WITNESS_BOUND}")
+        raise InvalidInput(f"--bound must be <= {MAX_WITNESS_BOUND}")
 
 
 def _parse_gaussian(text: str) -> GaussianRational:
@@ -207,7 +198,7 @@ def _parse_gaussian(text: str) -> GaussianRational:
 def cmd_verify_identities(args) -> Outcome:
     checks = surfaces.identity_suite(only=args.only, seed=args.seed)
     if not checks:
-        raise TypedExit(f"--only {args.only!r} matches no check name")
+        raise InvalidInput(f"--only {args.only!r} matches no check name")
     payload = {
         "checks": [c._asdict() for c in checks],
         "all_pass": all(c.ok for c in checks),
@@ -248,50 +239,46 @@ def cmd_construct(args) -> Outcome:
     if family == "thm2":
         _check_witness_bound(args)
     if family == "mixed" and abs(args.k) > MAX_MIXED_K:
-        raise TypedExit(f"|--k| must be <= {MAX_MIXED_K}")
-    try:
-        if family == "thm1":
-            cert = surfaces.thm1_point(
-                QuinticCoeffs(args.a, args.b, args.c),
-                parse_rational(args.u),
-                parse_rational(args.v),
-                branch=args.branch,
+        raise InvalidInput(f"|--k| must be <= {MAX_MIXED_K}")
+    if family == "thm1":
+        cert = surfaces.thm1_point(
+            QuinticCoeffs(args.a, args.b, args.c),
+            parse_rational(args.u),
+            parse_rational(args.v),
+            branch=args.branch,
+        )
+    elif family == "thm2":
+        cert = surfaces.thm2_point(
+            args.a, args.c, parse_rational(args.u), parse_rational(args.v),
+            search_bound=args.bound,
+        )
+    elif family == "gaussian":
+        cert = surfaces.gaussian_point(
+            (args.a, args.b, args.c),
+            parse_rational(args.y),
+            _parse_gaussian(args.u),
+        )
+    elif family == "fifth-power":
+        cert = surfaces.fifth_power_solution(
+            _parse_gaussian(args.u), _parse_gaussian(args.v)
+        )
+    elif family == "mixed":
+        cert = surfaces.mixed_point(args.c, args.f, parse_rational(args.t), args.k)
+    elif family == "symmetric":
+        coeffs = _symmetric_coeffs(args)
+        if args.variant == "gaussian":
+            cert = surfaces.symmetric_gaussian_point(
+                coeffs, parse_rational(args.t), _parse_gaussian(args.u)
             )
-        elif family == "thm2":
-            cert = surfaces.thm2_point(
-                args.a, args.c, parse_rational(args.u), parse_rational(args.v),
-                search_bound=args.bound,
+        else:
+            seed = tuple(parse_rational(s) for s in args.seed_point.split(","))
+            if len(seed) != 2:
+                raise ValueError("--seed-point needs two values U,V")
+            cert = surfaces.symmetric_rational_point(
+                coeffs, parse_rational(args.t), seed, parse_rational(args.w)
             )
-        elif family == "gaussian":
-            cert = surfaces.gaussian_point(
-                (args.a, args.b, args.c),
-                parse_rational(args.y),
-                _parse_gaussian(args.u),
-            )
-        elif family == "fifth-power":
-            cert = surfaces.fifth_power_solution(
-                _parse_gaussian(args.u), _parse_gaussian(args.v)
-            )
-        elif family == "mixed":
-            cert = surfaces.mixed_point(args.c, args.f, parse_rational(args.t), args.k)
-        elif family == "symmetric":
-            coeffs = _symmetric_coeffs(args)
-            if args.variant == "gaussian":
-                cert = surfaces.symmetric_gaussian_point(
-                    coeffs, parse_rational(args.t), _parse_gaussian(args.u)
-                )
-            else:
-                seed = tuple(parse_rational(s) for s in args.seed_point.split(","))
-                if len(seed) != 2:
-                    raise ValueError("--seed-point needs two values U,V")
-                cert = surfaces.symmetric_rational_point(
-                    coeffs, parse_rational(args.t), seed, parse_rational(args.w)
-                )
-        else:  # pragma: no cover - the parser admits only the families of COMMANDS
-            raise ValueError(family)
-    except (ValueError, ArithmeticError) as exc:  # incl. SingularCurve, PoleAtPoint
-        exhausted = isinstance(exc, (FactorizationExhausted, surfaces.NoBasePointFound))
-        raise _input_exit(exc, EXIT_EXHAUSTED if exhausted else EXIT_INVALID) from exc
+    else:  # pragma: no cover - the parser admits only the families of COMMANDS
+        raise ValueError(family)
     note = (
         f"{cert.construction}: residual 0, "
         f"{'nontrivial' if cert.nontrivial else 'TRIVIAL'} point {cert.point.to_json()}"
@@ -316,17 +303,13 @@ def _certify_witness(form, normal, solvable, witness, pulled) -> None:
 
 def cmd_solve_form(args) -> Outcome:
     _check_witness_bound(args)
-    try:
-        normal, back = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
-        solvable, conditions = quadform.represents_zero(normal)
-        witness = quadform.find_zero(normal, args.bound)
-        pulled = quadform.pull_back_witness(back, witness) if witness else None
-        if witness:
-            form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
-            _certify_witness(form, normal, solvable, witness, pulled)
-    except (quadform.ZeroCoefficient, FactorizationExhausted) as exc:
-        code = EXIT_EXHAUSTED if isinstance(exc, FactorizationExhausted) else EXIT_INVALID
-        raise TypedExit(str(exc), type(exc).__name__, code) from exc
+    normal, back = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
+    solvable, conditions = quadform.represents_zero(normal)
+    witness = quadform.find_zero(normal, args.bound)
+    pulled = quadform.pull_back_witness(back, witness) if witness else None
+    if witness:
+        form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
+        _certify_witness(form, normal, solvable, witness, pulled)
     payload = {
         "form": [args.a1, args.a2, args.a3, args.a4],
         "normalized": list(normal),
@@ -373,17 +356,17 @@ def _rows_to_csv(rows) -> str:
 def cmd_table(args) -> Outcome:
     _require_positive(args, "dmax", "bound", "tmax")
     if args.bound > MAX_TABLE_BOUND:
-        raise TypedExit(f"--bound must be <= {MAX_TABLE_BOUND}")
+        raise InvalidInput(f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
         lines = elliptic.table_lines(args.dmax)
         if args.dmax > len(lines):  # then lines holds the whole table
-            raise TypedExit(f"--dmax must be <= {len(lines)}, the rows of the shipped table")
+            raise InvalidInput(f"--dmax must be <= {len(lines)}, the rows of the shipped table")
         results = [elliptic.verify_row(line) for line in lines]
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
     else:
         if args.dmax > MAX_SEARCH_DMAX:
-            raise TypedExit(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
+            raise InvalidInput(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
         results = [_search_row(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
         exhausted = [r for r in results if r["status"] == "exhausted"]
         all_ok = not exhausted
@@ -405,7 +388,7 @@ def cmd_table(args) -> Outcome:
 def cmd_question3(args) -> Outcome:
     _require_positive(args, "N")
     if args.N > MAX_QUESTION3_N:
-        raise TypedExit(f"--N must be <= {MAX_QUESTION3_N}")
+        raise InvalidInput(f"--N must be <= {MAX_QUESTION3_N}")
     a_n, sols = quadform.question3_family(args.N)
     points = []
     for sol in sols:
@@ -423,18 +406,12 @@ def cmd_question3(args) -> Outcome:
 # scale-integers
 
 def cmd_scale_integers(args) -> Outcome:
-    try:
-        f = QuinticCoeffs(args.a, args.b, args.c)
-        try:
-            raw = json.loads(args.points) if args.points else json.load(sys.stdin)
-        except RecursionError as exc:  # JSON nested past the decoder's limit
-            raise _input_exit(exc) from exc
-        if not isinstance(raw, list):
-            raise ValueError("the points must be a JSON list")
-        points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
-        big, scaled, residuals = scale_to_integers(f, points)
-    except (ValueError, ZeroDivisionError) as exc:  # bad input; "1/0" is a ZeroDivisionError
-        raise _input_exit(exc) from exc
+    f = QuinticCoeffs(args.a, args.b, args.c)
+    raw = json.loads(args.points) if args.points else json.load(sys.stdin)
+    if not isinstance(raw, list):
+        raise ValueError("the points must be a JSON list")
+    points = [Point4.from_json(obj, i) for i, obj in enumerate(raw)]
+    big, scaled, residuals = scale_to_integers(f, points)
     payload = {
         "f": {"a": f.a, "b": f.b, "c": f.c},
         "F": {"a": big.a, "b": big.b, "c": big.c},

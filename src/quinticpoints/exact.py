@@ -56,6 +56,10 @@ def checked_make(cls, iterable):
 # parsing / formatting ("n/d" is the wire format used everywhere downstream)
 
 def parse_rational(text: str) -> Fraction:
+    """A rational written "n", "n/d" or "-1.25", but with no exponent: "1e100000"
+    has 8 characters and 100001 digits, so its text would bound no work."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text[:40]!r}")
     return Fraction(text.strip())
 
 

@@ -91,6 +91,19 @@ class SeedNotOnConic(ValueError):
 # ---------------------------------------------------------------------------
 # certificates
 
+def _shown(value, show=str) -> str:
+    """``show(value)`` or, past Python's limit on int to str, the digits of
+    the longest integer in ``value`` (a scalar, or a tuple of them such as a
+    Point4): a failed certificate must name what failed without failing."""
+    try:
+        return str(show(value))
+    except ValueError:
+        scalars = map(GaussianRational.of, value if isinstance(value, tuple) else (value,))
+        n = max(abs(m) for z in scalars for x in (z.re, z.im) for m in (x.numerator, x.denominator))
+        k = int(math.log10(n))  # floor(log10(n)), or one off near a power of 10
+        return f"<{k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)} digits>"
+
+
 class Certificate(
     namedtuple("Certificate", "construction inputs point residual nontrivial notes")
 ):
@@ -102,7 +115,8 @@ class Certificate(
 
     def __new__(cls, construction, inputs, point, residual, nontrivial, notes=()):
         if residual:
-            raise CertificateError(f"{construction}: residual {residual} at {point.to_json()}")
+            message = f"residual {_shown(residual)} at {_shown(point, Point4.to_json)}"
+            raise CertificateError(f"{construction}: {message}")
         return super().__new__(cls, construction, inputs, point, residual, nontrivial, notes)
 
     _make = classmethod(checked_make)
@@ -125,7 +139,8 @@ def _quintic_certificate(construction, inputs, a, b, c, point, notes=()) -> Cert
     d, big, (scaled,) = integral_image((a, b, c), [point])
     f = {v: f_value(*big, v) for v in scaled}.__getitem__  # F once per coordinate
     if res := residual(f, scaled):
-        message = f"residual {res} of d*P on V_F, d = {d}, P = {point.to_json()}"
+        message = f"residual {_shown(res)} of d*P on V_F, d = {_shown(d)}, "
+        message += f"P = {_shown(point, Point4.to_json)}"
         raise CertificateError(f"{construction}: {message}")
     return Certificate(
         construction=construction,

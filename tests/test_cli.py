@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints import cli, elliptic, poly, quadform, surfaces
-from quinticpoints.exact import CertificateError, factor
+from quinticpoints.exact import CertificateError, FactorizationExhausted, factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -438,6 +438,8 @@ def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, c
          "scale-integers", "ZeroDivisionError"),
         (["scale-integers", "--a=1", "--points", "[" * 100000], "scale-integers",
          "RecursionError"),
+        (["construct", "symmetric", "--variant=gaussian", "--coeffs", "[" * 100000],
+         "construct symmetric", "RecursionError"),
     ],
 )
 def test_typed_input_errors_are_stored(tmp_path, capsys, argv, command, error):
@@ -714,14 +716,92 @@ def test_unfiltered_verify_identities_stdout_is_unchanged(monkeypatch, capsys):
     assert digest == "d897dd48186fa8a4c24eb5d8a1f246d7e2a608aef5a71973d70d2cd7ab4f0d03"
 
 
-def test_other_value_errors_still_propagate(monkeypatch):
-    def fail(args):
-        raise ValueError("not a conversion error")
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (CertificateError("residual 1"), cli.EXIT_FAIL),
+        (FactorizationExhausted(91), cli.EXIT_EXHAUSTED),
+        (surfaces.NoBasePointFound("no base point"), cli.EXIT_EXHAUSTED),
+        (cli.InvalidInput("--N must be >= 1"), cli.EXIT_INVALID),
+        (ValueError("not a conversion error"), cli.EXIT_INVALID),
+        (ZeroDivisionError("1/0"), cli.EXIT_INVALID),
+        (RecursionError("deep"), cli.EXIT_INVALID),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_the_class_of_an_exception_decides_its_exit(monkeypatch, capsys, exc, code):
+    def body(args):
+        raise exc
 
-    help_text, _, positionals, options = cli.COMMANDS["question3"]
-    monkeypatch.setitem(cli.COMMANDS, "question3", (help_text, fail, positionals, options))
-    with pytest.raises(ValueError, match="not a conversion error"):
-        cli.main(["question3"])
+    monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+    assert cli._run(body, parse("question3")) == code
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line) == {"error": type(exc).__name__, "message": str(exc)}
+
+
+@pytest.mark.parametrize("exc", [KeyError("fault"), TypeError("fault")],
+                         ids=lambda exc: type(exc).__name__)
+def test_an_exception_outside_the_table_propagates(monkeypatch, capsys, exc):
+    def body(args):
+        raise exc
+
+    monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+    with pytest.raises(type(exc), match="fault"):
+        cli._run(body, parse("question3"))
+    assert capsys.readouterr().out == ""
+
+
+def test_an_output_past_the_int_to_str_limit_is_output_too_large_in_any_body(monkeypatch, capsys):
+    # the D = 88 row's note names the (U,V) preimage of kP, which passes the
+    # limit at k = 40 once the cap is lifted; the limit is hit in mixed_point,
+    # not in _run's json.dumps
+    monkeypatch.setattr(cli, "MAX_MIXED_K", 40)
+    assert cli.main([*MIXED_D88, "--k=40"]) == cli.EXIT_INVALID
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line) == {
+        "error": "OutputTooLarge",
+        "message": "Exceeds the limit (4300 digits) for integer string conversion",
+    }
+
+
+def test_a_failing_certificate_past_the_int_to_str_limit_exits_1(monkeypatch, capsys):
+    # formatting d and P into the message passes the limit; the message
+    # gives their digits instead, so the exit stays a CertificateError
+    monkeypatch.setattr(surfaces, "residual", lambda f, point: 1)
+    start = time.perf_counter()
+    code = cli.main(["construct", "thm1", "--a=1", "--b=1", "--c=1", f"--u={'1' * 2000}", "--v=1"])
+    elapsed = time.perf_counter() - start
+    assert code == cli.EXIT_FAIL
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "CertificateError"
+    assert re.fullmatch(r"thm1: residual 1 of d\*P on V_F, d = <\d+ digits>, P = <\d+ digits>",
+                        payload["message"])
+    assert elapsed < 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "thm1", "--a=1", "--b=1", "--c=1", "--v=1", "--u=1e100000"],
+        ["construct", "thm1", "--a=1", "--b=1", "--c=1", "--v=1", f"--u=1E{'0' * 100}"],
+        ["construct", "symmetric", "--preset=c29", "--t=1e2000", "--u=1"],
+        ["construct", "gaussian", "--a=1", "--b=1", "--c=1", "--y=1", "--u=1,2e3"],
+        ["scale-integers", "--a=1", "--points", json.dumps([dict.fromkeys("pqrs", "1e3")])],
+    ],
+    ids=["u", "long-u", "symmetric-t", "gaussian-u", "json-string"],
+)
+def test_exponent_notation_is_invalid_input_at_once(capsys, argv):
+    # a value of 100001 digits in 8 characters: refused before any work
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_INVALID
+    elapsed = time.perf_counter() - start
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith("exponent notation is not accepted: ")
+    assert len(payload["message"]) < 100
+    assert elapsed < 1
 
 
 class TestSolveForm:

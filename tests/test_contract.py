@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints import cli, elliptic
@@ -38,19 +38,23 @@ _GAUSSIAN_POINT = {
 # the values of a text option; {dir} is a fresh directory of each call
 _TEXTS = {
     "--only": ["", "norm-lift", "thm1-spotchecks", "mixed", "zzz"],
-    "--coeffs": ['{"c1": 29}', "{}", "[1]", "x", '{"a1": 1.5}', '{"zz": 1}'],
+    # "[" * 100000 nests past the JSON decoder's recursion limit
+    "--coeffs": ['{"c1": 29}', "{}", "[1]", "x", '{"a1": 1.5}', '{"zz": 1}', "[" * 100000],
     "--seed-point": ["3,8", "1", "0,1", "-1,2", "x,y"],
     "--points": [
         "[]", "{}", "x", "[1]",
         json.dumps([{"p": "-2/5", "q": "1/5", "r": "3/5", "s": "-4/5"}]),
         json.dumps([{"p": "1", "q": "0", "r": "1", "s": "0", "field": "R"}]),
         json.dumps([_GAUSSIAN_POINT]),
+        "[" * 100000,
     ],
     # a writable ledger three times in five: a bad one ends the call at once
     "--store": ["{dir}/ledger.jsonl"] * 3 + ["{dir}/missing/ledger.jsonl", "{dir}"],
     "--out": ["{dir}/table.csv", "{dir}/missing/table.csv", "{dir}"],
 }
-_RATIONAL_TEXTS = ["-1", "0", "1", "2", "1/2", "-1/2", "2,1", "x"]
+# "1e100000" is a value of 100001 digits in 8 characters; "1" * 5000 passes
+# Python's 4300-digit limit on str to int
+_RATIONAL_TEXTS = ["-1", "0", "1", "2", "1/2", "-1/2", "2,1", "x", "1e100000", "1" * 5000]
 
 
 def _values(command: str, name: str, spec):
@@ -83,6 +87,8 @@ def _calls(draw):
     max_examples=300, deadline=3000, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(argv=_calls())
+@example(argv=["construct", "symmetric", "--variant=gaussian", "--coeffs=" + "[" * 100000])
+@example(argv=["construct", "thm1", "--a=1", "--b=1", "--c=1", "--v=1", "--u=1e100000"])
 def test_every_call_ends_in_one_json_line_and_a_known_exit(monkeypatch, argv):
     monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
     with tempfile.TemporaryDirectory() as directory:
@@ -136,3 +142,26 @@ def test_one_function_writes_each_outcome():
     # the outcome's note and a usage error
     assert sorted(f for f, stream in writes if stream == "stderr") == ["_run", "_usage_error"]
     assert all(entry[1].func is cli._run for entry in cli.COMMANDS.values())
+
+
+def test_one_table_maps_exceptions_to_exits():
+    """An exception's class decides a call's exit in ``_TYPED_EXITS`` alone:
+    ``_run`` is the one function that catches what a command body raises;
+    ``_value`` turns an unreadable word into a usage error and ``main``
+    catches a broken pipe."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    catching = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.ExceptHandler) for node in ast.walk(function))
+    }
+    assert catching == {"_run", "_value", "main"}
+    (handler,) = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                  and ast.unparse(node.type) == "Exception"]
+    assert "_TYPED_EXITS" in {node.id for node in ast.walk(handler) if isinstance(node, ast.Name)}
+    # no other module of the package names an exit code or ends the process
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        if path.name != "cli.py":
+            text = path.read_text(encoding="utf-8")
+            assert not any(word in text for word in ("EXIT_", "SystemExit", "sys.exit")), path.name

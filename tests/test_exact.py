@@ -349,6 +349,16 @@ class TestTextFormat:
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    @pytest.mark.parametrize("text", ["1e3", "2.5E-1", "1/2e1", "1e100000", "1" * 50 + "e9"])
+    def test_exponent_notation_is_refused_with_a_short_echo(self, text):
+        with pytest.raises(ValueError, match="exponent notation is not accepted") as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"exponent notation is not accepted: {text[:40]!r}"
+
+    @pytest.mark.parametrize("text, value", [("-1.25", Fraction(-5, 4)), (" 3/6 ", Fraction(1, 2))])
+    def test_decimals_and_fractions_are_read(self, text, value):
+        assert parse_rational(text) == value
+
     def test_canonical(self):
         # reduced, positive denominator, integers bare
         assert format_rational(Fraction(6, -4)) == "-3/2"

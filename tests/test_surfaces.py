@@ -466,6 +466,38 @@ def test_the_integral_image_gives_the_verdicts_on_fractions(drawn):
             assert on and scaled_points == [scaled] and residuals == [0]
 
 
+_TEN_5000 = 10**5000
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (_TEN_5000 - 1, "<5000 digits>"),
+        (_TEN_5000, "<5001 digits>"),
+        (-_TEN_5000 - 1, "<5001 digits>"),
+        (Fraction(1, 7 * _TEN_5000), "<5001 digits>"),
+        (GaussianRational(Fraction(1, 3), _TEN_5000 - 1), "<5000 digits>"),
+        (Point4(1, Fraction(2, 3), GaussianRational(0, 10**4400), _TEN_5000 - 1), "<5000 digits>"),
+        (Point4(1, Fraction(2, 3), 0, -4), str(Point4(1, Fraction(2, 3), 0, -4).to_json())),
+        (Fraction(-2, 3), "-2/3"),
+    ],
+    ids=["10^5000-1", "10^5000", "negative", "fraction", "gaussian", "point", "small-point",
+         "small"],
+)
+def test_a_value_past_the_int_to_str_limit_is_shown_by_its_digits(value, shown):
+    """str() stops at 4300 digits, so a failing certificate names a longer
+    value by the digits of its longest integer, counted without str()."""
+    show = Point4.to_json if isinstance(value, Point4) else str
+    assert surfaces._shown(value, show) == shown
+
+
+def test_a_failing_certificate_of_a_long_point_is_still_a_certificate_error():
+    point = Point4(_TEN_5000, 0, 1, 0)
+    with pytest.raises(CertificateError) as exc:
+        surfaces.Certificate("drawn", {}, point, _TEN_5000, True)
+    assert str(exc.value) == "drawn: residual <5001 digits> at <5001 digits>"
+
+
 def _calls_in_src(name: str) -> set[str]:
     """The functions of ``src/quinticpoints`` whose bodies call ``name``,
     directly or as an attribute such as ``surfaces.name``."""
