@@ -46,6 +46,7 @@ from .exact import (
     CertificateError,
     FactorizationExhausted,
     GaussianRational,
+    cut,
     format_rational,
     parse_rational,
 )
@@ -76,11 +77,6 @@ MAX_TABLE_BOUND = 10**6
 # x86-64 machine).  So the cap bounds the time only at small --tmax; it goes
 # once one work bound on dmax, tmax and bound replaces the single caps.
 MAX_SEARCH_DMAX = 10**4
-# A usage error echoes each word it names (an unreadable value, a bad choice,
-# an unknown argument) in full up to this many characters, and a longer one
-# (an int past Python's 4300-digit limit, say) as a prefix of this length and
-# its size.
-MAX_ECHOED_VALUE = 40
 
 
 class InvalidInput(ValueError):
@@ -342,15 +338,8 @@ def _search_row(d: int, height: int, bound: int) -> dict:
     }
 
 
-def _rows_to_csv(rows) -> str:
-    lines = ["D,t,X,Y,status"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(row.get(k, "")) for k in ("D", "t", "X", "Y", "status")
-            )
-        )
-    return "\n".join(lines) + "\n"
+# the columns of a table's CSV; a row without a point leaves t, X and Y blank
+_CSV_COLUMNS = ("D", "t", "X", "Y", "status")
 
 
 def cmd_table(args) -> Outcome:
@@ -364,14 +353,20 @@ def cmd_table(args) -> Outcome:
         results = [elliptic.verify_row(line) for line in lines]
         all_ok = all(r["status"] == "ok" for r in results)
         exit_code = EXIT_OK if all_ok else EXIT_FAIL
+        # each CSV line gives its row's shipped point "X,Y", which the payload leaves out
+        csv_lines = [
+            f"{r['D']},{r['t']},{line.split(',', 2)[2]},{r['status']}"
+            for r, line in zip(results, lines)
+        ]
     else:
         if args.dmax > MAX_SEARCH_DMAX:
             raise InvalidInput(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
         results = [_search_row(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
+        csv_lines = [",".join(str(r.get(k, "")) for k in _CSV_COLUMNS) for r in results]
         exhausted = [r for r in results if r["status"] == "exhausted"]
         all_ok = not exhausted
         exit_code = EXIT_OK if all_ok else EXIT_EXHAUSTED
-    csv_text = _rows_to_csv(results)
+    csv_text = "\n".join([",".join(_CSV_COLUMNS), *csv_lines]) + "\n"
     payload = {"mode": args.mode, "rows": results, "all_ok": all_ok}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -389,14 +384,9 @@ def cmd_question3(args) -> Outcome:
     _require_positive(args, "N")
     if args.N > MAX_QUESTION3_N:
         raise InvalidInput(f"--N must be <= {MAX_QUESTION3_N}")
-    a_n, sols = quadform.question3_family(args.N)
-    points = []
-    for sol in sols:
-        point = Point4(*surfaces.r4_point(*map(Fraction, sol)))
-        if not point.is_integral():
-            raise CertificateError(f"question-3 point {point.to_json()} is not integral")
-        cert = surfaces._quintic_certificate("question3", {}, a_n, 0, args.c, point).to_json()
-        points.append({k: cert[k] for k in ("point", "residual", "nontrivial")})
+    a_n, certificates = surfaces.question3_points(args.N, args.c)
+    shown = ("point", "residual", "nontrivial")
+    points = [{k: v for k, v in cert.to_json().items() if k in shown} for cert in certificates]
     payload = {"N": args.N, "a_N": a_n, "c": args.c, "points": points}
     note = f"f = X^5 + ({a_n})X^3 + ({args.c})X carries {len(points)} integer points"
     return Outcome(payload, note, {"N": args.N, "c": args.c}, EXIT_OK)
@@ -608,16 +598,7 @@ def _read_help(command: str | None, word: str) -> None:
         sys.stdout.write(_help(command))
         raise SystemExit(EXIT_OK)
     if word.startswith("-h") or word.partition("=")[0] == "--help":
-        _usage_error(command, f"argument -h/--help: ignored explicit argument in {_cut(word)}")
-
-
-def _cut(value, show=repr) -> str:
-    """``show(value)`` when its text has at most MAX_ECHOED_VALUE characters,
-    else the ``show`` of that many and the size: how a usage error echoes."""
-    text = str(value)
-    if len(text) <= MAX_ECHOED_VALUE:
-        return show(value)
-    return f"{show(text[:MAX_ECHOED_VALUE])}... ({len(text)} characters)"
+        _usage_error(command, f"argument -h/--help: ignored explicit argument in {cut(word)}")
 
 
 def _value(command: str | None, name: str, spec, word: str):
@@ -626,10 +607,10 @@ def _value(command: str | None, name: str, spec, word: str):
     try:
         value = kind(word)
     except ValueError:
-        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {_cut(word)}")
+        _usage_error(command, f"argument {name}: invalid {kind.__name__} value: {cut(word)}")
     if choices is not None and value not in choices:
         listed = ", ".join(map(repr, choices))
-        _usage_error(command, f"argument {name}: invalid choice: {_cut(value)} (choose from {listed})")
+        _usage_error(command, f"argument {name}: invalid choice: {cut(value)} (choose from {listed})")
     return value
 
 
@@ -672,7 +653,7 @@ def _parse_command(command: str, words) -> types.SimpleNamespace:
     if unfilled:
         _usage_error(command, f"the following arguments are required: {', '.join(unfilled)}")
     if unrecognized:
-        shown = " ".join(_cut(word, str) for word in unrecognized)
+        shown = " ".join(cut(word, str) for word in unrecognized)
         _usage_error(command, f"unrecognized arguments: {shown}")
     return types.SimpleNamespace(command=command, func=func, **values)
 
@@ -693,7 +674,7 @@ def _parse_argv(argv) -> types.SimpleNamespace:
         _usage_error(None, "the following arguments are required: command")
     command = _value(None, "command", _COMMAND_ARGUMENT, argv[i])
     _parse_command(command, argv[i + 1:])
-    shown = " ".join(_cut(word, str) for word in unrecognized)
+    shown = " ".join(cut(word, str) for word in unrecognized)
     _usage_error(None, f"unrecognized arguments: {shown}")
 
 

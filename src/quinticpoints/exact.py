@@ -55,12 +55,35 @@ def checked_make(cls, iterable):
 # ---------------------------------------------------------------------------
 # parsing / formatting ("n/d" is the wire format used everywhere downstream)
 
+# A message echoes each word it could not read (an unreadable value, a bad
+# choice, an unknown argument) in full up to this many characters, and a longer
+# one (an int past Python's 4300-digit limit, say) as a prefix of this length
+# and its size.
+MAX_ECHOED_VALUE = 40
+
+
+def cut(value, show=repr) -> str:
+    """``show(value)`` when its text has at most MAX_ECHOED_VALUE characters,
+    else the ``show`` of that many and the size: how a message echoes a word."""
+    text = str(value)
+    if len(text) <= MAX_ECHOED_VALUE:
+        return show(value)
+    return f"{show(text[:MAX_ECHOED_VALUE])}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """A rational written "n", "n/d" or "-1.25", but with no exponent: "1e100000"
-    has 8 characters and 100001 digits, so its text would bound no work."""
+    has 8 characters and 100001 digits, so its text would bound no work.  An
+    unreadable text is echoed as ``cut`` echoes it."""
     if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not accepted: {text[:40]!r}")
-    return Fraction(text.strip())
+        raise ValueError(f"exponent notation is not accepted: {cut(text)}")
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        if not str(exc).startswith("Invalid literal"):
+            raise  # Python's limit on str to int, whose message gives only the size
+        raise ValueError(f"Invalid literal for Fraction: {cut(text)}") from None
 
 
 def rational_from_json(value, where: str) -> Fraction:

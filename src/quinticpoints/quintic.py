@@ -1,6 +1,6 @@
 """The hypersurface model f(p)+f(q) = f(r)+f(s) for f(X) = X^5+aX^3+bX^2+cX:
 residuals, triviality classification, and ``integral_image``, the one scaling
-of points to integers, on whose image every point of a V_f is checked."""
+of points to integers, on whose image every emitted point is checked."""
 
 from __future__ import annotations
 
@@ -128,14 +128,13 @@ def _times(v, d: int):
     return v * d if v.__class__ is GaussianRational else v.numerator * (d // v.denominator)
 
 
-def integral_image(coeffs, points) -> tuple[int, tuple, list[Point4]]:
+def integral_image(coeffs, points, weights) -> tuple[int, tuple, list[Point4]]:
     """Corollary 1's scaling, the only one: (d, F, [d P for P in points]),
     with d the lcm of every denominator of every coordinate (both parts of a
-    Q(i) one) and F = (a d^2, b d^3, c d^4) for any (a, b, c) = ``coeffs``."""
-    a, b, c = coeffs
+    Q(i) one) and F each k of ``coeffs`` times d^w for its weight w."""
     d = lcm_of_denominators([v for pt in points for v in pt])
     scaled = [Point4(*(_times(v, d) for v in pt)) for pt in points]
-    return d, (a * d * d, b * d**3, c * d**4), scaled
+    return d, tuple(k * d**w for k, w in zip(coeffs, weights)), scaled
 
 
 def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Point4], list]:
@@ -145,7 +144,7 @@ def scale_to_integers(f: QuinticCoeffs, points) -> tuple[QuinticCoeffs, list[Poi
     points = list(points)
     if any(pt.field != FIELD_Q for pt in points):
         raise ValueError("integer scaling applies to rational points only")
-    _, big, scaled = integral_image(f, points)
+    _, big, scaled = integral_image(f, points, (2, 3, 4))
     big = QuinticCoeffs(*big)
     residuals = [residual(big, pt) for pt in scaled]
     for pt, res in zip(points, residuals):

@@ -2,8 +2,8 @@
 
 Every operation here returns (or embeds) a certificate: the exact residual of
 the emitted point plus a triviality verdict.  Building a :class:`Certificate`
-whose residual is nonzero raises :class:`CertificateError`.  Every point on a
-V_f is certified on its integral image, by :func:`_quintic_certificate`.
+whose residual is nonzero raises :class:`CertificateError`.  Every point is
+certified in ints on its integral image, by :func:`_certificate` alone.
 Each displayed formula is written once, as a private function generic over
 the ring (as ``quintic.f_value`` is): every constructor evaluates it on
 Fraction or Q(i) scalars and builds no polynomial, and :func:`identity_suite`
@@ -33,7 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from . import elliptic
+from . import elliptic, quadform
 from .elliptic import CurvePoint, DegenerateSpecialization
 from .exact import GAUSSIAN_I, CertificateError, GaussianRational, checked_make, format_rational
 from .poly import (
@@ -132,24 +132,40 @@ class Certificate(
         }
 
 
-def _quintic_certificate(construction, inputs, a, b, c, point, notes=()) -> Certificate:
-    """Certify P = ``point`` on f(p)+f(q) = f(r)+f(s), f = X^5+aX^3+bX^2+cX,
-    any a, b, c, including a = b = c = 0: the residual and ``classify`` run in
-    ints on d P and V_F from ``integral_image``, and the certificate keeps P."""
-    d, big, (scaled,) = integral_image((a, b, c), [point])
-    f = {v: f_value(*big, v) for v in scaled}.__getitem__  # F once per coordinate
-    if res := residual(f, scaled):
-        message = f"residual {_shown(res)} of d*P on V_F, d = {_shown(d)}, "
-        message += f"P = {_shown(point, Point4.to_json)}"
-        raise CertificateError(f"{construction}: {message}")
-    return Certificate(
-        construction=construction,
-        inputs=inputs,
-        point=point,
-        residual=res,
-        nontrivial=classify(f, scaled),
-        notes=tuple(notes),
-    )
+def _certificate(construction, inputs, point, equation, coeffs, notes=()) -> Certificate:
+    """The one builder of a Certificate: ``point`` P gets the verdicts of ``equation``
+    in ints, on d P and ``coeffs`` that ``integral_image`` scales by d^(5-k) on degree k."""
+    d, big, (scaled,) = integral_image(coeffs, [point], equation.weights)
+    res, nontrivial = equation.verdicts(big, scaled)
+    if res:
+        where = f"d*P on {equation.name}, d = {_shown(d)}, P = {_shown(point, Point4.to_json)}"
+        raise CertificateError(f"{construction}: residual {_shown(res)} of {where}")
+    return Certificate(construction, inputs, point, res, nontrivial, tuple(notes))
+
+
+def _quintic_verdicts(coeffs, point):
+    """``residual`` and ``classify`` for any (a, b, c), f once per coordinate."""
+    f = {v: f_value(*coeffs, v) for v in point}.__getitem__
+    return residual(f, point), classify(f, point)
+
+
+def _mixed_verdicts(coeffs, point):
+    """F(p)+G(q)-F(r)-G(s), F = x^5+cx and G = x^5+fx for (c, f) = ``coeffs``;
+    trivial when the sides (F(p), G(q)) and (F(r), G(s)) share a term."""
+    Fp, Gq, Fr, Gs = (f_value(0, 0, k, v) for k, v in zip(coeffs * 2, point))
+    return Fp + Gq - Fr - Gs, point.p != point.r and point.q != point.s and Fp != Fr
+
+
+def _symmetric_verdicts(coeffs, point):
+    """f(p,q) - f(r,s); trivial when {p, q} = {r, s}, as f is symmetric."""
+    f, (p, q, r, s) = SymmetricQuinticCoeffs(*coeffs).f_eval, point
+    return f(p, q) - f(r, s), {p, q} != {r, s}
+
+
+_Equation = namedtuple("_Equation", "name weights verdicts")
+_V_F = _Equation("V_F", (2, 3, 4), _quintic_verdicts)
+_MIXED = _Equation("F(p)+G(q) = F(r)+G(s)", (4, 4), _mixed_verdicts)
+_SYMMETRIC = _Equation("f(p,q) = f(r,s)", (4, 3, 2, 1, 0, 2, 1, 0, 0, 1), _symmetric_verdicts)
 
 
 def _reduce_square(poly: MultiPoly, var: str, rhs) -> MultiPoly:
@@ -260,11 +276,11 @@ def thm1_point(fq: QuinticCoeffs, u, v, branch: int = 1) -> Certificate:
         raise DegenerateParameters("X + 5a = 0: surface map pole")
     x, y, w = _surface_map(a, b, X, Y, t)
     z = (5 * y * y + branch * w) / (10 * y)
-    return _quintic_certificate(
+    return _certificate(
         "thm1",
         {"a": a, "b": b, "c": c, "u": str(u), "v": str(v), "branch": branch},
-        a, b, c,
         Point4(x, y - x, z, y - z),
+        _V_F, (a, b, c),
     )
 
 
@@ -301,8 +317,6 @@ def thm2_parametrize(a: int, search_bound: int = 60):
     the map (u, v) -> (p, q, r, s), over any ring, composing the (R4)
     substitution with the lines through a base point of x^2+2y^2+3z^2 = -5a.
     ``thm2-conic`` and ``r4-factorization`` prove it for every base point."""
-    from . import quadform
-
     if not quadform.ternary_solvable(a):
         raise NotSolvable(f"x^2+2y^2+3z^2 = {-5 * a} has no rational solution")
     base = quadform.ternary_base_solution(a, search_bound)
@@ -317,12 +331,21 @@ def thm2_point(a: int, c: int, u, v, search_bound: int = 60) -> Certificate:
     """Concrete rational point from the Theorem 2 family at (u, v)."""
     u = Fraction(u)
     v = Fraction(v)
-    return _quintic_certificate(
+    return _certificate(
         "thm2",
         {"a": a, "c": c, "u": str(u), "v": str(v)},
-        a, 0, c,
         Point4(*thm2_parametrize(a, search_bound)(u, v)),
+        _V_F, (a, 0, c),
     )
+
+
+def question3_points(n: int, c: int) -> tuple[int, list[Certificate]]:
+    """a_N and Question 3's N certified integral points on X^5 + a_N X^3 + cX."""
+    a_n, triples = quadform.question3_family(n)
+    points = [Point4(*r4_point(*map(Fraction, triple))) for triple in triples]
+    if stray := next((point for point in points if not point.is_integral()), None):
+        raise CertificateError(f"question-3 point {stray.to_json()} is not integral")
+    return a_n, [_certificate("question3", {}, point, _V_F, (a_n, 0, c)) for point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +383,11 @@ def gaussian_point(coeffs, y, u) -> Certificate:
     notes = []
     if a == 0 and b == 0:
         notes.append("a = b = 0: the image is a Q(i)-rational curve, not a surface")
-    return _quintic_certificate(
+    return _certificate(
         "gaussian",
         {"a": a, "b": b, "c": c, "y": str(y), "u": u.to_json()},
-        a, b, c,
         Point4(p, q, r, s),
+        _V_F, (a, b, c),
         notes,
     )
 
@@ -384,11 +407,11 @@ def fifth_power_solution(u, v) -> Certificate:
     """Homogeneous Q(i) solution of p^5 + q^5 = r^5 + s^5."""
     u = GaussianRational.of(u)
     v = GaussianRational.of(v)
-    return _quintic_certificate(
+    return _certificate(
         "fifth-power",
         {"u": u.to_json(), "v": v.to_json()},
-        0, 0, 0,
         Point4(*_fifth_power_coords(u, v, GAUSSIAN_I)),
+        _V_F, (0, 0, 0),
     )
 
 
@@ -495,16 +518,8 @@ def mixed_point(
     if t * V - U - 1 == 0:
         raise MapPole(f"tV - U - 1 = 0 at k={k} (degenerate factor)")
     p, q, s, r = _uv_coords(t, U, V)
-    Fp, Fr = f_value(0, 0, c, p), f_value(0, 0, c, r)
-    return Certificate(
-        construction="mixed",
-        inputs={"c": c, "f": f, "t": str(t), "k": k},
-        point=Point4(p, q, r, s),
-        residual=Fp + f_value(0, 0, f, q) - Fr - f_value(0, 0, f, s),
-        # the sides are (F(p), G(q)) and (F(r), G(s))
-        nontrivial=p != r and q != s and Fp != Fr,
-        notes=(f"(U,V) preimage: ({U}, {V})",),
-    )
+    inputs, notes = {"c": c, "f": f, "t": str(t), "k": k}, (f"(U,V) preimage: ({U}, {V})",)
+    return _certificate("mixed", inputs, Point4(p, q, r, s), _MIXED, (c, f), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +575,7 @@ CONSANI_SCHOLTEN = SymmetricQuinticCoeffs(a1=-5, a2=5, a5=1, b1=5, b2=-5)
 C29 = SymmetricQuinticCoeffs(a1=1, a2=1, a3=1, a4=1, a5=1, b1=1, b2=1, b3=1, c0=1, c1=29)
 
 
-def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
+def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs):
     """Map a conic point (U, V) through the substitution and certify.
 
     The coordinates are emitted as (t - U/V, U/V, t - 1/V, 1/V); with f
@@ -568,16 +583,7 @@ def _symmetric_point_from_uv(coeffs, t, U, V, construction, inputs, notes=()):
     examples."""
     if not V:
         raise PoleAtPoint("V = 0")
-    p, q, r, s = _uv_coords(t, U, V)
-    return Certificate(
-        construction=construction,
-        inputs=inputs,
-        point=Point4(p, q, r, s),
-        residual=coeffs.f_eval(p, q) - coeffs.f_eval(r, s),
-        # trivial iff the unordered pairs coincide (f is symmetric)
-        nontrivial={p, q} != {r, s},
-        notes=notes,
-    )
+    return _certificate(construction, inputs, Point4(*_uv_coords(t, U, V)), _SYMMETRIC, coeffs)
 
 
 def _conic_lines(b20, b02, t, seed, w):

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints import cli, elliptic, poly, quadform, surfaces
-from quinticpoints.exact import CertificateError, FactorizationExhausted, factor
+from quinticpoints.exact import MAX_ECHOED_VALUE, CertificateError, FactorizationExhausted, factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -332,6 +332,30 @@ class TestTable:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "argv, csv",
+        [
+            (["--mode=verify", "--dmax=3"], ["1,2/45,1,403/405,ok", "2,2/45,1,397/405,ok",
+                                            "3,2/7,25,6075/49,ok"]),
+            (["--mode=search", "--dmax=3", "--tmax=4", "--bound=200"],
+             ["1,,,,exhausted", "2,,,,exhausted", "3,1,50,200,ok"]),
+        ],
+        ids=["verify", "search"],
+    )
+    def test_out_writes_the_csv_of_the_note(self, tmp_path, monkeypatch, capsys, argv, csv):
+        """--out moves the CSV from the stderr note to a file and leaves stdout
+        as it is; a verify row gives the shipped point it checked."""
+        monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+        text = "\n".join(["D,t,X,Y,status", *csv]) + "\n"
+        code = cli.main(["table", *argv])
+        plain = capsys.readouterr()
+        assert plain.err == text
+        out = tmp_path / "table.csv"
+        assert cli.main(["table", *argv, f"--out={out}"]) == code
+        written = capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == text
+        assert written.out == plain.out and written.err == f"wrote {out}\n"
+
+    @pytest.mark.parametrize(
         "argv, code",
         [
             (["table", "--mode=verify", "--dmax=100"], cli.EXIT_OK),
@@ -583,6 +607,19 @@ def test_a_2000_digit_thm1_parameter_is_output_too_large_within_seconds(capsys):
     assert elapsed < 3
 
 
+def test_a_1000_digit_symmetric_t_is_certified_within_a_third_of_a_second(capsys):
+    # The point is certified in ints on its integral image: 0.09-0.12 s in
+    # process on one core of a 2-core x86-64 machine, against 1.0-1.3 s when
+    # f(p, q) was evaluated in Q(i) with Fraction parts.
+    t = str(3**2095)  # 1000 digits
+    start = time.perf_counter()
+    code = cli.main(["construct", "symmetric", "--preset=c29", f"--t={t}", "--u=1"])
+    elapsed = time.perf_counter() - start
+    assert code == cli.EXIT_OK and len(t) == 1000
+    capsys.readouterr()
+    assert elapsed < 0.3
+
+
 _DIGITS_5000 = "1" * 5000
 
 
@@ -613,7 +650,7 @@ def test_input_past_the_str_to_int_limit_is_invalid_input(tmp_path, capsys, argv
 
 
 _X_5000 = "x" * 5000
-_CUT = cli.MAX_ECHOED_VALUE
+_CUT = MAX_ECHOED_VALUE
 
 
 @pytest.mark.parametrize(
@@ -643,6 +680,26 @@ def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv, ec
     assert captured.err.startswith(usage)
     assert len(captured.err.encode()) - len(usage.encode()) < 500
     assert captured.err.endswith(echo)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "thm1", "--a=1", "--b=1", "--c=1", "--v=1", f"--u={_X_5000}"],
+     ["scale-integers", "--a=1", "--points", json.dumps([{"p": _X_5000, "q": 1, "r": 1, "s": 1}])]],
+    ids=["construct-u", "json-string"],
+)
+def test_an_unreadable_rational_is_echoed_short(tmp_path, capsys, argv):
+    # the payload, the note and the ledger's outputs each echo a prefix and
+    # the size, as a usage error does
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert len(line.encode()) < 300 and len(captured.err.encode()) < 300
+    message = f"Invalid literal for Fraction: '{'x' * _CUT}'... (5000 characters)"
+    assert json.loads(line) == {"error": "ValueError", "message": message}
+    (record,) = [json.loads(text) for text in ledger.read_text().splitlines()]
+    assert record["outputs"] == json.loads(line)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """The CLI's output contract: every call that parses ends in exit 0, 1, 2
 or 3 with exactly one JSON line on stdout and no traceback, and one place in
-``cli.py`` writes that line."""
+``cli.py`` writes that line.  Every point a call emits with exit 0 is
+checked again with the independent Q(i) arithmetic of
+``perfbench/outputs.py``."""
 
 from __future__ import annotations
 
@@ -8,13 +10,21 @@ import ast
 import contextlib
 import io
 import json
+import sys
 import tempfile
+from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import HealthCheck, example, given, settings
+import pytest
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints import cli, elliptic
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import outputs  # noqa: E402
 
 # (subcommand, option) -> the caps of the option; each cap + 1 is drawn
 _CAPS = {
@@ -83,6 +93,51 @@ def _calls(draw):
     return argv
 
 
+# the subcommands whose exit-0 points are checked again, and the one op
+# outputs.check reads
+_RECHECKED = ("construct", "question3", "scale-integers")
+_Op = namedtuple("_Op", "argv exit_code error")
+
+
+def _symmetric_check(coeffs: dict, payload: dict) -> str:
+    """outputs.py's symmetric check for the coefficients of --coeffs: f(x, y)
+    = sum a_i (x^i + y^i) + xy sum b_i (x^i + y^i) + x^2 y^2 (c0 (x + y) + c1)
+    in its Q(i) arithmetic, each coefficient 0 unless given."""
+    k = {name: coeffs.get(name, 0) for name in "a1 a2 a3 a4 a5 b1 b2 b3 c0 c1".split()}
+
+    def f(x, y):
+        total = sum((k[f"a{i}"] * (x**i + y**i) for i in range(1, 6)), outputs.QI(0))
+        total = sum((k[f"b{i}"] * x * y * (x**i + y**i) for i in range(1, 4)), total)
+        return total + x * x * y * y * (k["c0"] * (x + y) + k["c1"])
+
+    def scalar(value):
+        if isinstance(value, dict):
+            return outputs.QI(Fraction(value["re"]), Fraction(value["im"]))
+        return outputs.QI(Fraction(value))
+
+    p, q, r, s = (scalar(payload["point"][name]) for name in "pqrs")
+    if not (f(p, q) - f(r, s)).is_zero():
+        return "symmetric point is not on f(p,q)=f(r,s)"
+    if payload["residual"] != "0" or not payload["nontrivial"] or {p, q} == {r, s}:
+        return "symmetric certificate"
+    return ""
+
+
+def _recheck(argv, line: str) -> str:
+    """outputs.py's verdict on the exit-0 stdout ``line`` of ``argv``: '' when
+    it is right.  Its checks read only --name=value words, so every default
+    of ``cli.COMMANDS`` is written out first, and a drawn word overrides it."""
+    command = argv[0]
+    _, _, positionals, options = cli.COMMANDS[command]
+    head = 1 + len(positionals)
+    defaults = [f"{name}={spec[1]}" for name, spec in options.items() if spec[1] is not None]
+    argv = argv[:head] + defaults + argv[head:]
+    flags = dict(word[2:].split("=", 1) for word in argv if word.startswith("--") and "=" in word)
+    if command == "construct" and argv[1] == "symmetric" and "preset" not in flags:
+        return _symmetric_check(json.loads(flags["coeffs"]), json.loads(line))
+    return outputs.check(_Op(argv, cli.EXIT_OK, None), cli.EXIT_OK, line)
+
+
 @settings(
     max_examples=300, deadline=3000, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -102,6 +157,9 @@ def test_every_call_ends_in_one_json_line_and_a_known_exit(monkeypatch, argv):
         assert isinstance(payload, dict)
         if code in (cli.EXIT_OK, cli.EXIT_INVALID):
             assert ("error" in payload) == (code == cli.EXIT_INVALID)
+        if code == cli.EXIT_OK and argv[0] in _RECHECKED:
+            event(f"{' '.join(argv[:2] if argv[0] == 'construct' else argv[:1])} rechecked")
+            assert _recheck(argv, line) == ""
         assert err.getvalue().endswith("\n") and "Traceback" not in err.getvalue()
         ledger = Path(directory, "ledger.jsonl")
         if f"--store={ledger}" in argv:
@@ -165,3 +223,35 @@ def test_one_table_maps_exceptions_to_exits():
         if path.name != "cli.py":
             text = path.read_text(encoding="utf-8")
             assert not any(word in text for word in ("EXIT_", "SystemExit", "sys.exit")), path.name
+
+
+def _move_p(payload):
+    """``payload`` with every coordinate p in it moved to 7/3."""
+    if isinstance(payload, dict):
+        return {k: "7/3" if k == "p" else _move_p(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_move_p(v) for v in payload]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "symmetric", "--variant=gaussian", '--coeffs={"c1": 29}', "--t=1", "--u=2"],
+        ["construct", "symmetric", "--variant=rational", "--preset=c29", "--w=2"],
+        ["construct", "mixed", "--c=1", "--t=2/45", "--k=2"],
+        ["construct", "gaussian", "--a=1", "--u=2,1"],
+        ["question3", "--N=2", "--c=3"],
+        ["scale-integers", "--a=-1",
+         '--points=[{"p": "-2/5", "q": "1/5", "r": "3/5", "s": "-4/5"}]'],
+    ],
+    ids=["symmetric-coeffs", "symmetric-preset", "mixed", "gaussian", "question3",
+         "scale-integers"],
+)
+def test_the_recheck_passes_each_point_and_fails_a_moved_one(monkeypatch, capsys, argv):
+    # the drawn argvs above seldom reach exit 0 on these families
+    monkeypatch.delenv("QUINTICPOINTS_STORE", raising=False)
+    assert cli.main(argv) == cli.EXIT_OK
+    line = capsys.readouterr().out
+    assert _recheck(argv, line) == ""
+    assert _recheck(argv, json.dumps(_move_p(json.loads(line)))) != ""

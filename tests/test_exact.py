@@ -353,7 +353,24 @@ class TestTextFormat:
     def test_exponent_notation_is_refused_with_a_short_echo(self, text):
         with pytest.raises(ValueError, match="exponent notation is not accepted") as exc:
             parse_rational(text)
-        assert str(exc.value) == f"exponent notation is not accepted: {text[:40]!r}"
+        echo = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        assert str(exc.value) == f"exponent notation is not accepted: {echo}"
+
+    @pytest.mark.parametrize(
+        "text, echo",
+        [("x", "'x'"), (" 1/x ", "'1/x'"), ("y" * 40, repr("y" * 40)),
+         ("z" * 41, f"{'z' * 40!r}... (41 characters)")],
+        ids=["short", "stripped", "at-the-cut", "past-the-cut"],
+    )
+    def test_an_unreadable_text_is_echoed_as_a_usage_error_echoes(self, text, echo):
+        # up to the cut, Fraction's own message byte for byte
+        with pytest.raises(ValueError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == f"Invalid literal for Fraction: {echo}"
+        if len(text.strip()) <= 40:
+            with pytest.raises(ValueError) as own:
+                Fraction(text.strip())
+            assert str(own.value) == str(exc.value)
 
     @pytest.mark.parametrize("text, value", [("-1.25", Fraction(-5, 4)), (" 3/6 ", Fraction(1, 2))])
     def test_decimals_and_fractions_are_read(self, text, value):

@@ -5,7 +5,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import quinticpoints
@@ -408,10 +408,17 @@ _SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 _SCALARS = st.one_of(_SMALL, st.builds(GaussianRational, _SMALL, _SMALL))
 
 
+def _shifted(draw, point):
+    """``point``, or half the time the point with p shifted off its equation."""
+    if draw(st.booleans()):
+        point = (point[0] + draw(_SCALARS.filter(bool)), *point[1:])
+    return Point4(*point)
+
+
 @st.composite
 def _quintic_points(draw):
-    """(a, b, c, P): P on V_f by one of four constructions, over Q or Q(i),
-    pushed off it by a shift of p half the time; a = b = c = 0 is drawn too."""
+    """(V_F, (a, b, c), P): P on V_f by one of four constructions, over Q or
+    Q(i), shifted off it half the time; a = b = c = 0 is drawn too."""
     a, b, c = (draw(st.integers(-3, 3)) for _ in "abc")
     kind = draw(st.sampled_from(["swap", "odd", "gaussian", "fifth-power"]))
     x, y = draw(_SCALARS), draw(_SCALARS)
@@ -428,9 +435,66 @@ def _quintic_points(draw):
     else:
         a = b = c = 0
         point = surfaces._fifth_power_coords(GaussianRational.of(x), GaussianRational.of(y), GAUSSIAN_I)
-    if draw(st.booleans()):
-        point = (point[0] + draw(_SCALARS.filter(bool)), *point[1:])
-    return a, b, c, Point4(*point)
+    return surfaces._V_F, (a, b, c), _shifted(draw, point)
+
+
+@st.composite
+def _mixed_points(draw):
+    """(mixed, (c, f), P): P on F(p)+G(q) = F(r)+G(s), F = x^5+cx and G =
+    x^5+fx, over Q or Q(i): (p, q, p, q), trivial; (x, -x, y, -y) with F = G,
+    which is odd; or a point of ``mixed_point`` on a shipped row.  Shifted off
+    half the time."""
+    c, f = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["swap", "odd", "row"]))
+    x, y = draw(_SCALARS), draw(_SCALARS)
+    if kind == "swap":
+        point = (x, y, x, y)
+    elif kind == "odd":
+        f, point = c, (x, -x, y, -y)
+    else:
+        (c, t, _), f = draw(st.sampled_from(surfaces.elliptic.load_table(3))), 0
+        point = surfaces.mixed_point(c, f, t, draw(st.sampled_from([1, 2, -1]))).point
+    return surfaces._MIXED, (c, f), _shifted(draw, point)
+
+
+@st.composite
+def _symmetric_points(draw):
+    """(symmetric, coefficients, P): P on f(p,q) = f(r,s) over Q or Q(i):
+    (p, q, q, p), trivial; the line through the conic point (i, 0) at a drawn
+    t, as ``symmetric_gaussian_point`` runs it; or C29's line through the seed
+    (3, 8) at t = 1.  Shifted off half the time."""
+    coeffs = surfaces.SymmetricQuinticCoeffs(*(draw(st.integers(-2, 2)) for _ in range(10)))
+    kind = draw(st.sampled_from(["swap", "gaussian", "rational"]))
+    x, y = draw(_SCALARS), draw(_SCALARS)
+    if kind == "swap":
+        point = (x, y, y, x)
+    else:
+        if kind == "gaussian":
+            t, seed, slope = draw(_SMALL), (GAUSSIAN_I, 0), GaussianRational.of(x)
+        else:
+            coeffs, t, seed, slope = surfaces.C29, 1, (3, 8), draw(_SMALL)
+        assume(coeffs.b20_at(t))
+        try:
+            U, V = surfaces._conic_lines(coeffs.b20_at(t), coeffs.b02_at(t), t, seed, slope)
+            point = surfaces._uv_coords(t, U, V)
+        except ZeroDivisionError:  # a slope along the conic's tangent, or V = 0
+            assume(False)
+    return surfaces._SYMMETRIC, coeffs, _shifted(draw, point)
+
+
+def _fraction_verdicts(equation, coeffs, point):
+    """The residual of ``point`` on ``equation`` and its own triviality rule,
+    evaluated on the point as given: in Fractions or Q(i) unless it is
+    integral."""
+    p, q, r, s = point
+    if equation is surfaces._V_F:
+        f = partial(f_value, *coeffs)
+        return residual(f, point), classify(f, point)
+    if equation is surfaces._MIXED:
+        F, G = (partial(f_value, 0, 0, k) for k in coeffs)
+        return F(p) + G(q) - F(r) - G(s), p != r and q != s and F(p) != F(r)
+    f = surfaces.SymmetricQuinticCoeffs(*coeffs).f_eval
+    return f(p, q) - f(r, s), {p, q} != {r, s}
 
 
 def _integral(v) -> bool:
@@ -438,32 +502,42 @@ def _integral(v) -> bool:
     return all(Fraction(part).denominator == 1 for part in parts)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_quintic_points())
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_quintic_points(), _mixed_points(), _symmetric_points()))
 def test_the_integral_image_gives_the_verdicts_on_fractions(drawn):
-    """Certified on d P and V_F, a point gets the verdicts that ``residual``
-    and ``classify`` give on P and V_f in Fractions; off V_f, a constructor
-    raises CertificateError naming d and scale-integers PointNotOnHypersurface."""
-    a, b, c, point = drawn
-    f = partial(f_value, a, b, c)
-    on = not residual(f, point)
-    d, big, (scaled,) = integral_image((a, b, c), [point])
-    assert all(map(_integral, scaled)) and big == (a * d * d, b * d**3, c * d**4)
-    assert residual(partial(f_value, *big), scaled) == d**5 * residual(f, point)
+    """Certified on d P and its equation's scaled coefficients, a point of
+    V_f, of the mixed or of the symmetric equation gets the verdicts that
+    its residual and its triviality rule give on P in Fractions; off its
+    equation, the certifier raises CertificateError naming d, and
+    scale-integers PointNotOnHypersurface."""
+    equation, coeffs, point = drawn
+    on = not _fraction_verdicts(equation, coeffs, point)[0]
+    event(f"{equation.name} over {point.field}, {'on' if on else 'off'} it")
+    d, big, (scaled,) = integral_image(coeffs, [point], equation.weights)
+    assert all(map(_integral, scaled))
+    assert big == tuple(k * d**w for k, w in zip(coeffs, equation.weights))
+    res, nontrivial = _fraction_verdicts(equation, big, scaled)
+    assert res == d**5 * _fraction_verdicts(equation, coeffs, point)[0]
     try:
-        cert = surfaces._quintic_certificate("drawn", {}, a, b, c, point)
+        cert = surfaces._certificate("drawn", {}, point, equation, coeffs)
     except CertificateError as exc:
-        assert not on and "of d*P on V_F" in str(exc) and f"d = {d}," in str(exc)
+        assert not on and f"of d*P on {equation.name}, d = {d}," in str(exc)
     else:
         assert on and cert.point == point and str(cert.residual) == "0"
-        assert cert.nontrivial == classify(f, point)
-    if point.field == FIELD_Q and (a, b, c) != (0, 0, 0):
+        assert cert.nontrivial == _fraction_verdicts(equation, coeffs, point)[1] == nontrivial
+    if equation is surfaces._V_F and point.field == FIELD_Q and any(coeffs):
         try:
-            _, scaled_points, residuals = scale_to_integers(QuinticCoeffs(a, b, c), [point])
+            _, scaled_points, residuals = scale_to_integers(QuinticCoeffs(*coeffs), [point])
         except PointNotOnHypersurface:
             assert not on
         else:
             assert on and scaled_points == [scaled] and residuals == [0]
+
+
+def test_the_quintic_weights_are_corollary_1s():
+    point = Point4(Fraction(1, 6), 0, 0, 0)
+    d, big, _ = integral_image((5, -7, 11), [point], surfaces._V_F.weights)
+    assert d == 6 and big == (5 * 6**2, -7 * 6**3, 11 * 6**4)
 
 
 _TEN_5000 = 10**5000
@@ -518,16 +592,38 @@ def _calls_in_src(name: str) -> set[str]:
 
 
 def test_one_path_scales_and_certifies_a_quintic_point():
-    """Only ``integral_image`` scales a point, and only the certification
-    path runs ``classify``; a Certificate is built for V_f by
-    ``_quintic_certificate`` alone, and for the mixed and symmetric
-    equations by their own two functions."""
+    """Only ``integral_image`` scales a point, and one function builds every
+    Certificate, on V_f, the mixed and the symmetric equation alike; it and
+    ``scale_to_integers`` alone scale, and only V_f's verdicts run
+    ``classify``."""
     assert _calls_in_src("lcm_of_denominators") == {"integral_image"}
-    assert _calls_in_src("integral_image") == {"_quintic_certificate", "scale_to_integers"}
-    assert _calls_in_src("classify") == {"_quintic_certificate"}
-    assert _calls_in_src("Certificate") == {
-        "_quintic_certificate", "mixed_point", "_symmetric_point_from_uv"
+    assert _calls_in_src("Certificate") == {"_certificate"}
+    assert _calls_in_src("integral_image") == {"_certificate", "scale_to_integers"}
+    assert _calls_in_src("classify") == {"_quintic_verdicts"}
+    assert _calls_in_src("_certificate") == {
+        "thm1_point", "thm2_point", "question3_points", "gaussian_point",
+        "fifth_power_solution", "mixed_point", "_symmetric_point_from_uv",
     }
-    assert _calls_in_src("_quintic_certificate") == {
-        "thm1_point", "thm2_point", "gaussian_point", "fifth_power_solution", "cmd_question3"
-    }
+
+
+def test_no_module_reads_another_modules_private_name():
+    """A name with one leading underscore is read only in its own module of
+    ``src/quinticpoints``: no other module imports it or reads it as an
+    attribute of its module."""
+    package = Path(quinticpoints.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: {a.name}" for a in node.names if private(a.name)]
+            elif isinstance(node, ast.Attribute) and private(node.attr):
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name in modules - {path.stem}:
+                    found.append(f"{path.name}: {name}.{node.attr}")
+    assert found == []
