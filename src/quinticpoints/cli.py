@@ -4,11 +4,12 @@ Every call has one boundary, ``_run``: a command's body returns an Outcome
 or raises, and ``_run`` alone writes the outcome.  Each call writes exactly
 one JSON line to stdout (stable key order, no timestamps), one human note to
 stderr and, with ``--store FILE`` (or QUINTICPOINTS_STORE), one record to a
-JSON-lines ledger, under the command's name ("construct thm1", ...); only
-the timestamp differs between identical reruns.  An Outcome exits 0 (a
-nontrivial point, a decided form, a full table), 1 (a trivial point, a
-failed check or table row) or 3 (table rows with no point).  What a body
-raises exits by its class, in the one table ``_TYPED_EXITS``:
+JSON-lines ledger, under the command's name ("construct thm1", ...) with
+every parsed argument but --store; only the timestamp differs between
+identical reruns.  An Outcome exits 0 (a nontrivial point, a decided form, a
+full table), 1 (a trivial point, a failed check or table row) or 3 (table
+rows with no point).  What a body raises exits by its class, in the one
+table ``_TYPED_EXITS``:
 
 - 1: CertificateError, a failed exact check of a computed result;
 - 3: a thm2 base-point box with no witness (NoBasePointFound), or a
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -66,17 +66,17 @@ MAX_QUESTION3_N = 200
 # The witness box of find_zero costs O(B^2) time and memory: at B = 500 a
 # form with many zeros, (1, -1, 1, -1), takes about 2 s and 125 MB.
 MAX_WITNESS_BOUND = 500
-# A table search sieves a bitset of 2 * bound + 1 integers for every t it
-# tries: at bound 10^6 a row of height 5 takes about 0.3 s, at 10^9 it ran
-# past 30 s.
-MAX_TABLE_BOUND = 10**6
-# A table search runs one row per D, and a row tries about 0.6 * tmax^2
-# values of t.  Most t are ruled out in about 1 us each, before t or E_t is
-# built: at --dmax 10^4 and the default --bound the call takes about 0.5 s at
-# --tmax 1 and about 14 s at the default --tmax 50 (one core of a 2-core
-# x86-64 machine).  So the cap bounds the time only at small --tmax; it goes
-# once one work bound on dmax, tmax and bound replaces the single caps.
-MAX_SEARCH_DMAX = 10**4
+# A table search runs one row per D, and the costs of a row add rather than
+# multiply: about 0.61 * tmax^2 pairs (n, m) of t = n/m, each screened in
+# 0.5-0.65 us; a sieve of 2 * bound + 1 bits for each t the screen passes
+# (the worst row took 0.02 s at bound 10^5, 0.13-0.17 s at 10^6, and 1.4 s
+# and 72 MB at 10^7); and the row's output, 2.8 us and about 370 bytes held
+# until the call ends, which the literal 300 charges as 300 units of bound.
+# So a search's work is dmax * (tmax^2 + bound + 300).  At this bound the
+# largest --tmax, --bound and --dmax (the other two at 1) end in 3.2, 0.2 and
+# 0.2 s within 40 MB, each as one CLI process (one core of a 2-core x86-64
+# machine).
+MAX_SEARCH_WORK = 10**7
 
 
 class InvalidInput(ValueError):
@@ -92,14 +92,12 @@ _TYPED_EXITS = (
     ((ValueError, ArithmeticError, RecursionError), EXIT_INVALID, "invalid input"),
 )
 
-# what a command returns: its stdout payload, its stderr note, the inputs its
-# ledger record stores and its exit code
-Outcome = namedtuple("Outcome", "payload note inputs code")
+# what a command returns: its stdout payload, its stderr note and its exit code
+Outcome = namedtuple("Outcome", "payload note code")
 
 
 def _inputs(args) -> dict:
-    """The parsed arguments of a call, as the ledger record of its error
-    stores them."""
+    """The parsed arguments of a call, as its ledger record stores them."""
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", "store")}
 
 
@@ -133,7 +131,7 @@ def _run(body, args) -> int:
             raise InvalidInput(message)
         if getattr(args, "out", None) and (why := _unwritable(args.out)):
             raise InvalidInput(f"--out {args.out} {why}")
-        payload, note, inputs, code = body(args)
+        payload, note, code = body(args)
         line = json.dumps(payload, sort_keys=True)
     except Exception as exc:
         exits = [(code, words) for kinds, code, words in _TYPED_EXITS if isinstance(exc, kinds)]
@@ -147,7 +145,6 @@ def _run(body, args) -> int:
         payload = {"error": error, "message": message}
         line = json.dumps(payload, sort_keys=True)
         note = f"{words}: {message}"
-        inputs = _inputs(args)
     print(line)
     print(note, file=sys.stderr)
     if ledger:
@@ -156,7 +153,7 @@ def _run(body, args) -> int:
         record = {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "command": f"construct {args.family}" if args.command == "construct" else args.command,
-            "inputs": inputs,
+            "inputs": _inputs(args),
             "outputs": payload,
             "version": __version__,
         }
@@ -202,7 +199,7 @@ def cmd_verify_identities(args) -> Outcome:
     }
     note = "\n".join(f"{'PASS' if c.ok else 'FAIL'}  {c.name}" for c in checks)
     code = EXIT_OK if payload["all_pass"] else EXIT_FAIL
-    return Outcome(payload, note, {"only": args.only}, code)
+    return Outcome(payload, note, code)
 
 
 # ---------------------------------------------------------------------------
@@ -279,35 +276,21 @@ def cmd_construct(args) -> Outcome:
         f"{cert.construction}: residual 0, "
         f"{'nontrivial' if cert.nontrivial else 'TRIVIAL'} point {cert.point.to_json()}"
     )
-    return Outcome(cert.to_json(), note, cert.inputs, EXIT_OK if cert.nontrivial else EXIT_FAIL)
+    return Outcome(cert.to_json(), note, EXIT_OK if cert.nontrivial else EXIT_FAIL)
 
 
 # ---------------------------------------------------------------------------
 # solve-form
 
-def _certify_witness(form, normal, solvable, witness, pulled) -> None:
-    """Check in Python ints, before anything is emitted, that the witness is
-    a primitive zero of the normalized form, that its pull-back is a nonzero
-    zero of the input form, and that a witness comes with a solvable form."""
-    if normal.value(witness) != 0 or math.gcd(*witness) != 1:
-        raise CertificateError(f"{list(witness)} is not a primitive zero of {normal}")
-    if not any(pulled) or form.value(pulled) != 0:
-        raise CertificateError(f"pulled-back witness {list(pulled)} is not a zero of {form}")
-    if not solvable:
-        raise CertificateError(f"witness {list(witness)} for a form decided unsolvable")
-
-
 def cmd_solve_form(args) -> Outcome:
     _check_witness_bound(args)
-    normal, back = quadform.normalize(args.a1, args.a2, args.a3, args.a4)
+    form = (args.a1, args.a2, args.a3, args.a4)
+    normal, witness, pulled = quadform.certified_zero(*form, args.bound)
     solvable, conditions = quadform.represents_zero(normal)
-    witness = quadform.find_zero(normal, args.bound)
-    pulled = quadform.pull_back_witness(back, witness) if witness else None
-    if witness:
-        form = quadform.DiagonalForm(args.a1, args.a2, args.a3, args.a4)
-        _certify_witness(form, normal, solvable, witness, pulled)
+    if witness and not solvable:
+        raise CertificateError(f"witness {list(witness)} for a form decided unsolvable")
     payload = {
-        "form": [args.a1, args.a2, args.a3, args.a4],
+        "form": list(form),
         "normalized": list(normal),
         "conditions": conditions,
         "solvable": solvable,
@@ -318,7 +301,7 @@ def cmd_solve_form(args) -> Outcome:
         f"form {payload['form']} -> normalized {payload['normalized']}: "
         f"{'solvable' if solvable else 'unsolvable'}"
     )
-    return Outcome(payload, note, {"form": payload["form"]}, EXIT_OK)
+    return Outcome(payload, note, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +327,6 @@ _CSV_COLUMNS = ("D", "t", "X", "Y", "status")
 
 def cmd_table(args) -> Outcome:
     _require_positive(args, "dmax", "bound", "tmax")
-    if args.bound > MAX_TABLE_BOUND:
-        raise InvalidInput(f"--bound must be <= {MAX_TABLE_BOUND}")
     if args.mode == "verify":
         lines = elliptic.table_lines(args.dmax)
         if args.dmax > len(lines):  # then lines holds the whole table
@@ -359,8 +340,10 @@ def cmd_table(args) -> Outcome:
             for r, line in zip(results, lines)
         ]
     else:
-        if args.dmax > MAX_SEARCH_DMAX:
-            raise InvalidInput(f"--dmax must be <= {MAX_SEARCH_DMAX} in search mode")
+        if args.dmax * (args.tmax**2 + args.bound + 300) > MAX_SEARCH_WORK:
+            raise InvalidInput(
+                f"--dmax * (--tmax^2 + --bound + 300) must be <= {MAX_SEARCH_WORK} in search mode"
+            )
         results = [_search_row(d, args.tmax, args.bound) for d in range(1, args.dmax + 1)]
         csv_lines = [",".join(str(r.get(k, "")) for k in _CSV_COLUMNS) for r in results]
         exhausted = [r for r in results if r["status"] == "exhausted"]
@@ -374,7 +357,7 @@ def cmd_table(args) -> Outcome:
         note = f"wrote {args.out}"
     else:
         note = csv_text.rstrip("\n")
-    return Outcome(payload, note, {"dmax": args.dmax, "mode": args.mode}, exit_code)
+    return Outcome(payload, note, exit_code)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +372,7 @@ def cmd_question3(args) -> Outcome:
     points = [{k: v for k, v in cert.to_json().items() if k in shown} for cert in certificates]
     payload = {"N": args.N, "a_N": a_n, "c": args.c, "points": points}
     note = f"f = X^5 + ({a_n})X^3 + ({args.c})X carries {len(points)} integer points"
-    return Outcome(payload, note, {"N": args.N, "c": args.c}, EXIT_OK)
+    return Outcome(payload, note, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,7 @@ def cmd_scale_integers(args) -> Outcome:
         "residuals": [str(res) for res in residuals],
     }
     note = f"scaled {len(scaled)} point(s) onto V_F with F = {big}"
-    return Outcome(payload, note, {"f": payload["f"]}, EXIT_OK)
+    return Outcome(payload, note, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +457,10 @@ COMMANDS = {
         functools.partial(_run, cmd_table),
         {},
         {
-            "--bound": (int, 3000, None, "search-mode numerator bound"),
+            "--bound": (int, 3000, None, "search mode: |X| window; dmax*(tmax^2+bound+300)<=10^7"),
             "--dmax": (int, 100, None, None),
             "--mode": (str, "verify", ("verify", "search"), None),
-            "--tmax": (int, 50, None, "height cap for search mode"),
+            "--tmax": (int, 50, None, "search mode: greatest height of t; see --bound"),
             "--out": (str, None, None, "output file (table CSV)"),
         },
     ),

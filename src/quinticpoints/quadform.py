@@ -9,7 +9,8 @@ condition) on a normalized form, and returns its verdict with the
 conditions exactly as ``solve-form`` prints them.  Its independent cross-check, a local
 oracle by exhaustive residue search with Hensel lifting, lives in the tests
 (``tests/oracle.py``), since no command needs it.  :func:`find_zero` looks
-for an explicit witness in a box by meeting in the middle over Python ints.
+for an explicit witness in a box by meeting in the middle over Python ints,
+and :func:`certified_zero` checks it and its pull-back in ints.
 
 On top of these sit the ternary specialization x^2+2y^2+3z^2 = -5a, with a
 base point from the witness search, and the family of forms with many
@@ -182,6 +183,25 @@ def find_zero(form: DiagonalForm, search_bound: int):
     )
 
 
+def certified_zero(a1: int, a2: int, a3: int, a4: int, search_bound: int):
+    """(normal, witness, zero): the normalized form of a1*X1^2 + ... +
+    a4*X4^2, its first zero in the box of ``find_zero`` and that zero pulled
+    back to the input form; witness and zero are None when the box holds
+    none.  Checked in Python ints before it is returned: the witness is a
+    primitive zero of the normalized form and its pull-back a nonzero zero
+    of the input form, else CertificateError."""
+    normal, back = normalize(a1, a2, a3, a4)
+    witness = find_zero(normal, search_bound)
+    if witness is None:
+        return normal, None, None
+    if normal.value(witness) != 0 or math.gcd(*witness) != 1:
+        raise CertificateError(f"{list(witness)} is not a primitive zero of {normal}")
+    zero, form = pull_back_witness(back, witness), DiagonalForm(a1, a2, a3, a4)
+    if not any(zero) or form.value(zero) != 0:
+        raise CertificateError(f"pulled-back witness {list(zero)} is not a zero of {form}")
+    return normal, witness, zero
+
+
 # ---------------------------------------------------------------------------
 # the ternary specialization x^2 + 2y^2 + 3z^2 = -5a
 
@@ -202,18 +222,13 @@ def ternary_solvable(a: int) -> bool:
 
 
 def ternary_base_solution(a: int, search_bound: int = 60):
-    """A rational base point (x, y, z) on x^2+2y^2+3z^2 = -5a via the
-    quaternary witness search, un-scaled back from the normalized form; None
-    when the box holds no witness.  A base off the conic raises
-    CertificateError."""
-    form, back = normalize(1, 2, 3, 5 * a)
-    witness = find_zero(form, search_bound)
-    if witness is None:
+    """A rational base point (x, y, z) on x^2+2y^2+3z^2 = -5a from the
+    certified witness of the quaternary (1, 2, 3, 5a); None when the box
+    holds no witness.  Its x4 is nonzero, as the ternary part is definite."""
+    zero = certified_zero(1, 2, 3, 5 * a, search_bound)[2]
+    if zero is None:
         return None
-    x1, x2, x3, x4 = pull_back_witness(back, witness)
-    # x4 = 0 cannot happen, as the ternary part is definite
-    if x4 == 0 or x1 * x1 + 2 * x2 * x2 + 3 * x3 * x3 != -5 * a * x4 * x4:
-        raise CertificateError(f"base {(x1, x2, x3)}/{x4} is off x^2+2y^2+3z^2 = {-5 * a}")
+    x1, x2, x3, x4 = zero
     return Fraction(x1, x4), Fraction(x2, x4), Fraction(x3, x4)
 
 

@@ -534,14 +534,22 @@ class SymmetricQuinticCoeffs(
     __slots__ = ()
 
     def f_eval(self, x, y):
+        a, b = self[:5], self[5:8]
+        # x^i and y^i up to the highest i of a nonzero a_i or b_i, each one
+        # product from the last
+        top = max((i for ks in (a, b) for i, k in enumerate(ks, 1) if k), default=1)
+        xs, ys = [x], [y]
+        while len(xs) < top:
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
         total = 0
-        for i, ai in enumerate((self.a1, self.a2, self.a3, self.a4, self.a5), 1):
+        for ai, xi, yi in zip(a, xs, ys):
             if ai:
-                total = total + ai * (x**i + y**i)
+                total = total + ai * (xi + yi)
         xy = x * y
-        for i, bi in enumerate((self.b1, self.b2, self.b3), 1):
+        for bi, xi, yi in zip(b, xs, ys):
             if bi:
-                total = total + bi * xy * (x**i + y**i)
+                total = total + bi * xy * (xi + yi)
         if self.c0 or self.c1:
             total = total + xy * xy * (self.c0 * (x + y) + self.c1)
         return total

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import argparse_oracle
 import pytest
+from test_contract import _CAPS
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -380,6 +381,9 @@ class TestTable:
 
 # the shipped row whose kP is the first to pass 4300 digits, at k = 23
 MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
+# the largest --tmax, --bound and --dmax that a table search accepts with
+# the other two at 1, as the contract property draws them
+_SEARCH_CAPS = {option: _CAPS[("table", option)][-1] for option in ("--bound", "--dmax", "--tmax")}
 
 
 @pytest.mark.parametrize(
@@ -394,17 +398,18 @@ MIXED_D88 = ["construct", "mixed", "--c=88", "--f=0", "--t=1/61"]
         # only thm2 reads --bound, so no other family checks it
         ["construct", "thm1", "--a", "1", "--b", "1", "--c", "1", "--u", "1", "--v", "1",
          "--bound", "0"],
-        ["table", "--mode=search", "--dmax=1", "--tmax=5", f"--bound={cli.MAX_TABLE_BOUND}"],
-        # no row finds a point at t = 1 in so small a window: exit 3, every row printed
-        ["table", "--mode=search", f"--dmax={cli.MAX_SEARCH_DMAX}", "--tmax=1", "--bound=10"],
+        # the largest --bound, --dmax and --tmax of a search with the other two
+        # at 1: no row finds a point at t = 1, so each exits 3 with every row
+        *(["table", "--mode=search", "--dmax=1", "--tmax=1", "--bound=1", f"{option}={cap}"]
+          for option, cap in _SEARCH_CAPS.items()),
     ],
 )
 def test_caps_still_print(capsys, argv):
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
     assert "error" not in payload
-    # only the --dmax cap's call exhausts its rows and exits 3
-    expected = cli.EXIT_EXHAUSTED if f"--dmax={cli.MAX_SEARCH_DMAX}" in argv else cli.EXIT_OK
+    # only a table search exhausts its rows and exits 3
+    expected = cli.EXIT_EXHAUSTED if argv[0] == "table" else cli.EXIT_OK
     assert code == expected
     assert payload.get("all_ok", True) == (expected == cli.EXIT_OK)
 
@@ -426,10 +431,9 @@ def test_caps_still_print(capsys, argv):
          "solve-form", "--bound must be <= 500"),
         (["table", "--mode=verify", "--dmax=101"], "table",
          "--dmax must be <= 100, the rows of the shipped table"),
-        (["table", "--mode=search", "--dmax=1", "--tmax=5", f"--bound={cli.MAX_TABLE_BOUND + 1}"],
-         "table", "--bound must be <= 1000000"),
-        (["table", "--mode=search", f"--dmax={cli.MAX_SEARCH_DMAX + 1}", "--tmax=1"], "table",
-         "--dmax must be <= 10000 in search mode"),
+        *((["table", "--mode=search", "--dmax=1", "--tmax=1", "--bound=1", f"{option}={cap + 1}"],
+           "table", "--dmax * (--tmax^2 + --bound + 300) must be <= 10000000 in search mode")
+          for option, cap in _SEARCH_CAPS.items()),
     ],
 )
 def test_out_of_range_options_are_stored_invalid_input(tmp_path, capsys, argv, command, message):
@@ -751,6 +755,44 @@ def test_unwritable_output_path_is_invalid_input_before_any_work(
     (line,) = capsys.readouterr().out.splitlines()
     assert json.loads(line) == {"error": "InvalidInput", "message": fill(message)}
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-identities", "--only=norm-lift", "--seed=3"], cli.EXIT_OK),
+        (["verify-identities", "--only=zzz"], cli.EXIT_INVALID),
+        (["construct", "thm2", "--a=-1", "--c=1", "--u=1", "--v=1", "--bound=30"], cli.EXIT_OK),
+        (["construct", "thm1", "--a=1", "--b=0", "--v=2"], cli.EXIT_INVALID),
+        (["solve-form", "1", "2", "3", "-5", "--bound=10"], cli.EXIT_OK),
+        (["solve-form", "0", "1", "2", "3"], cli.EXIT_INVALID),
+        # verify mode reads no --bound
+        (["table", "--mode=verify", "--dmax=2", "--bound=2000000"], cli.EXIT_OK),
+        (["table", "--mode=search", "--dmax=1", "--tmax=100000", "--bound=3"], cli.EXIT_INVALID),
+        (["question3", "--N=2", "--c=3"], cli.EXIT_OK),
+        (["question3", "--N=0"], cli.EXIT_INVALID),
+        (["scale-integers", "--a=-1", '--points=[{"p": "-2/5", "q": "1/5", "r": "3/5", "s": "-4/5"}]'],
+         cli.EXIT_OK),
+        (["scale-integers", "--points=[]"], cli.EXIT_INVALID),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else f"exit-{value}",
+)
+def test_the_ledger_stores_every_argument_of_the_call(tmp_path, capsys, argv, code):
+    ledger = tmp_path / "ledger.jsonl"
+    assert cli.main([*argv, "--store", str(ledger)]) == code
+    (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert record["outputs"] == json.loads(capsys.readouterr().out)
+    inputs = record["inputs"]
+    _, _, positionals, options = cli.COMMANDS[argv[0]]
+    assert set(inputs) == set(positionals) | {cli._dest(name) for name in options}
+    given = [word for word in argv[1:] if not word.startswith("--")]
+    assert [inputs[name] for name in positionals] == [
+        spec[0](word) for spec, word in zip(positionals.values(), given)
+    ]
+    for word in argv[1:]:
+        if word.startswith("--"):
+            name, _, value = word.partition("=")
+            assert inputs[cli._dest(name)] == options[name][0](value)
 
 
 def test_unwritable_out_is_stored_in_a_writable_ledger(tmp_path, capsys):
