@@ -12,9 +12,9 @@ from pathlib import Path
 
 import argparse_oracle
 import pytest
-from test_contract import _CAPS
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from test_contract import _CAPS
 
 from quinticpoints import cli, elliptic, poly, quadform, surfaces
 from quinticpoints.exact import MAX_ECHOED_VALUE, CertificateError, FactorizationExhausted, factor
