@@ -1,23 +1,24 @@
-"""Weierstrass curves y^2 = x^3 + a2 x^2 + a4 x + a6 over Q with exact
-arithmetic: the chord-tangent group law, torsion certification, integral
-rescaling, naive point search, and the specialization family
+"""The specialization family
 
     E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4
 
-behind the shipped 100-row table of nontorsion points.
+behind the shipped 100-row table of nontorsion points, over Q with exact
+arithmetic: its least integral model in closed form, the chord-tangent
+group law, torsion certification, naive point search, and the check of a
+table row.
 
-Each curve caches one integral model (``WeierstrassCurve.integral``): with u
-the least positive integer that makes every u^w a_w integral, (x, y) ->
-(u^2 x, u^3 y) gives the integer coefficients u^w a_w.  E_t, t = n/m, gets
-it in closed form (u = m^2, or m^2/5 when 5 | m); any other curve factors
-its denominators.  The discriminant, the on-curve test, the torsion
-certificate and the point search all run on it in Python ints, and a table
-row is checked straight from the ints of its CSV cells.  The certificate
-rests on Nagell-Lutz (Silverman-Tate, *Rational Points on Elliptic Curves*,
-II.4), which holds on any integral model: on y^2 = x^3 + A2 x^2 + A4 x + A6
-with integer coefficients a torsion point has integer coordinates, so when
-P and its first multiples are integral, a chord or tangent step from them
-whose slope is not an integer proves that P has infinite order.
+A curve is its integral model.  ``WeierstrassCurve(u, a2, a6)`` holds the
+ints of Y^2 = X^3 + a2 X^2 + a6, to which a point (x, y) of the curve over
+Q maps as (X, Y) = (u^2 x, u^3 y).  For t = n/m, ``integral_model`` gives
+E_t's in closed form: u = m^2, or m^2/5 when 5 | m.  Points keep their
+rational coordinates.  The on-curve test, the torsion certificate and the
+point search run on the model in Python ints, and a table row is checked
+straight from the ints of its CSV cells.  The certificate rests on
+Nagell-Lutz (Silverman-Tate, *Rational Points on Elliptic Curves*, II.4),
+which holds on any integral model: on Y^2 = X^3 + A2 X^2 + A6 with integer
+coefficients a torsion point has integer coordinates, so when P and its
+first multiples are integral, a chord or tangent step from them whose slope
+is not an integer proves that P has infinite order.
 
 The point search follows Stoll's *ratpoints*.  A few exact values of the
 monic cubic R(x) of the integral model skip a window where R < 0 throughout
@@ -33,19 +34,9 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .exact import (
-    FactorizationExhausted,
-    checked_make,
-    factor,
-    format_rational,
-    rational_square_root,
-)
-
-
-class SingularCurve(ArithmeticError):
-    """Zero discriminant: no group law."""
+from .exact import checked_make, format_rational, rational_square_root
 
 
 class PointNotOnCurve(ValueError):
@@ -56,45 +47,12 @@ class DegenerateSpecialization(ValueError):
     """t = 0 or c = f collapses the specialization family."""
 
 
-# weights of a2, a4, a6 under (x, y) -> (u^2 x, u^3 y)
-_WEIGHTS = (2, 4, 6)
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "u a2 a6")):
+    """The integral model Y^2 = X^3 + a2 X^2 + a6, in ints, of the curve
+    y^2 = x^3 + (a2/u^2) x^2 + a6/u^6, whose point (x, y) maps to (u^2 x,
+    u^3 y).  ``specialization_curve`` builds E_t's."""
 
-
-class WeierstrassCurve(namedtuple("WeierstrassCurve", "a2 a4 a6")):
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 over Q.  No ``__slots__``:
-    ``integral`` and ``discriminant`` are cached in the instance
-    ``__dict__``."""
-
-    def __new__(cls, a2, a4, a6):
-        # the specialization family passes Fractions, and Fraction(a) of one
-        # is slow
-        return super().__new__(
-            cls, *(a if isinstance(a, Fraction) else Fraction(a) for a in (a2, a4, a6))
-        )
-
-    _make = classmethod(checked_make)
-
-    @cached_property
-    def integral(self) -> tuple[int, int, int, int]:
-        """``integral_model(self)``, computed once per curve and cached in
-        the instance ``__dict__``."""
-        return integral_model(self)
-
-    @cached_property
-    def discriminant(self) -> Fraction:
-        """Computed once per curve and in integers: the discriminant has
-        weight 12, so it is the discriminant of the integral model, 16 times
-        that of its cubic x^3 + a x^2 + b x + c, divided by u^12."""
-        u, a, b, c = self.integral
-        disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-        return Fraction(16 * disc, u**12)
-
-    @property
-    def is_singular(self) -> bool:
-        return self.discriminant == 0
-
-    def __str__(self):
-        return f"y^2 = x^3 + {self.a2}*x^2 + {self.a4}*x + {self.a6}"
+    __slots__ = ()
 
 
 class CurvePoint(namedtuple("CurvePoint", "x y")):
@@ -133,17 +91,17 @@ def on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     ``_on_model`` on the integral model."""
     if point.is_identity:
         return True
-    u, a2, a4, a6 = curve.integral
+    u, a2, a6 = curve
     x, y = point.x, point.y
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    return _on_model(u * u * xn, xd, u**3 * yn, yd, a2, a4, a6)
+    return _on_model(u * u * xn, xd, u**3 * yn, yd, a2, a6)
 
 
-def _on_model(big_x: int, xd: int, big_y: int, yd: int, a2: int, a4: int, a6: int) -> bool:
+def _on_model(big_x: int, xd: int, big_y: int, yd: int, a2: int, a6: int) -> bool:
     """Whether (x, y) = (xn/xd, yn/yd) maps onto the integral model: with
     (X, Y) = (u^2 xn, u^3 yn), its equation times xd^3 yd^2 reads
-    Y^2 xd^3 = yd^2 (X^3 + A2 X^2 xd + A4 X xd^2 + A6 xd^3)."""
-    rhs = ((big_x + a2 * xd) * big_x + a4 * xd * xd) * big_x + a6 * xd**3
+    Y^2 xd^3 = yd^2 (X^3 + A2 X^2 xd + A6 xd^3)."""
+    rhs = (big_x + a2 * xd) * big_x * big_x + a6 * xd**3
     return big_y * big_y * xd**3 == yd * yd * rhs
 
 
@@ -152,8 +110,6 @@ def negate(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
 
 
 def _check(curve: WeierstrassCurve, *points: CurvePoint) -> None:
-    if curve.is_singular:
-        raise SingularCurve(str(curve))
     for pt in points:
         if not on_curve(curve, pt):
             raise PointNotOnCurve(str(pt))
@@ -172,13 +128,14 @@ def _add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     if q.is_identity:
         return p
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+    a2 = Fraction(curve.a2, curve.u**2)
     if x1 != x2:
         lam = (y2 - y1) / (x2 - x1)
     elif y2 == -y1:
         return IDENTITY
     else:
-        lam = ((3 * x1 + 2 * curve.a2) * x1 + curve.a4) / (2 * y1)
-    x3 = lam * lam - curve.a2 - x1 - x2
+        lam = (3 * x1 + 2 * a2) * x1 / (2 * y1)
+    x3 = lam * lam - a2 - x1 - x2
     return CurvePoint(x3, lam * (x1 - x3) - y1)
 
 
@@ -203,12 +160,12 @@ MAZUR_BOUND = 12  # largest order of a rational torsion point (Mazur 1977)
 def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     """True when P has infinite order, False when nP = O for some n <= 12.
 
-    The work is in ints, on the cached ``integral`` model y^2 = x^3 + a x^2
-    + b x + c, to which P maps as (u^2 x, u^3 y).  By Nagell-Lutz a torsion
-    point has integer coordinates on this model, so a P whose image is not
-    integral has infinite order.  Otherwise kP = (k-1)P + P is built for
-    k = 2..12 from integral points, and x(kP) = lam^2 - a - x((k-1)P) -
-    x(P) is an integer iff the slope lam is: the first slope that is not an
+    The work is in ints, on the integral model Y^2 = X^3 + a2 X^2 + a6 that
+    the curve is, to which P maps as (u^2 x, u^3 y).  By Nagell-Lutz a
+    torsion point has integer coordinates on this model, so a P whose image
+    is not integral has infinite order.  Otherwise kP = (k-1)P + P is built
+    for k = 2..12 from integral points, and X(kP) = lam^2 - a2 - X((k-1)P)
+    - X(P) is an integer iff the slope lam is: the first slope that is not an
     integer proves infinite order, and a vertical chord means kP = O.  By
     Mazur's theorem a rational torsion point has order at most 12, so twelve
     multiples other than O certify infinite order.
@@ -216,15 +173,16 @@ def is_nontorsion(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     _check(curve, point)
     if point.is_identity:
         return False
-    u, a, b, _ = curve.integral
+    u, a2, _ = curve
     x, y = point.x, point.y
-    return _nontorsion(u * u * x.numerator, x.denominator, u**3 * y.numerator, y.denominator, a, b)
+    return _nontorsion(u * u * x.numerator, x.denominator, u**3 * y.numerator, y.denominator, a2)
 
 
-def _nontorsion(x_num: int, x_den: int, y_num: int, y_den: int, a: int, b: int) -> bool:
+def _nontorsion(x_num: int, x_den: int, y_num: int, y_den: int, a2: int) -> bool:
     """``is_nontorsion`` for the image (x_num/x_den, y_num/y_den) of a point
-    known to lie on the nonsingular model y^2 = x^3 + a x^2 + b x + c."""
-    if x_num % x_den or y_num % y_den:
+    known to lie on the model Y^2 = X^3 + a2 X^2 + a6.  Only X is tested:
+    an integral X makes Y^2 an integer, so Y is integral too."""
+    if x_num % x_den:
         return True
     x1, y1 = x_num // x_den, y_num // y_den
     xk, yk = x1, y1
@@ -232,46 +190,19 @@ def _nontorsion(x_num: int, x_den: int, y_num: int, y_den: int, a: int, b: int) 
         if xk == x1:
             if yk == -y1:
                 return False
-            num, den = (3 * x1 + 2 * a) * x1 + b, 2 * y1
+            num, den = (3 * x1 + 2 * a2) * x1, 2 * y1
         else:
             num, den = yk - y1, xk - x1
         if num % den:
             return True
         lam = num // den
-        xk = lam * lam - a - xk - x1
+        xk = lam * lam - a2 - xk - x1
         yk = lam * (x1 - xk) - y1
     return True
 
 
 # ---------------------------------------------------------------------------
-# integral model and naive search
-
-def integral_model(curve: WeierstrassCurve) -> tuple[int, int, int, int]:
-    """(u, A2, A4, A6) in ints: u is the least positive integer for
-    which every A_w = u^w a_w is integral, and the A_w are the coefficients
-    of the model that (x, y) -> (u^2 x, u^3 y) maps the curve to.  A prime
-    p enters u to the power max over w of ceil(v_p(den a_w) / w), so only
-    the lcm of the denominators is factored.  When ``factor`` cannot split
-    that lcm, u is the lcm itself: integral but not minimal, which is all
-    Nagell-Lutz needs.  Only curves that ``specialization_curve`` did not
-    build come here: E_t caches ``_specialization_model``'s."""
-    dens = [(a.denominator, w) for a, w in zip(curve, _WEIGHTS) if a.denominator > 1]
-    lcm = math.lcm(*(d for d, _ in dens))
-    u = 1
-    try:
-        primes = factor(lcm)
-    except FactorizationExhausted:
-        primes, u = {}, lcm
-    for p in primes:
-        k = 0
-        for d, w in dens:
-            v = 0
-            while d % p == 0:
-                d, v = d // p, v + 1
-            k = max(k, -(-v // w))
-        u *= p**k
-    return (u, *(a.numerator * u**w // a.denominator for a, w in zip(curve, _WEIGHTS)))
-
+# naive search
 
 # odd primes below 200, smallest first: most curves of the specialization
 # family have no survivor left after about ten of them
@@ -351,11 +282,11 @@ def _set_bits(mask: int, start: int):
 
 
 def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
-    """Enumerate the integers |X| <= bound on the cached integral model
-    (ascending), test for a rational Y, and map hits back as (X/u^2, Y/u^3).
-    Output order is deterministic, +Y before -Y.
+    """Enumerate the integers |X| <= bound on the integral model that the
+    curve is (ascending), test for a rational Y, and map hits back as
+    (X/u^2, Y/u^3).  Output order is deterministic, +Y before -Y.
 
-    Y^2 = R(X) = X^3 + A2 X^2 + A4 X + A6 has a rational Y iff the integer
+    Y^2 = R(X) = X^3 + A2 X^2 + A6 has a rational Y iff the integer
     R(X) is a square.  As ratpoints does, the search first looks at the
     real locus: when ``_negative_throughout`` finds R < 0 at every X of the
     window, no X can carry a point and the list is empty without a sieve.
@@ -364,14 +295,12 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if curve.is_singular:
-        raise SingularCurve(str(curve))
-    u, a2, a4, a6 = curve.integral
+    u, a2, a6 = curve
     found: list[CurvePoint] = []
-    if _negative_throughout(-bound, bound, a2, a4, a6):
+    if _negative_throughout(-bound, bound, a2, 0, a6):
         return found
-    for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, a2, a4, a6), -bound):
-        root = rational_square_root(((m + a2) * m + a4) * m + a6)
+    for m in _set_bits(_square_sieve(-bound, 2 * bound + 1, a2, 0, a6), -bound):
+        root = rational_square_root((m + a2) * m * m + a6)
         if root is None:
             continue
         x = Fraction(m, u * u)
@@ -383,10 +312,11 @@ def search_points(curve: WeierstrassCurve, bound: int) -> list[CurvePoint]:
 # ---------------------------------------------------------------------------
 # the specialization family and the shipped table
 
-def _specialization_model(d: int, n: int, m: int) -> tuple[int, int, int]:
-    """(u, A2, A6) of the least integral model of E_t (A4 = 0), D = c - f and
-    t = n/m in lowest terms, m > 0: a2 = -25 n^4 / m^4 has denominator m^4 /
-    r^2, r = 5 if 5 | m else 1, so u = m^2 / r; u^6 a6 is integral there."""
+def integral_model(d: int, n: int, m: int) -> tuple[int, int, int]:
+    """(u, A2, A6) of the least integral model Y^2 = X^3 + A2 X^2 + A6 of
+    E_t, D = c - f and t = n/m in lowest terms, m > 0: a2 = -25 n^4 / m^4
+    has denominator m^4 / r^2, r = 5 if 5 | m else 1, so u = m^2 / r; u^6
+    a6 is integral there."""
     if d == 0 or n == 0:
         raise DegenerateSpecialization("need c != f and t != 0")
     n4, r = n**4, 5 if m % 5 == 0 else 1
@@ -394,14 +324,11 @@ def _specialization_model(d: int, n: int, m: int) -> tuple[int, int, int]:
 
 
 def specialization_curve(c: int, f: int, t: Fraction) -> WeierstrassCurve:
-    """E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4, its integral model
-    cached from ``_specialization_model``."""
+    """E_t : Y^2 = X^3 - 25 t^4 X^2 - 2500 (c-f)^2 t^4 as the least integral
+    model that ``integral_model`` gives in closed form."""
     if not isinstance(t, Fraction):
         t = Fraction(t)
-    u, a2, a6 = _specialization_model(c - f, t.numerator, t.denominator)
-    curve = WeierstrassCurve(Fraction(a2, u * u), 0, Fraction(a6, u**6))
-    curve.__dict__["integral"] = (u, a2, 0, a6)  # known already: never factor
-    return curve
+    return WeierstrassCurve(*integral_model(c - f, t.numerator, t.denominator))
 
 
 def _table_cell(text: str) -> tuple[int, int]:
@@ -452,15 +379,15 @@ def verify_row(line: str) -> dict:
     """The JSON report of one table line "D,t,X,Y": whether the point lies on
     E_t and, if so, whether it has infinite order; status "ok" when both
     hold.  D = 0 or t = 0 raises DegenerateSpecialization.  One pass in ints:
-    ``_on_model`` and ``is_nontorsion``'s loop on ``_specialization_model``,
-    with no ``_check``, as E_t is nonsingular (see ``conjecture2_search``)."""
+    ``_on_model``, then ``is_nontorsion``'s loop on the point it admitted,
+    both on the ints of ``integral_model``."""
     d, t, x, y = line.split(",")
     d = int(d)
     (n, m), (xn, xd), (yn, yd) = _table_cell(t), _table_cell(x), _table_cell(y)
-    u, a2, a6 = _specialization_model(d, n, m)
+    u, a2, a6 = integral_model(d, n, m)
     big_x, big_y = u * u * xn, u**3 * yn
-    member = _on_model(big_x, xd, big_y, yd, a2, 0, a6)
-    nontor = member and _nontorsion(big_x, xd, big_y, yd, a2, 0)
+    member = _on_model(big_x, xd, big_y, yd, a2, a6)
+    nontor = member and _nontorsion(big_x, xd, big_y, yd, a2)
     return {
         "D": d,
         "t": str(n) if m == 1 else f"{n}/{m}",
@@ -497,9 +424,9 @@ def _no_real_point(c: int, f: int, n: int, m: int, bound: int) -> bool:
     >= N2 and |A6| >= D2^3 |a6|, and for X <= B, R(X) = X^2 (X + A2) + A6 <=
     max(0, B^2 (B - N2)) - D2^3 |a6|.  So R < 0 throughout when B <= N2 or
     B^2 (B - N2) < D2^3 |a6|.  With g = gcd(25, m^4), N2 = 25 n^4 / g and
-    D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.  The model E_t caches has u^2 =
-    D2 (``_specialization_model``), so on it both bounds are equalities and
-    the answer is that of ``_negative_throughout``."""
+    D2^3 |a6| = 2500 (c-f)^2 n^4 m^8 / g^3.  The model of ``integral_model``
+    has u^2 = D2, so on it both bounds are equalities and the answer is that
+    of ``_negative_throughout``."""
     n4, m4 = n**4, m**4
     g = math.gcd(25, m4)
     n2 = 25 * n4 // g

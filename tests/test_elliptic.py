@@ -11,11 +11,9 @@ from quinticpoints.elliptic import (
     CurvePoint,
     DegenerateSpecialization,
     PointNotOnCurve,
-    SingularCurve,
     WeierstrassCurve,
     _negative_throughout,
     _no_real_point,
-    _specialization_model,
     _square_sieve,
     _table_cell,
     add,
@@ -42,15 +40,31 @@ D1_POINT = CurvePoint(1, Fraction(403, 405))
 
 
 def rhs(curve, x):
-    """The right side x^3 + a2 x^2 + a4 x + a6 of the curve's equation."""
-    return ((x + curve.a2) * x + curve.a4) * x + curve.a6
+    """The right side x^3 + (a2/u^2) x^2 + a6/u^6 of the curve's equation
+    over Q."""
+    u, a2, a6 = curve
+    return (x + Fraction(a2, u * u)) * x * x + Fraction(a6, u**6)
+
+
+def _discriminant(curve):
+    """-16 a6 (4 a2^3 + 27 a6): the discriminant of the model Y^2 = X^3 +
+    a2 X^2 + a6, which is 0 exactly when the curve is singular."""
+    _, a2, a6 = curve
+    return -16 * a6 * (4 * a2**3 + 27 * a6)
+
+
+def _scales_to_ints(d, t, u):
+    """Whether u^2 a2 and u^6 a6 of E_t, a2 = -25 t^4 and a6 = -2500 D^2
+    t^4, are both integers."""
+    a2, a6 = -25 * t**4, -2500 * d * d * t**4
+    return (u * u * a2).denominator == 1 and (u**6 * a6).denominator == 1
 
 
 class TestCurveBasics:
     def test_d1_spot_row(self):
+        # a2 = -16/405^2 and a6 = -1600/405^2 on the model with u = 405;
         # both sides must equal 162409/164025 exactly
-        assert D1_CURVE.a2 == Fraction(-16, 164025)
-        assert D1_CURVE.a6 == Fraction(-1600, 164025)
+        assert D1_CURVE == (405, -16, -1600 * 405**4)
         assert on_curve(D1_CURVE, D1_POINT)
         assert D1_POINT.y ** 2 == Fraction(162409, 164025)
         assert rhs(D1_CURVE, D1_POINT.x) == Fraction(162409, 164025)
@@ -59,7 +73,7 @@ class TestCurveBasics:
         assert on_curve(D1_CURVE, IDENTITY)
 
     def test_not_on_curve(self):
-        c = WeierstrassCurve(0, 0, -1)
+        c = WeierstrassCurve(1, 0, -1)
         assert not on_curve(c, CurvePoint(0, 0))
 
     @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6), nonzero_ts)
@@ -68,9 +82,9 @@ class TestCurveBasics:
     @example(5, 2, Fraction(-3, 7))
     @settings(max_examples=200, deadline=None)
     def test_discriminant_never_zero_in_family(self, c, f, t):
-        # so conjecture2_search needs no singular branch
+        # so nothing in elliptic needs a singular branch
         assume(c != f)
-        assert not specialization_curve(c, f, t).is_singular
+        assert _discriminant(specialization_curve(c, f, t)) != 0
 
 
 class TestGroupLaw:
@@ -97,15 +111,10 @@ class TestGroupLaw:
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=30, deadline=None)
     def test_mul_additive(self, m, n):
-        curve = WeierstrassCurve(0, 0, 1)  # y^2 = x^3 + 1
+        curve = WeierstrassCurve(1, 0, 1)  # y^2 = x^3 + 1
         p = CurvePoint(2, 3)
         assert on_curve(curve, p)
         assert mul(curve, m + n, p) == add(curve, mul(curve, m, p), mul(curve, n, p))
-
-    def test_singular_rejected(self):
-        nodal = WeierstrassCurve(0, 0, 0)
-        with pytest.raises(SingularCurve):
-            add(nodal, CurvePoint(1, 1), CurvePoint(1, 1))
 
     def test_off_curve_rejected(self):
         with pytest.raises(PointNotOnCurve):
@@ -116,8 +125,6 @@ class TestGroupLaw:
         for n in (0, -2, 3):
             with pytest.raises(PointNotOnCurve):
                 mul(D1_CURVE, n, CurvePoint(0, 0))
-        with pytest.raises(SingularCurve):
-            mul(WeierstrassCurve(0, 0, 0), 0, CurvePoint(1, 1))
 
     def test_mul_negative(self):
         assert mul(D1_CURVE, -3, D1_POINT) == negate(D1_CURVE, mul(D1_CURVE, 3, D1_POINT))
@@ -128,9 +135,9 @@ class TestNontorsion:
         assert is_nontorsion(D1_CURVE, D1_POINT)
 
     def test_two_torsion_detected(self):
-        curve = WeierstrassCurve(0, 1, 0)  # y^2 = x^3 + x
-        assert mul(curve, 2, CurvePoint(0, 0)).is_identity
-        assert not is_nontorsion(curve, CurvePoint(0, 0))
+        curve = specialization_curve(5, 0, Fraction(1))  # y^2 = x^3 - 25x^2 - 62500
+        assert mul(curve, 2, CurvePoint(50, 0)).is_identity
+        assert not is_nontorsion(curve, CurvePoint(50, 0))
 
     def test_d89_row(self):
         curve = specialization_curve(89, 0, Fraction(1))
@@ -142,16 +149,17 @@ class TestNontorsion:
     @pytest.mark.parametrize(
         "curve, point, order",
         [
-            (WeierstrassCurve(0, 0, 1), CurvePoint(2, 3), 6),  # y^2 = x^3 + 1
-            (WeierstrassCurve(0, 0, 1), CurvePoint(0, 1), 3),
-            (WeierstrassCurve(0, 0, 1), CurvePoint(-1, 0), 2),
-            (WeierstrassCurve(0, 4, 0), CurvePoint(2, 4), 4),  # y^2 = x^3 + 4x
-            # (2, 3) scaled to y^2 = x^3 + 1/64: integral only after clearing denominators
-            (WeierstrassCurve(0, 0, Fraction(1, 64)), CurvePoint(Fraction(1, 2), Fraction(3, 8)), 6),
+            (WeierstrassCurve(1, 0, 1), CurvePoint(2, 3), 6),  # y^2 = x^3 + 1
+            (WeierstrassCurve(1, 0, 1), CurvePoint(0, 1), 3),
+            (WeierstrassCurve(1, 0, 1), CurvePoint(-1, 0), 2),
+            (WeierstrassCurve(1, -1, 12), CurvePoint(2, 4), 4),  # y^2 = x^3 - x^2 + 12
+            # (2, 3) scaled to y^2 = x^3 + 1/64: integral only on the model (u = 2)
+            (WeierstrassCurve(2, 0, 1), CurvePoint(Fraction(1, 2), Fraction(3, 8)), 6),
             # y^2 + y = x^3 - x^2 with the square completed: (0, 0) there is
-            # (0, 1/2) on y^2 = x^3 - x^2 + 1/4, whose integral model (u = 2)
-            # holds its image (0, 4); no integrality exit, the loop alone decides
-            (WeierstrassCurve(-1, 0, Fraction(1, 4)), CurvePoint(0, Fraction(1, 2)), 5),
+            # (0, 1/2) on y^2 = x^3 - x^2 + 1/4, whose model Y^2 = X^3 - 4X^2 +
+            # 16 (u = 2) holds its image (0, 4); no integrality exit, the loop
+            # alone decides
+            (WeierstrassCurve(2, -4, 16), CurvePoint(0, Fraction(1, 2)), 5),
         ],
     )
     def test_torsion_points_detected(self, curve, point, order):
@@ -160,14 +168,12 @@ class TestNontorsion:
         assert not is_nontorsion(curve, point)
 
     def test_integral_point_of_infinite_order(self):
-        curve = WeierstrassCurve(0, 0, -2)  # y^2 = x^3 - 2
+        curve = WeierstrassCurve(1, 0, -2)  # y^2 = x^3 - 2
         assert is_nontorsion(curve, CurvePoint(3, 5))
 
     def test_checks_at_entry(self):
         with pytest.raises(PointNotOnCurve):
             is_nontorsion(D1_CURVE, CurvePoint(0, 0))
-        with pytest.raises(SingularCurve):
-            is_nontorsion(WeierstrassCurve(0, 0, 0), CurvePoint(1, 1))
 
     def test_agrees_with_sixteen_multiples_on_every_row(self):
         def reference(curve, point):
@@ -185,30 +191,33 @@ class TestNontorsion:
 
 class TestIntegralModel:
     def test_round_trip_d1(self):
-        # a2 = -16/405^2 needs u = 405; the lcm of the denominators is 405^2
-        u, *ints = integral_model(D1_CURVE)
+        # t = 2/45: a2 = -16/405^2 needs u = 405 = 45^2 / 5, as 5 | 45
+        u, *ints = integral_model(1, 2, 45)
         assert u == 405
         image = CurvePoint(u * u * D1_POINT.x, u**3 * D1_POINT.y)
-        assert on_curve(WeierstrassCurve(*ints), image)
-        assert D1_CURVE.integral == (u, *ints)
+        assert on_curve(WeierstrassCurve(1, *ints), image)
+        assert D1_CURVE == (u, *ints)
 
     def test_already_integral(self):
-        c = WeierstrassCurve(-2, -4, 6)
-        assert integral_model(c) == (1, -2, -4, 6)
-
-    def test_quarter_coefficient(self):
-        c = WeierstrassCurve(0, Fraction(-1, 4), 0)
-        assert integral_model(c) == (2, 0, -4, 0)
-
-    def test_unsplittable_denominator_scales_by_the_lcm(self):
-        pq = 10000000000000000051 * 10000000000000000087  # the primes after 10^19
-        c = WeierstrassCurve(0, 0, Fraction(1, pq**2))
-        assert c.discriminant == Fraction(-432, pq**4)  # -16 * 27 * a6^2
-        assert c.integral == (pq**2, 0, 0, pq**10)
+        # an integer t needs no rescaling: a2 = -25 t^4, a6 = -2500 D^2 t^4
+        assert integral_model(3, 2, 1) == (1, -400, -360000)
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-short_curves = st.builds(WeierstrassCurve, small_rationals, small_rationals, small_rationals)
+
+
+@st.composite
+def short_curves(draw):
+    """WeierstrassCurve(u, a2, a6) with u = 1..4: the curve y^2 = x^3 +
+    (a2/u^2) x^2 + a6/u^6.  Half the draws pass through an integral point
+    of the model with |X| <= 12, so that a search at bound 12 finds it."""
+    u, a2 = draw(st.integers(1, 4)), draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        x, y = draw(st.integers(-12, 12)), draw(st.integers(0, 60))
+        a6 = y * y - (x + a2) * x * x
+    else:
+        a6 = draw(st.integers(-500, 500))
+    return WeierstrassCurve(u, a2, a6)
 
 
 def _on_curve_reference(curve, point):
@@ -216,8 +225,10 @@ def _on_curve_reference(curve, point):
 
 
 def _long(curve):
-    """The curve's coefficients (a1, a2, a3, a4, a6) in the long form of ``oracle``."""
-    return 0, curve.a2, 0, curve.a4, curve.a6
+    """The coefficients (a1, a2, a3, a4, a6) of the curve over Q in the long
+    form of ``oracle``."""
+    u, a2, a6 = curve
+    return 0, Fraction(a2, u * u), 0, 0, Fraction(a6, u**6)
 
 
 def _pair(point):
@@ -231,46 +242,47 @@ def _nontorsion_reference(curve, point):
 
 
 class TestIntegerArithmetic:
-    """The integer on-curve test, torsion certificate and discriminant
-    against the Fraction formulas they replace."""
+    """The integer on-curve test and torsion certificate against the
+    Fraction formulas they replace, and the model ints of E_t and the
+    discriminant the tests use against the rational curve."""
 
-    @given(short_curves)
+    @given(st.integers(-50, 50), st.integers(-50, 50), nonzero_ts)
     @settings(max_examples=100, deadline=None)
-    def test_integral_model_is_ints(self, curve):
-        u, *ints = curve.integral
-        assert all(type(v) is int for v in (u, *ints))
-        assert ints == [u**w * a for a, w in zip(curve, (2, 4, 6))]
-        # minimal: dividing u by any of its primes leaves some u^w a_w non-integral
-        for p in factor(u):
-            assert any((u // p) ** w * a % 1 for a, w in zip(curve, (2, 4, 6)))
+    def test_integral_model_is_ints(self, c, f, t):
+        assume(c != f)
+        curve = specialization_curve(c, f, t)
+        assert all(type(v) is int for v in curve)
+        u, a2, a6 = curve
+        assert Fraction(a2, u * u) == -25 * t**4
+        assert Fraction(a6, u**6) == -2500 * (c - f) ** 2 * t**4
 
-    @given(short_curves)
+    @given(short_curves())
     @settings(max_examples=100, deadline=None)
     def test_discriminant_matches_fraction_formula(self, curve):
-        # the long-form b-invariants at a1 = a3 = 0
-        a2, a4, a6 = curve
-        b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
-        assert curve.discriminant == -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        # the long-form b-invariants of the curve over Q at a1 = a3 = a4 = 0;
+        # the discriminant has weight 12
+        u, a2, a6 = curve
+        a2, a6 = Fraction(a2, u * u), Fraction(a6, u**6)
+        b2, b6, b8 = 4 * a2, 4 * a6, 4 * a2 * a6
+        assert _discriminant(curve) == u**12 * (-b2 * b2 * b8 - 27 * b6 * b6)
 
-    @given(short_curves, small_rationals, small_rationals)
+    @given(short_curves(), small_rationals, small_rationals)
     @settings(max_examples=100, deadline=None)
     def test_on_curve_matches_fraction_equation(self, curve, x, y):
         point = CurvePoint(x, y)
         assert on_curve(curve, point) == _on_curve_reference(curve, point)
 
-    @given(short_curves)
+    @given(short_curves())
     # y^2 = x^3 + 1: torsion of order 2, 3 and 6
-    @example(WeierstrassCurve(0, 0, 1))
+    @example(WeierstrassCurve(1, 0, 1))
     # y^2 = x^3 + 1/64: the same torsion, integral only on the scaled model
-    @example(WeierstrassCurve(0, 0, Fraction(1, 64)))
+    @example(WeierstrassCurve(2, 0, 1))
     # y^2 + y/8 = x^3 - x^2/4 (y^2 + y = x^3 - x^2 scaled by u = 2) with the
-    # square completed: 5-torsion such as (1/4, 1/16)
-    @example(WeierstrassCurve(Fraction(-1, 4), 0, Fraction(1, 256)))
-    # y^2 + xy = x^3 - x^2 - 1/4 x with the square completed: rational a2, a4
-    @example(WeierstrassCurve(Fraction(-3, 4), Fraction(-1, 4), 0))
+    # square completed, y^2 = x^3 - x^2/4 + 1/256: 5-torsion such as (1/4, 1/16)
+    @example(WeierstrassCurve(4, -4, 16))
     @settings(max_examples=100, deadline=None)
     def test_searched_points_match_references(self, curve):
-        assume(not curve.is_singular)
+        assume(_discriminant(curve) != 0)
         for point in search_points(curve, 12):
             assert on_curve(curve, point) and _on_curve_reference(curve, point)
             assert is_nontorsion(curve, point) == _nontorsion_reference(curve, point), point
@@ -278,28 +290,28 @@ class TestIntegerArithmetic:
             assert on_curve(curve, moved) == _on_curve_reference(curve, moved)
 
     def test_examples_include_torsion(self):
-        curve = WeierstrassCurve(0, 0, Fraction(1, 64))
+        curve = WeierstrassCurve(2, 0, 1)  # y^2 = x^3 + 1/64
         points = search_points(curve, 12)
         assert sum(not is_nontorsion(curve, p) for p in points) == 5  # 2 of order 6, 2 of 3, 1 of 2
 
 
 class TestLongFormReference:
     """The short group law against the long-form one in ``oracle``, run at
-    (a1, a2, a3, a4, a6) = (0, a2, 0, a4, a6)."""
+    (a1, a2, a3, a4, a6) = (0, a2/u^2, 0, 0, a6/u^6)."""
 
-    @given(short_curves)
+    @given(short_curves())
     # y^2 = x^3 - x^2 + 1/4 (y^2 + y = x^3 - x^2, square completed): 5-torsion
     # (0, 1/2) and (1, 1/2), where the tangent slope needs the a2 term
-    @example(WeierstrassCurve(-1, 0, Fraction(1, 4)))
+    @example(WeierstrassCurve(2, -4, 16))
     # y^2 = x^3 + 1: torsion of order 2, 3 and 6
-    @example(WeierstrassCurve(0, 0, 1))
-    # y^2 = x^3 - 3/4 x^2 - 1/4 x: three points of order 2, rational a2, a4
-    @example(WeierstrassCurve(Fraction(-3, 4), Fraction(-1, 4), 0))
-    # y^2 = x^3 + 2x^2 - 3x + 1: (0, 1) and (1, 1) have infinite order
-    @example(WeierstrassCurve(2, -3, 1))
+    @example(WeierstrassCurve(1, 0, 1))
+    # y^2 = x^3 - 7x^2 + 36 = (x + 2)(x - 3)(x - 6): three points of order 2
+    @example(WeierstrassCurve(1, -7, 36))
+    # y^2 = x^3 + 2x^2 + 1: (0, 1) and (-2, 1) have infinite order
+    @example(WeierstrassCurve(1, 2, 1))
     @settings(max_examples=100, deadline=None)
     def test_group_law_matches_long_form(self, curve):
-        assume(not curve.is_singular)
+        assume(_discriminant(curve) != 0)
         a = _long(curve)
         points = [IDENTITY, *search_points(curve, 12)[:6]]
         for p in points:
@@ -321,27 +333,25 @@ class TestSearch:
         assert D1_POINT in pts
 
     def test_empty_is_legal(self):
-        c = WeierstrassCurve(0, 0, 7)
+        c = WeierstrassCurve(1, 0, 7)
         assert search_points(c, 3) == []
 
     def test_soundness_and_determinism(self):
-        c = WeierstrassCurve(0, 0, 1)
+        c = WeierstrassCurve(1, 0, 1)
         run1 = search_points(c, 30)
         run2 = search_points(c, 30)
         assert run1 == run2 and run1
         assert all(on_curve(c, p) for p in run1)
 
-    @given(
-        st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 120),
-    )
+    @given(st.integers(1, 3), st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 120))
     # the window has 233 X: a multiple of no sieve prime
-    @example(a2=0, a4=-2, a6=1, bound=116)
-    # y^2 = x^3 - x: three points with y = 0
-    @example(a2=0, a4=-1, a6=0, bound=1)
+    @example(u=1, a2=0, a6=1, bound=116)
+    # y^2 = x^3 - 7x^2 + 36: three points with y = 0
+    @example(u=1, a2=-7, a6=36, bound=6)
     @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force_on_short_curves(self, a2, a4, a6, bound):
-        curve = WeierstrassCurve(a2, a4, a6)
-        assume(not curve.is_singular)
+    def test_matches_brute_force_on_short_curves(self, u, a2, a6, bound):
+        curve = WeierstrassCurve(u, a2, a6)
+        assume(_discriminant(curve) != 0)
         assert search_points(curve, bound) == _search_reference(curve, bound)
 
     def test_bound_below_one_is_rejected(self):
@@ -353,12 +363,12 @@ class TestSearch:
 
 def _search_reference(curve, bound):
     """Every integer X with |X| <= bound on the integral model, no sieve:
-    Y^2 = X^3 + A2 X^2 + A4 X + A6 is tested with math.isqrt, and (X, Y)
-    maps back to (X/u^2, Y/u^3)."""
-    u, a2, a4, a6 = curve.integral
+    Y^2 = X^3 + A2 X^2 + A6 is tested with math.isqrt, and (X, Y) maps back
+    to (X/u^2, Y/u^3)."""
+    u, a2, a6 = curve
     found = []
     for x in range(-bound, bound + 1):
-        value = ((x + a2) * x + a4) * x + a6
+        value = (x + a2) * x * x + a6
         if value < 0 or math.isqrt(value) ** 2 != value:
             continue
         root = math.isqrt(value)
@@ -442,7 +452,7 @@ class TestRealLocus:
         monkeypatch.setattr(elliptic, "_square_sieve", no_sieve)
         # X^3 - 25 X^2 - 2500 is negative for every X <= 25
         assert search_points(specialization_curve(1, 0, Fraction(1)), 25) == []
-        assert search_points(WeierstrassCurve(0, 0, -1000), 9) == []
+        assert search_points(WeierstrassCurve(1, 0, -1000), 9) == []
         # at X = 29 the right side is positive, so that window is sieved
         with pytest.raises(AssertionError, match="sieved"):
             search_points(specialization_curve(1, 0, Fraction(1)), 40)
@@ -493,7 +503,7 @@ def _first_real_x(curve):
     """The least X >= 1 at which X^3 + A2 X^2 + A6 >= 0 on the integral model
     of E_t, by bisection: the window |X| <= bound has a real point iff bound
     reaches it."""
-    _, a2, _, a6 = curve.integral
+    _, a2, a6 = curve
     lo, hi = 1, 1
     while hi * hi * (hi + a2) + a6 < 0:
         lo, hi = hi, 2 * hi
@@ -539,9 +549,9 @@ class TestScreenT:
         # screen is exact; soundness, skip => no real point, is the half
         # the search needs
         c, f, t, bound = case
-        _, a2, a4, a6 = specialization_curve(c, f, t).integral
+        _, a2, a6 = specialization_curve(c, f, t)
         screened = _no_real_point(c, f, t.numerator, t.denominator, bound)
-        assert screened == _negative_throughout(-bound, bound, a2, a4, a6)
+        assert screened == _negative_throughout(-bound, bound, a2, 0, a6)
 
     @staticmethod
     def _count_curves(monkeypatch):
@@ -672,16 +682,21 @@ def _cell_reference(text):
     return Fraction(int(num), int(den or 1))
 
 
+def _family_long(d, t):
+    """E_t over Q, a2 = -25 t^4 and a6 = -2500 D^2 t^4, as (a1, a2, a3, a4,
+    a6) in the long form of ``oracle``."""
+    return 0, -25 * t**4, 0, 0, -2500 * d * d * t**4
+
+
 def _verify_reference(line):
-    """``verify_row``'s report by the Fraction path: a fresh E_t whose
-    integral model ``integral_model`` finds by factoring, then ``on_curve``
-    and the checked ``is_nontorsion``."""
+    """``verify_row``'s report by the Fraction path of ``oracle``: the
+    point's cells as Fractions on E_t over Q, tested by ``long_on_curve``
+    and, when on it, ``long_is_nontorsion``."""
     d, t, x, y = line.split(",")
     d, t = int(d), _cell_reference(t)
-    curve = WeierstrassCurve(*specialization_curve(d, 0, t))  # no cached model
-    point = CurvePoint(_cell_reference(x), _cell_reference(y))
-    member = on_curve(curve, point)
-    nontor = member and is_nontorsion(curve, point)
+    a, point = _family_long(d, t), (_cell_reference(x), _cell_reference(y))
+    member = long_on_curve(a, point)
+    nontor = member and long_is_nontorsion(a, point)
     return {
         "D": d, "t": format_rational(t), "on_curve": member, "nontorsion": nontor,
         "status": "ok" if nontor else "FAIL",
@@ -745,10 +760,15 @@ class TestIntVerify:
         m = 5 * m if five and m <= 200 else m
         assume(c != f and math.gcd(n, m) == 1)
         t = Fraction(n, m)
-        u, a2, a6 = _specialization_model(c - f, n, m)
-        expected = integral_model(specialization_curve(c, f, t))
-        assert (u, a2, 0, a6) == expected
-        assert specialization_curve(c, f, t).integral == expected
+        u, a2, a6 = integral_model(c - f, n, m)
+        assert specialization_curve(c, f, t) == (u, a2, a6)
+        assert Fraction(a2, u * u) == -25 * t**4
+        assert Fraction(a6, u**6) == -2500 * (c - f) ** 2 * t**4
+        # least: u^2 a2 and u^6 a6 are integers, and for no prime p of u
+        # are (u/p)^2 a2 and (u/p)^6 a6
+        assert _scales_to_ints(c - f, t, u)
+        for p in factor(u):
+            assert not _scales_to_ints(c - f, t, u // p)
 
     @given(table_lines_drawn())
     @example("1,4/90,1,403/405")
@@ -759,6 +779,43 @@ class TestIntVerify:
     @settings(max_examples=300, deadline=None)
     def test_report_matches_the_fraction_path(self, line):
         assert verify_row(line) == _verify_reference(line)
+
+
+@st.composite
+def family_points(draw):
+    """(D, t, P) with P on E_t: a shipped row, a multiple kP of one built by
+    ``oracle``, or a 2-torsion point of TORSION; t possibly negated."""
+    kind = draw(st.sampled_from(["shipped", "multiple", "torsion"]))
+    if kind == "torsion":
+        d, t, x = draw(st.sampled_from(TORSION))
+        t, point = Fraction(t), CurvePoint(x, 0)
+    else:
+        d, t, point = draw(st.sampled_from(load_table()))
+        if kind == "multiple":
+            point = CurvePoint(*long_mul(_family_long(d, t), draw(st.integers(2, 3)), _pair(point)))
+    return d, draw(st.sampled_from([t, -t])), point
+
+
+class TestFamilyAgainstOracle:
+    """add, mul, on_curve and is_nontorsion on points of E_t, which the
+    program builds as model ints, against the long-form group law of
+    ``oracle`` on E_t's rational coefficients."""
+
+    @given(family_points(), st.integers(-3, 3))
+    @example((5, Fraction(1), CurvePoint(50, 0)), 2)
+    @example((1, Fraction(2, 45), D1_POINT), 3)
+    @settings(max_examples=100, deadline=None)
+    def test_group_law_matches_long_form(self, case, n):
+        d, t, p = case
+        curve, a = specialization_curve(d, 0, t), _family_long(d, t)
+        assert on_curve(curve, p) and long_on_curve(a, _pair(p))
+        moved = CurvePoint(p.x, p.y + 1)
+        assert on_curve(curve, moved) == long_on_curve(a, _pair(moved))
+        assert is_nontorsion(curve, p) == long_is_nontorsion(a, _pair(p))
+        q = mul(curve, n, p)
+        assert _pair(q) == long_mul(a, n, _pair(p))
+        for r in (IDENTITY, p, negate(curve, p), q):
+            assert _pair(add(curve, p, r)) == long_add(a, _pair(p), _pair(r)), r
 
 
 class TestConjectureSearch:

@@ -85,6 +85,11 @@ class TestFamiliesCertify:
         )
         assert sym.residual == 0 and sym.nontrivial
 
+    def test_mixed_verdict_needs_distinct_f_values(self):
+        # F = x^5 - x and G = x^5 - 16x: F(0) = F(1) = 0 and G(0) = G(2) = 0,
+        # so p != r and q != s, yet both sides are (0, 0)
+        assert surfaces._mixed_verdicts((-1, -16), Point4(0, 0, 1, 2)) == (0, False)
+
     def test_mixed_reads_only_its_own_table_row(self, monkeypatch):
         rows = surfaces.elliptic.load_table()
         assert [surfaces.elliptic.table_row(d) for d in range(1, 101)] == rows
