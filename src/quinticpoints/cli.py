@@ -63,8 +63,13 @@ EXIT_EXHAUSTED = 3
 # call prints well within a second.
 MAX_MIXED_K = 20
 MAX_QUESTION3_N = 200
-# The witness box of find_zero costs O(B^2) time and memory: at B = 500 a
-# form with many zeros, (1, -1, 1, -1), takes about 2 s and 125 MB.
+# find_zero stops at the first shell of its box that holds a zero, so only a
+# box with no zero, or a first zero on the last shell, costs O(B^2) time and
+# memory.  At B = 500, as one CLI process (one core of a 2-core x86-64
+# machine), solve-form 1 1 1 -7, whose box holds no zero, takes about 0.25 s
+# of wall time and 40 MB of peak RSS; solve-form 1 1 1 -735137, whose
+# witness lies on shell 500, takes 0.36 s and 42 MB, the slowest accepted
+# call measured.
 MAX_WITNESS_BOUND = 500
 # A table search runs one row per D, and the costs of a row add rather than
 # multiply: about 0.61 * tmax^2 pairs (n, m) of t = n/m, each screened in

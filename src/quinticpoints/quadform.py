@@ -9,8 +9,10 @@ condition) on a normalized form, and returns its verdict with the
 conditions exactly as ``solve-form`` prints them.  Its independent cross-check, a local
 oracle by exhaustive residue search with Hensel lifting, lives in the tests
 (``tests/oracle.py``), since no command needs it.  :func:`find_zero` looks
-for an explicit witness in a box by meeting in the middle over Python ints,
-and :func:`certified_zero` checks it and its pull-back in ints.
+for an explicit witness in a box over Python ints, shell by shell in
+max-norm, and stops at the first shell that holds a zero: a witness of
+max-norm n costs O(n^2), and only a box with no zero costs O(bound^2).
+:func:`certified_zero` checks the witness and its pull-back in ints.
 
 On top of these sit the ternary specialization x^2+2y^2+3z^2 = -5a, with a
 base point from the witness search, and the family of forms with many
@@ -158,29 +160,53 @@ def find_zero(form: DiagonalForm, search_bound: int):
     increasing max-norm with the per-coordinate value order 0, 1, -1, 2, -2,
     ... as the tie-break.  Returns None when the box holds no zero.
 
-    Meet in the middle: a dict maps each a3*x3^2 + a4*x4^2 with
-    0 <= x3, x4 <= bound to its pairs, and each -(a1*x1^2 + a2*x2^2) is
-    looked up in it, so the cost is O(bound^2) time and memory.  Flipping
-    the sign of a nonzero coordinate keeps a zero a zero and only ranks it
-    later, so the first zero is among the nonnegative ones searched here.
+    Flipping the sign of a nonzero coordinate keeps a zero a zero and only
+    ranks it later, so the first zero has nonnegative coordinates.  The
+    search walks the box shell by shell: shell n holds the pairs whose
+    max-norm is exactly n, for n = 1, 2, ....  Two sets keep the left values
+    -(a1*x1^2 + a2*x2^2) and the right values a3*x3^2 + a4*x4^2 of every pair
+    with max-norm <= n, each seeded with 0 for the pair (0, 0), and the
+    scaled squares are built only as far as the current shell.  At shell n
+    the new left values are tested against every right value and the new
+    right values against every left value; a zero of max-norm n has a pair
+    on shell n, so the first shell with a match is the max-norm of the first
+    zero.  A zero on shell n with gcd g > 1 divides down to one on shell
+    n/g, so that shell holds only primitive zeros (the gcd filter is kept,
+    and drops the trivial zero).  Every nonzero zero of the n-box then has
+    max-norm n, so one pass over the n-box in lexicographic order returns
+    the least zero by the key (max(t),) + t.
+
+    A witness on shell n costs O(n^2) time and memory, so the common small
+    witness returns at once; a box with no zero is searched in full, in
+    O(bound^2).
     """
     a1, a2, a3, a4 = form
-    box = range(search_bound + 1)
-    right: dict[int, list[tuple[int, int]]] = {}
-    for x3 in box:
-        for x4 in box:
-            right.setdefault(a3 * x3 * x3 + a4 * x4 * x4, []).append((x3, x4))
-    return min(
-        (
-            (x1, x2, x3, x4)
-            for x1 in box
-            for x2 in box
-            for x3, x4 in right.get(-(a1 * x1 * x1 + a2 * x2 * x2), ())
-            if math.gcd(x1, x2, x3, x4) == 1
-        ),
-        key=lambda t: (max(t),) + t,
-        default=None,
-    )
+    left, right = {0}, {0}
+    m1, m2, p3, p4 = [0], [0], [0], [0]  # -a1*x^2, -a2*x^2, a3*x^2, a4*x^2 for x <= n
+    for n in range(1, search_bound + 1):
+        nn = n * n
+        u1, u2, u3, u4 = -a1 * nn, -a2 * nn, a3 * nn, a4 * nn
+        m1.append(u1)
+        m2.append(u2)
+        p3.append(u3)
+        p4.append(u4)
+        new_left = {u1 + v for v in m2}
+        new_left.update([u2 + v for v in m1])
+        new_right = {u3 + v for v in p4}
+        new_right.update([u4 + v for v in p3])
+        right |= new_right
+        if not (new_left.isdisjoint(right) and new_right.isdisjoint(left)):
+            break
+        left |= new_left
+    else:
+        return None
+    for x1, v1 in enumerate(m1):
+        for x2, v2 in enumerate(m2):
+            if v1 + v2 in right:
+                for x3, v3 in enumerate(p3):
+                    for x4, v4 in enumerate(p4):
+                        if v3 + v4 == v1 + v2 and math.gcd(x1, x2, x3, x4) == 1:
+                            return x1, x2, x3, x4
 
 
 def certified_zero(a1: int, a2: int, a3: int, a4: int, search_bound: int):

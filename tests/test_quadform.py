@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from quinticpoints import quadform
@@ -153,6 +154,37 @@ class TestLocalOracle:
         assert not local_oracle(DiagonalForm(1, 2, 3, -10))
 
 
+_COEFF = st.integers(-40, 40).filter(bool)
+
+
+@st.composite
+def _half_zero_forms(draw):
+    """c*p^2 and -c*q^2 side by side, so one half holds the zero (q, p)."""
+    c = draw(st.integers(-5, 5).filter(bool))
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair, other = [c * p * p, -c * q * q], draw(st.lists(_COEFF, min_size=2, max_size=2))
+    coeffs = pair + other if draw(st.booleans()) else other + pair
+    return "half", tuple(coeffs), draw(st.integers(max(p, q), 15))
+
+
+@st.composite
+def _deep_zero_forms(draw):
+    """a4 = -(a1*x1^2 + a2*x2^2 + a3*x3^2), so (x1, x2, x3, 1) is a zero."""
+    a = draw(st.lists(_COEFF, min_size=3, max_size=3))
+    x = draw(st.lists(st.integers(0, 15), min_size=3, max_size=3))
+    a4 = -sum(ai * xi * xi for ai, xi in zip(a, x))
+    assume(a4 != 0)
+    return "deep", (*a, a4), draw(st.integers(max(x), 15))
+
+
+@st.composite
+def _zero_free_forms(draw):
+    """Forms with no rational zero at all: definite, or locally unsolvable."""
+    coeffs = draw(st.lists(_COEFF, min_size=4, max_size=4))
+    assume(not represents_zero(normalize(*coeffs)[0])[0])
+    return "none", tuple(coeffs), draw(st.integers(0, 15))
+
+
 class TestFindZero:
     def test_example1_witness(self):
         assert find_zero(DiagonalForm(1, 2, 3, -5), 2) == (0, 1, 1, 1)
@@ -193,6 +225,46 @@ class TestFindZero:
         form = DiagonalForm(1, 2049638230412172402, 1, -3)
         assert form.value((0, 3, 1, 1)) == 2**64
         assert find_zero(form, 3) is None
+
+    @given(st.one_of(_half_zero_forms(), _deep_zero_forms(), _zero_free_forms()))
+    @example(("half", (1, -1, 1, -1), 15))
+    @example(("half", (1, -4, -2, -3), 15))
+    @example(("half", (1, 1, 1, -4), 2))
+    @example(("none", (1, 1, 1, -7), 15))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_triple_loop_by_kind(self, drawn):
+        """Each kind of form the shell walk treats apart: a first zero with
+        one pair (0, 0), matched against the seed 0; a first zero past
+        shell 1; and a box with no zero, searched in full."""
+        kind, coeffs, bound = drawn
+        form = DiagonalForm(*coeffs)
+        expected = _find_zero_reference(form, bound)
+        if kind == "half":
+            assume(expected is not None and 0 in (max(expected[:2]), max(expected[2:])))
+        elif kind == "deep":
+            assume(expected is not None and max(expected) > 1)
+        else:
+            assert expected is None
+        event(kind)
+        assert find_zero(form, bound) == expected
+
+    def test_stops_at_the_first_shell(self):
+        # searched in full, the 400-box takes about 25 MB; shell 1 holds the zero
+        tracemalloc.start()
+        try:
+            witness = find_zero(DiagonalForm(1, 2, 3, -5), 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness == (0, 1, 1, 1)
+        assert peak < 200_000
+
+    def test_zero_pull_back_is_a_certificate_error(self, monkeypatch):
+        # a primitive witness pulls back to a nonzero vector, so only the
+        # not-any(zero) clause of certified_zero sees this
+        monkeypatch.setattr(quadform, "pull_back_witness", lambda back, witness: (0, 0, 0, 0))
+        with pytest.raises(CertificateError, match="pulled-back witness"):
+            quadform.certified_zero(1, 2, 3, -5, 2)
 
 
 def _find_zero_reference(form, bound):
