@@ -233,10 +233,8 @@ def _ansatz_values(a, b, u, v):
     p = Fraction(25, 3) * (u * u - 3 * v * v)
     q = 15 * u
     r = 50 * (u * u - v * v)
-    s_den = 30 * b * v
-    if s_den == 0:
-        raise DegenerateParameters("ansatz denominator 30bv vanishes (v = 0?)")
-    s = (25 * u**4 - 450 * u**2 * v**2 - 75 * v**4 - 9 * a * a) / s_den
+    # 30bv != 0: thm1_point refuses b = 0 and v = 0, and on symbols it is never 0
+    s = (25 * u**4 - 450 * u**2 * v**2 - 75 * v**4 - 9 * a * a) / (30 * b * v)
     t_den = 30 * (5 * a - p) * (5 * a + p) * u
     if t_den == 0:
         raise DegenerateParameters("root denominator 30(5a-p)(5a+p)u vanishes")

@@ -85,6 +85,21 @@ class TestOptions:
         else:
             assert texts[0].startswith(f"usage: quintic-points {command} [-h] [--store STORE]")
 
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_lines_fit_80_columns(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"] if command is None else [command, "--help"])
+        # argparse wraps help at 78 columns and a usage line at 79; only a
+        # word that fits no line is longer: the top-level usage's 71-column
+        # {verify-identities,...,scale-integers} and construct's family
+        lines = capsys.readouterr().out.splitlines()
+        assert all(len(line) <= 79 or len(line.split()) == 1 for line in lines)
+
+    def test_usage_keeps_the_positionals_on_one_line(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["solve-form", "1", "2", "3"])
+        assert any(line.endswith(" a1 a2 a3 a4") for line in capsys.readouterr().err.splitlines())
+
     def test_store_on_every_subcommand(self, tmp_path):
         for argv in (
             ("verify-identities",), ("construct", "thm1"), ("solve-form", "1", "2", "3", "4"),
@@ -680,7 +695,7 @@ def test_int_argument_past_the_str_to_int_limit_is_echoed_short(capsys, argv, ec
     assert exc.value.code == cli.EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    usage = cli._usage(argv[0])
+    usage = cli._help_parser(argv[0]).format_usage()
     assert captured.err.startswith(usage)
     assert len(captured.err.encode()) - len(usage.encode()) < 500
     assert captured.err.endswith(echo)
@@ -1062,6 +1077,39 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert cli.main(["table", "--mode=verify", "--dmax=2"]) == 0
 pools = {"concurrent.futures", "multiprocessing"}
 assert not pools & set(sys.modules), pools & set(sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_only_help_and_usage_errors_import_argparse():
+    # the COMMANDS reader parses every call; argparse is built only to write
+    # the text of help and of a usage error
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """
+import contextlib, io, sys
+import quinticpoints.cli as cli
+clean = [
+    ["verify-identities", "--only=norm-lift"],
+    ["construct", "thm1", "--b=1", "--u=1", "--v=1"],
+    ["solve-form", "1", "1", "1", "-1"],
+    ["table", "--dmax=1"],
+    ["question3", "--N=1"],
+    ["scale-integers", "--a=1", '--points=[{"p": "1/2", "q": 1, "r": "1/2", "s": 1}]'],
+]
+assert [argv[0] for argv in clean] == list(cli.COMMANDS)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in clean:
+        assert cli.main(argv) == 0, argv
+assert "argparse" not in sys.modules
+code = None
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(["table", "--dm", "3"])
+    except SystemExit as exc:
+        code = exc.code
+assert code == 2
+assert "argparse" in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

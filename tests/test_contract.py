@@ -227,9 +227,10 @@ def test_every_cap_of_the_cli_is_drawn_at_its_boundary():
 
 
 def _writes(tree):
-    """(innermost enclosing function, stream) of every print and every
-    sys.stdout.write or sys.stderr.write call in ``tree``; a print goes to
-    "stderr" only when it passes file=sys.stderr."""
+    """(innermost enclosing function, stream) of every print, every
+    sys.stdout.write or sys.stderr.write call and every argparse writer in
+    ``tree``; a print goes to "stderr" only when it passes file=sys.stderr,
+    a parser's print_help() to stdout and its error() to stderr."""
     found = []
 
     def visit(node, function):
@@ -245,6 +246,10 @@ def _writes(tree):
                     found.append((function, "stderr" if to_stderr else "stdout"))
                 elif target in ("sys.stdout.write", "sys.stderr.write"):
                     found.append((function, target.split(".")[1]))
+                elif target.endswith(".print_help"):
+                    found.append((function, "stdout"))
+                elif target.endswith(".error"):
+                    found.append((function, "stderr"))
             visit(child, inner)
 
     visit(tree, None)
