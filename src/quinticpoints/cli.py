@@ -515,7 +515,7 @@ def _help_parser(command: str | None):
             description="Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)",
             formatter_class=formatter,
         )
-        commands = parser.add_subparsers()
+        commands = parser.add_subparsers(metavar="command")
         for name, entry in COMMANDS.items():
             commands.add_parser(name, help=entry[0])
         return parser

@@ -15,6 +15,15 @@ its integral representative: integer coefficients with joint content 1, so
 the expansions behind the identity checks multiply machine-sized Python
 ints, not Fractions (content and primitive part, as in Cohen, *A Course in
 Computational Algebraic Number Theory*, 3.2).
+
+Composition has one kernel, :func:`substitute_all`, behind both
+``substitute`` methods.  For a list of expressions it builds each binding
+power, and each product of powers for a distinct pattern of bound
+exponents, once.  A power of a binding denominator is shared within one
+expression only: a rational function's numerator and denominator are
+composed over the same one, which cancels.  ``MultiPoly.substitute``
+returns that power as its denominator; ``RationalFunction.substitute``
+returns the quotient of its two composed parts.
 """
 
 from __future__ import annotations
@@ -196,6 +205,10 @@ class MultiPoly:
         if not self.packed or not other.packed:
             return _poly({}, 0)
         bound = _checked(self.bound + other.bound)
+        big, small = (self, other) if len(other.packed) == 1 else (other, self)
+        if len(small.packed) == 1:  # a monomial shifts keys: none collide or cancel
+            [(k2, c2)] = small.packed.items()
+            return _poly({k + k2: c * c2 for k, c in big.packed.items()}, bound)
         terms: dict = {}
         get = terms.get
         b_terms = list(other.packed.items())
@@ -261,54 +274,15 @@ class MultiPoly:
     # -- substitution / evaluation ------------------------------------------
 
     def substitute(self, bindings: dict) -> "RationalFunction":
-        """Compose with rational-function bindings, exactly.
-
-        Unbound variables stay symbolic.  Values may be scalars, MultiPoly or
-        RationalFunction.  The result's denominator is the product of binding
-        denominators raised to the needed powers (not reduced: only scaled to
-        the integral representative)."""
-        nums: dict[str, MultiPoly] = {}
-        groups: list[MultiPoly] = []  # the distinct denominators other than 1
-        masks: list[int] = []  # the fields of the variables over each one
-        for name, value in bindings.items():
-            rf = as_rational_function(value)
-            if rf.den.is_zero:
-                raise DivisionByZeroPoly(f"binding for {name} has zero denominator")
-            nums[name] = rf.num
-            # variables sharing a denominator polynomial share one power of it in
-            # the common denominator (keeps f(p)+f(q)-f(r)-f(s)-style sums small)
-            if rf.den != 1 and name in _SHIFT:
-                if rf.den not in groups:
-                    groups.append(rf.den)
-                    masks.append(0)
-                masks[groups.index(rf.den)] |= FIELD << _SHIFT[name]
-        # bound fields leave each key, the free ones stay symbolic; a masked
-        # key's total degree is the key mod FIELD
-        fields = [(s, nums[n]) for n, s in _occurring(self.packed) if n in nums]
-        free = ~sum(FIELD << s for s, _ in fields)
-        tops = [max([(key & m) % FIELD for key in self.packed], default=0) for m in masks]
-        powers: dict = {}
-
-        def power(poly, e):
-            if (id(poly), e) not in powers:
-                powers[id(poly), e] = poly**e
-            return powers[id(poly), e]
-
-        acc: dict = {}
-        bound = 0
-        for key, coeff in self.packed.items():
-            term = _poly({key & free: coeff}, (key & free) % FIELD)
-            for s, num in fields:
-                if key >> s & FIELD:
-                    term = term * power(num, key >> s & FIELD)
-            for d, m, top in zip(groups, masks, tops):
-                if top > (key & m) % FIELD:
-                    term = term * power(d, top - (key & m) % FIELD)
-            for k, c in term.packed.items():
-                acc[k] = acc.get(k, 0) + c
-            bound = max(bound, term.bound)
-        den = math.prod([power(d, top) for d, top in zip(groups, tops)], start=_poly({0: 1}, 0))
-        return RationalFunction(_poly({k: c for k, c in acc.items() if c}, bound), den)
+        """Compose with rational-function bindings (scalars, MultiPoly or
+        RationalFunction), exactly; unbound names stay symbolic.  Through
+        :func:`substitute_all`, which builds each binding power and each
+        product of powers once, every term is composed over one shared
+        denominator: the product of the distinct binding denominators, each
+        to the highest degree of a term in the names over it.  That product
+        is the result's denominator, scaled to the integral representative
+        and not reduced."""
+        return substitute_all((self,), bindings)[0]
 
     def eval(self, point: dict):
         """Exact value at a fully scalar point."""
@@ -372,6 +346,27 @@ def _leading_sign(poly: MultiPoly) -> int:
     return 1 if poly.packed[lead] > 0 else -1
 
 
+def _representative(num: MultiPoly, den: MultiPoly, sign: int = 1) -> tuple:
+    """(num, den) times sign and one rational, so that every coefficient is
+    an int and their joint content is 1; a zero num goes over 1."""
+    if num.is_zero:
+        return num, _poly({0: 1}, 0)
+    g, d = _int_content(num, den)
+    if g != 1 or d != 1 or sign != 1:
+        return _scaled(num, sign, g, d), _scaled(den, sign, g, d)
+    return num, den
+
+
+def _over_positive(num: MultiPoly, den: MultiPoly) -> "RationalFunction":
+    """num / den for a den that already leads with a positive coefficient:
+    a representative's denominator, or a product of them, whose leading
+    coefficient is the product of theirs because grlex is a monomial order.
+    Only the content is scanned, not the sign."""
+    rf = object.__new__(RationalFunction)
+    rf.num, rf.den = _representative(num, den)
+    return rf
+
+
 class RationalFunction:
     """Quotient of two MultiPoly values; equality by cross-multiplication.
 
@@ -379,7 +374,8 @@ class RationalFunction:
     stored as the integral representative of the quotient: both are scaled
     by one rational so that every coefficient is an integer, their joint
     content is 1, and the denominator's leading term is positive.  Products
-    and sums of these then run on Python ints.  ``den`` is a MultiPoly or a
+    and sums of these then run on Python ints, and keep a positive leading
+    denominator without scanning for it.  ``den`` is a MultiPoly or a
     scalar, 1 by default.
     """
 
@@ -390,16 +386,8 @@ class RationalFunction:
             den = _poly({0: 1}, 0) if den is None else MultiPoly.constant(den)
         if den.is_zero:
             raise DivisionByZeroPoly("denominator is identically zero")
-        if num.is_zero:
-            den = _poly({0: 1}, 0)
-        else:
-            sign = _leading_sign(den)
-            g, d = _int_content(num, den)
-            if g != 1 or d != 1 or sign != 1:
-                num = _scaled(num, sign, g, d)
-                den = _scaled(den, sign, g, d)
-        self.num = num
-        self.den = den
+        sign = _leading_sign(den) if num.packed else 1
+        self.num, self.den = _representative(num, den, sign)
 
     @property
     def is_identically_zero(self) -> bool:
@@ -408,25 +396,30 @@ class RationalFunction:
     def __add__(self, other):
         other = as_rational_function(other)
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
+            return _over_positive(self.num + other.num, self.den)
+        return _over_positive(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        neg = object.__new__(RationalFunction)
+        neg.num, neg.den = -self.num, self.den  # the content is unchanged
+        return neg
 
     def __sub__(self, other):
-        return self + (-as_rational_function(other))
+        other = as_rational_function(other)
+        if self.den == other.den:
+            return _over_positive(self.num - other.num, self.den)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_rational_function(other) + (-self)
+        return as_rational_function(other) - self
 
     def __mul__(self, other):
         other = as_rational_function(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _over_positive(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -447,13 +440,22 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             other = as_rational_function(other)
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __hash__(self):
         raise TypeError("RationalFunction is not hashable")
 
     def substitute(self, bindings: dict) -> "RationalFunction":
-        return self.num.substitute(bindings) / self.den.substitute(bindings)
+        """Compose with rational-function bindings, exactly, through
+        :func:`substitute_all`, which builds each binding power and each
+        product of powers once.  Numerator and denominator are composed over
+        one shared power of each binding denominator, which cancels: the
+        result is the quotient of the two composed parts, equal by value to
+        the quotient of the parts' ``MultiPoly.substitute`` but without the
+        factor both of those carry."""
+        return substitute_all((self,), bindings)[0]
 
     def eval(self, point: dict) -> Fraction:
         """Exact value at a fully scalar point."""
@@ -477,6 +479,88 @@ def as_rational_function(value) -> RationalFunction:
     if isinstance(value, MultiPoly):
         return RationalFunction(value)
     return RationalFunction(MultiPoly.constant(value))
+
+
+def substitute_all(exprs, bindings: dict) -> list:
+    """Compose each of ``exprs`` (MultiPoly, RationalFunction or scalar)
+    with the same bindings, exactly: one RationalFunction each, in order.
+
+    The bindings are prepared once for all of them: each binding power, and
+    each product of powers for a distinct pattern of bound exponents, is
+    built once, and a term's free monomial joins its product by adding keys.
+    Bindings over the same denominator d share one power of it, d^top, with
+    top the highest degree of a term of the expression in the names over d.
+    Each expression has its own tops, so none carries another's factor; a
+    RationalFunction's numerator and denominator share theirs, which cancel.
+    A MultiPoly comes back over the product of its d^top."""
+    one = _poly({0: 1}, 0)
+    nums: list = []  # (offset, numerator) of each bound name that has a field
+    groups: list = []  # the distinct binding denominators other than 1
+    masks: list = []  # the fields of the names over each one
+    for name, value in bindings.items():
+        rf = as_rational_function(value)
+        if rf.den.is_zero:
+            raise DivisionByZeroPoly(f"binding for {name} has zero denominator")
+        if name not in _SHIFT:
+            continue  # a name never registered occurs in no expression
+        nums.append((_SHIFT[name], rf.num))
+        if rf.den != 1:
+            if rf.den not in groups:
+                groups.append(rf.den)
+                masks.append(0)
+            masks[groups.index(rf.den)] |= FIELD << _SHIFT[name]
+    bound_fields = sum(FIELD << s for s, _ in nums)
+    powers: dict = {}
+    products: dict = {}
+
+    def power(poly, e):
+        if (id(poly), e) not in powers:
+            powers[id(poly), e] = poly**e
+        return powers[id(poly), e]
+
+    def product(pattern, tops):
+        """The bound powers of one pattern times each d^(top - its degree
+        in the names over d); a masked key's total degree is the key mod
+        FIELD."""
+        if (pattern, tops) not in products:
+            factors = [power(num, pattern >> s & FIELD) for s, num in nums if pattern >> s & FIELD]
+            for d, m, top in zip(groups, masks, tops):
+                if top > (pattern & m) % FIELD:
+                    factors.append(power(d, top - (pattern & m) % FIELD))
+            result = factors[0] if factors else one
+            for factor in factors[1:]:
+                result = result * factor
+            products[pattern, tops] = result
+        return products[pattern, tops]
+
+    def compose(part, tops):
+        acc: dict = {}
+        bound = 0
+        for key, coeff in part.packed.items():
+            pattern = key & bound_fields
+            factor, free = product(pattern, tops), key - pattern
+            for k, c in factor.packed.items():
+                k += free
+                acc[k] = acc.get(k, 0) + coeff * c
+            bound = max(bound, free % FIELD + factor.bound)
+        return _poly({k: c for k, c in acc.items() if c}, _checked(bound))
+
+    results = []
+    for expr in exprs:
+        if isinstance(expr, MultiPoly):
+            parts = (expr,)
+        else:
+            expr = as_rational_function(expr)
+            parts = (expr.num, expr.den)
+        tops = tuple(
+            max([(key & m) % FIELD for part in parts for key in part.packed], default=0)
+            for m in masks
+        )
+        composed = [compose(part, tops) for part in parts]
+        if len(composed) == 1:
+            composed.append(product(0, tops))
+        results.append(RationalFunction(*composed))
+    return results
 
 
 def discriminant_quadratic(p: MultiPoly, var: str) -> MultiPoly:

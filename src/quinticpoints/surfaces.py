@@ -44,6 +44,7 @@ from .poly import (
     as_rational_function,
     discriminant_quadratic,
     shift_of,
+    substitute_all,
 )
 from .quintic import (
     Point4,
@@ -693,12 +694,10 @@ def _check_thm1_surface() -> bool:
         "t": RationalFunction(2 * x - y, y),
         "Y": RationalFunction(5 * b * w, y * y),
     }
-    for there, back in ((inv, fwd), (fwd, inv)):
-        for name, expr in there.items():
-            if expr.substitute(back) != as_rational_function(MultiPoly.variable(name)):
-                return False
-
-    pulled = (w * w - delta).substitute(fwd)
+    *inv_back, pulled = substitute_all([*inv.values(), w * w - delta], fwd)
+    round_trips = zip([*inv, *fwd], [*inv_back, *substitute_all(fwd.values(), inv)])
+    if any(got != as_rational_function(MultiPoly.variable(name)) for name, got in round_trips):
+        return False
     if pulled != RationalFunction(400 * b * b, (X + 5 * a) ** 4) * _e_polynomial():
         return False
 
@@ -732,10 +731,10 @@ def _check_thm1_surface() -> bool:
 
     *r3_values, t_root = _ansatz_values(a, b, uu, vv)
     r3 = dict(zip("PQRS", r3_values))
-    if not all(displayed[k].substitute(r3).is_identically_zero for k in (2, 3, 4, 5)):
+    a0_sub, a1_sub, *higher = substitute_all(displayed.values(), r3)
+    if not all(a_sub.is_identically_zero for a_sub in higher):
         return False
-    a1_sub = displayed[1].substitute(r3)
-    remaining = displayed[0].substitute(r3) + a1_sub * t_root
+    remaining = a0_sub + a1_sub * t_root
     return remaining.is_identically_zero and not a1_sub.is_identically_zero
 
 
@@ -837,10 +836,11 @@ def _check_mixed_maps() -> bool:
     forward = dict(zip("UV", forward_map(X, Y, t)))
     rhs = X**3 - 25 * t**4 * X * X - 2500 * (c - f) ** 2 * t**4
     h = _mixed_h(0, 0, c, 0, 0, f, U, V, t)
-    if not _reduce_square(h.substitute(forward).num, "Y", rhs).is_zero:
+    h_sub, *round_trip = substitute_all([h, *inverse_map(U, V, t)], forward)
+    if not _reduce_square(h_sub.num, "Y", rhs).is_zero:
         return False
-    for comp, var in zip(inverse_map(U, V, t), ("X", "Y")):
-        diff = comp.substitute(forward) - as_rational_function(MultiPoly.variable(var))
+    for comp, var in zip(round_trip, ("X", "Y")):
+        diff = comp - as_rational_function(MultiPoly.variable(var))
         if not _reduce_square(diff.num, "Y", rhs).is_zero:
             return False
     return True

@@ -98,7 +98,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="quintic-points",
         description="Exact rational points on quintic hypersurfaces f(p)+f(q)=f(r)+f(s)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, _, _, _) in cli.COMMANDS.items():
         _add_command(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser

@@ -20,6 +20,7 @@ from quinticpoints.poly import (
     RationalFunction,
     as_rational_function,
     discriminant_quadratic,
+    substitute_all,
 )
 
 
@@ -125,6 +126,23 @@ class TestSubstituteEval:
         x = MultiPoly.variable("x")
         with pytest.raises(DivisionByZeroPoly):
             x.substitute({"x": RationalFunction(x, MultiPoly.zero())})
+
+    def test_composed_denominator_that_vanishes(self):
+        x, y = MultiPoly.variables("x y")
+        for call in (
+            lambda: RationalFunction(y, x - y).substitute({"x": y}),
+            lambda: substitute_all([x, RationalFunction(y, x - y)], {"x": y}),
+        ):
+            with pytest.raises(DivisionByZeroPoly):
+                call()
+
+    def test_shared_binding_denominator_cancels(self):
+        # x/y at x = a/(a+1), y = b/(a+1) is a/b: numerator and denominator
+        # are composed over the same a+1, which cancels
+        x, y, a, b = MultiPoly.variables("x y a b")
+        rf = RationalFunction(x, y).substitute({"x": a / (a + 1), "y": b / (a + 1)})
+        assert rf.den.degree() == 1
+        assert (rf.num, rf.den) == (a, b)
 
     def test_eval_displayed_g(self):
         # direct expansion of 2b+3ay+5x^2y-5xy^2+5y^3-5y^2z+5yz^2 at
@@ -308,6 +326,10 @@ def _paired(names, degree=3):
     )
 
 
+def _as_tuples(p: MultiPoly) -> TuplePoly:
+    return TuplePoly(p.vars, p.terms)
+
+
 def _assert_matches(new, ref, names):
     assert str(new) == str(ref)
     assert new.vars == ref.vars
@@ -350,6 +372,46 @@ class TestTupleReference:
         ref_num, ref_den = P.substitute(ref_bindings)
         _assert_matches(rf.num, ref_num, names)
         _assert_matches(rf.den, ref_den, names)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rational_substitution_matches_the_tuple_quotient(self, data):
+        names = data.draw(_names())
+        (n, _), (d, _) = data.draw(_paired(names)), data.draw(_paired(names, 2))
+        assume(not d.is_zero)
+        rf = RationalFunction(n, d)
+        n, d = rf.num, rf.den  # a zero numerator goes over 1
+        N, D = _as_tuples(n), _as_tuples(d)
+        # binding denominators come from a pool of two polynomials and a
+        # constant, so names share one, differ, or sit over a scalar
+        pool = [data.draw(_paired(names, 1)) for _ in range(2)]
+        pool.append((MultiPoly.constant(3), TuplePoly.constant(3)))
+        bindings, ref_bindings = {}, {}
+        for name in data.draw(st.lists(st.sampled_from(names), unique=True)):
+            (num, NUM), (den, DEN) = data.draw(_paired(names, 2)), data.draw(st.sampled_from(pool))
+            assume(not den.is_zero)
+            bindings[name] = RationalFunction(num, den)
+            ref_bindings[name] = (NUM, DEN)
+        bindings["never_seen"] = RationalFunction(MultiPoly.constant(1), pool[0][0] + 7)
+        (ref_nn, ref_nd), (ref_dn, ref_dd) = N.substitute(ref_bindings), D.substitute(ref_bindings)
+        if ref_dn == TuplePoly.constant(0):
+            for call in (lambda: rf.substitute(bindings), lambda: substitute_all([rf], bindings)):
+                with pytest.raises(DivisionByZeroPoly):
+                    call()
+            return
+        # (nn / nd) / (dn / dd), by cross-multiplication
+        ref_num, ref_den = ref_nn * ref_dd, ref_nd * ref_dn
+        got = rf.substitute(bindings)
+        together = substitute_all([n, rf, d, 5], bindings)
+        for new in (got, together[1]):
+            assert _as_tuples(new.num) * ref_den == ref_num * _as_tuples(new.den)
+        # each expression keeps its own denominator; a polynomial keeps its
+        # exact representative
+        assert (str(together[1].num), str(together[1].den)) == (str(got.num), str(got.den))
+        for new, (ref_n, ref_d) in zip(together[::2], ((ref_nn, ref_nd), (ref_dn, ref_dd))):
+            _assert_matches(new.num, ref_n, names)
+            _assert_matches(new.den, ref_d, names)
+        assert (str(together[3].num), str(together[3].den)) == ("5", "1")
 
     def test_printing_and_equality_ignore_registry_order(self):
         script = """
@@ -464,12 +526,9 @@ def test_ring_operations_read_no_tuple_view(monkeypatch):
     rhs = x * x + 1
     bindings = {"x": RationalFunction(y - z, I + 1), "z": x * x - 3, "w": 2}
 
-    def as_tuples(f):
-        return TuplePoly(f.vars, f.terms)
-
-    P, Q, RHS = map(as_tuples, (p, q, rhs))
+    P, Q, RHS = map(_as_tuples, (p, q, rhs))
     rfs = {name: as_rational_function(value) for name, value in bindings.items()}
-    tuples = {name: (as_tuples(rf.num), as_tuples(rf.den)) for name, rf in rfs.items()}
+    tuples = {name: (_as_tuples(rf.num), _as_tuples(rf.den)) for name, rf in rfs.items()}
 
     def refuse(self):
         raise AssertionError("a ring operation read a tuple view")
@@ -478,6 +537,8 @@ def test_ring_operations_read_no_tuple_view(monkeypatch):
     monkeypatch.setattr(MultiPoly, "terms", property(refuse))
     got = [p * q, p + q, p - q, 2 - p, p**3, p * 5]
     rf = p.substitute(bindings)
+    quotient = RationalFunction(q, p).substitute(bindings)
+    together = substitute_all([p, RationalFunction(q, p)], bindings)
     reduced = [surfaces._reduce_square(p**3, "I", -1), surfaces._reduce_square(p**3, "y", rhs)]
     monkeypatch.undo()
 
@@ -486,6 +547,12 @@ def test_ring_operations_read_no_tuple_view(monkeypatch):
         assert str(new) == str(ref)
     ref_num, ref_den = P.substitute(tuples)
     assert (str(rf.num), str(rf.den)) == (str(ref_num), str(ref_den))
+    assert (str(together[0].num), str(together[0].den)) == (str(ref_num), str(ref_den))
+    # (q_num / q_den) / (p_num / p_den), compared by cross-multiplication
+    ref_q_num, ref_q_den = Q.substitute(tuples)
+    ref_q_num, ref_q_den = ref_q_num * ref_den, ref_q_den * ref_num
+    for new in (quotient, together[1]):
+        assert _as_tuples(new.num) * ref_q_den == ref_q_num * _as_tuples(new.den)
     minus_one = TuplePoly.constant(-1)
     for new, ref in zip(reduced, (_tuple_reduce_square(P**3, "I", minus_one),
                                   _tuple_reduce_square(P**3, "y", RHS))):
